@@ -5,7 +5,7 @@ JSON ({"schema": "qkahler/1"}, sorted keys, exact scalar strings), so the
 same invocation is usable interactively and as a regression artifact.
 
 Exit codes: 0 all requested checks pass, 1 at least one identity failed,
-2 configuration error.
+2 configuration error, 3 the report could not be written to --out.
 """
 
 from __future__ import annotations
@@ -277,8 +277,12 @@ def main(argv=None) -> int:
     else:
         text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"error: cannot write --out file: {e}", file=sys.stderr)
+            return 3
     else:
         print(text)
     return 1 if failures else 0

@@ -44,6 +44,7 @@ def vol(u: FiberForm) -> Scalar:
 
 _hodge_cache: dict = {}
 _hodge_inv_cache: dict = {}
+_gram_cache: dict = {}
 
 
 def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
@@ -136,14 +137,25 @@ def metric(u: FiberForm, v: FiberForm, mode: HodgeMode = H_EQ_Q) -> Scalar:
 
 
 def gram(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
-    """Gram matrix of the monomial basis of the (a, b) component."""
+    """Gram matrix of the monomial basis of the (a, b) component.
+
+    Entry (r, c) is vol(m_r ^ H(star(m_c))), assembled as P . H . S: S is
+    the matrix of star from the (a, b) to the (b, a) basis, H the (b, a)
+    Hodge block and P the Serre pairing of (a, b) with (n-a, n-b).  Blocks
+    are cached per (n, a, b, mode), so `adjoint` reuses them.
+    """
+    key = (n, a, b, mode)
+    hit = _gram_cache.get(key)
+    if hit is not None:
+        return hit
     basis = basis_bidegree(n, a, b)
-    duals = [hodge(FiberForm(n, {m: ONE}).star(), mode) for m in basis]
-    rows = []
-    for mr in basis:
-        fr = FiberForm(n, {mr: ONE})
-        rows.append([vol(fr.wedge(d)) for d in duals])
-    return ScalarMatrix(rows, ncols=len(basis))
+    conj = basis_bidegree(n, b, a)
+    star_mat = ScalarMatrix.from_columns(
+        [to_coords(FiberForm(n, {m: ONE}).star(), conj) for m in basis],
+        len(conj))
+    out = serre_pairing(n, a, b) @ hodge_block(n, b, a, mode) @ star_mat
+    _gram_cache[key] = out
+    return out
 
 
 def gram_to_json(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> dict:
@@ -295,17 +307,10 @@ class GradedOperator:
 def adjoint(op: GradedOperator, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
     """Metric adjoint: g(op(u), v) = g(u, adjoint(op)(v)) for all u, v."""
     n = op.n
-    grams: dict = {}
-
-    def g(a, b):
-        if (a, b) not in grams:
-            grams[(a, b)] = gram(n, a, b, mode)
-        return grams[(a, b)]
-
     blocks = {}
     for src, (tgt, mat) in op.blocks.items():
-        g_src = g(*src)
-        g_tgt = g(*tgt)
+        g_src = gram(n, *src, mode)
+        g_tgt = gram(n, *tgt, mode)
         w = linalg.solve(g_src, mat.transpose() @ g_tgt).conjugate()
         if tgt in blocks:
             raise ValueError("operator blocks collide under adjoint")

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (
-    ZERO, ONE, GaussianRational, LaurentPoly, Scalar, _laurent_gcd,
+    ZERO, ONE, LaurentPoly, Scalar, _LP_ONE, _laurent_gcd,
 )
-
-_LP_ONE = LaurentPoly({0: GaussianRational(1)})
 
 
 class ScalarMatrix:

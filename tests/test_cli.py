@@ -128,6 +128,14 @@ def test_out_file_writing(tmp_path, capsys):
     assert doc["schema"] == "qkahler/1"
 
 
+def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = _run(capsys, ["basis", "-n", "1", "--out", str(target)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_numeric_mode_runs(capsys):
     code, out, _ = _run(capsys, ["verify", "-n", "1", "--suite", "hodge",
                                  "--mode", "numeric:9/10:7/8"])

@@ -195,18 +195,24 @@ def test_hodge_is_a_metric_isometry():
 
 
 def test_gram_agrees_with_metric_entries():
-    for n in (1, 2):
+    # gram assembles P . H . S from matrices; metric wedges forms.  The h1
+    # cases run after hq on the same blocks, so a cache that ignored the
+    # mode would hand back the hq block and fail here.
+    for n, mode in ((1, H_EQ_Q), (2, H_EQ_Q), (3, H_EQ_Q),
+                    (1, H_EQ_ONE), (2, H_EQ_ONE)):
         for a in range(n + 1):
             for b in range(n + 1):
                 basis = basis_bidegree(n, a, b)
                 if not basis:
                     continue
-                g = gram(n, a, b)
+                g = gram(n, a, b, mode)
                 assert g == g.transpose().conjugate()
                 for i, mi in enumerate(basis):
                     for j, mj in enumerate(basis):
                         assert g.rows[i][j] == metric(
-                            FiberForm(n, {mi: ONE}), FiberForm(n, {mj: ONE}))
+                            FiberForm(n, {mi: ONE}), FiberForm(n, {mj: ONE}),
+                            mode)
+    assert gram(2, 0, 0, H_EQ_ONE) != gram(2, 0, 0, H_EQ_Q)
 
 
 def test_string_rescaling_law():
