@@ -19,7 +19,7 @@ from .hodge import (
     hodge_operator, l_operator, lambda_operator,
 )
 from .uqsl2 import (
-    h_operator, k_operator, counting_ops, Sl2String,
+    h_operator, k_operator, Sl2String,
     verify_lefschetz_identities, string_decomposition, string_inventory,
 )
 from .su2 import (
@@ -41,7 +41,7 @@ __all__ = [
     "vol", "hodge", "hodge_inverse", "lambda_apply", "metric", "gram",
     "gram_to_json", "certify_posdef", "serre_pairing", "GradedOperator",
     "adjoint", "hodge_operator", "l_operator", "lambda_operator",
-    "h_operator", "k_operator", "counting_ops", "Sl2String",
+    "h_operator", "k_operator", "Sl2String",
     "verify_lefschetz_identities", "string_decomposition", "string_inventory",
     "SU2Element", "TensorElement", "u_entry", "antipode_u_entry",
     "coproduct", "coproduct2", "projective_coordinate", "laplacian0_cp1",

@@ -5,7 +5,8 @@ JSON ({"schema": "qkahler/1"}, sorted keys, exact scalar strings), so the
 same invocation is usable interactively and as a regression artifact.
 
 Exit codes: 0 all requested checks pass, 1 at least one identity failed,
-2 configuration error, 3 the report could not be written to --out.
+2 configuration error, 3 the report could not be written to --out or the
+command raised an unexpected exception (one `error:` line, no traceback).
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def cmd_gram(args, mode) -> tuple:
             block = gram_to_json(n, a, b, mode)
             certs = []
             for q0 in q_samples:
-                cert = certify_posdef(gram(n, a, b, H_EQ_Q), q0).to_json()
+                cert = certify_posdef(gram(n, a, b, mode), q0).to_json()
                 certs.append(cert)
                 if cert["verdict"] != "positive-definite":
                     failures.append({"suite": "posdef",
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     if args.json:
         doc = {"schema": SCHEMA, "command": args.command,
                "config": _config(args, mode),

@@ -45,6 +45,7 @@ def vol(u: FiberForm) -> Scalar:
 _hodge_cache: dict = {}
 _hodge_inv_cache: dict = {}
 _gram_cache: dict = {}
+_lambda_cache: dict = {}
 
 
 def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
@@ -116,9 +117,9 @@ def hodge_inverse(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
 
 def lambda_apply(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
     """Lefschetz lowering operator: conjugate of the raising operator by the
-    Hodge map.  Adjoint to raising with respect to the metric."""
-    from .lefschetz import L
-    return hodge_inverse(L(hodge(u, mode)), mode)
+    Hodge map.  Adjoint to raising with respect to the metric.  Applies the
+    cached `lambda_operator(u.n, mode)`, one block product per bidegree."""
+    return lambda_operator(u.n, mode).apply(u)
 
 
 def metric(u: FiberForm, v: FiberForm, mode: HodgeMode = H_EQ_Q) -> Scalar:
@@ -338,6 +339,13 @@ def l_operator(n: int) -> GradedOperator:
 
 
 def lambda_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
+    """Lowering operator as blocks H^-1 . L . H: the Hodge block of (a, b),
+    the raising matrix on its (n-b, n-a) image, and the inverse Hodge block
+    back to (a-1, b-1).  Built once per (n, mode)."""
+    key = (n, mode)
+    hit = _lambda_cache.get(key)
+    if hit is not None:
+        return hit
     from .lefschetz import l_matrix
     blocks = {}
     for a in range(1, n + 1):
@@ -348,4 +356,6 @@ def lambda_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
                    @ l_matrix(n, n - b, n - a)
                    @ hodge_block(n, a, b, mode))
             blocks[(a, b)] = ((a - 1, b - 1), mat)
-    return GradedOperator(n, blocks)
+    out = GradedOperator(n, blocks)
+    _lambda_cache[key] = out
+    return out

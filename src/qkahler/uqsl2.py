@@ -38,10 +38,6 @@ def k_operator(n: int, mode: HodgeMode = H_EQ_Q, inverse: bool = False) -> Grade
     return GradedOperator.diagonal(n, lambda a, b: mode.h_power(sgn * (a + b - n)))
 
 
-def counting_ops(n: int, mode: HodgeMode = H_EQ_Q):
-    return h_operator(n, mode), k_operator(n, mode)
-
-
 def deformed_commutator(x: GradedOperator, y: GradedOperator, t) -> GradedOperator:
     """[x, y]_t = xy - t yx; the plain commutator is t = 1."""
     return (x @ y) - (y @ x).scale(t)

@@ -449,7 +449,7 @@ def suite_posdef(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
             for b in range(n + 1):
                 if not basis_bidegree(n, a, b):
                     continue
-                cert = certify_posdef(gram(n, a, b, H_EQ_Q), q0)
+                cert = certify_posdef(gram(n, a, b, mode), q0)
                 if not cert.positive_definite:
                     all_ok = False
                     wit = {"bidegree": [a, b], "q0": str(q0),

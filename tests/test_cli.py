@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from qkahler import cli
 from qkahler.cli import main, parse_mode, parse_q_samples, ConfigError
+from qkahler.hodge import certify_posdef, gram
 from qkahler.scalars import H_EQ_ONE, H_EQ_Q
 
 
@@ -134,6 +136,36 @@ def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_error_exits_three_without_traceback(monkeypatch, capsys):
+    def broken(args, mode):
+        raise ArithmeticError("string basis of (1,0) has wrong size: 1 != 2")
+
+    monkeypatch.setitem(cli.COMMANDS, "basis", broken)
+    code, out, err = _run(capsys, ["basis", "-n", "1"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ArithmeticError" in err and "wrong size" in err
+    assert "Traceback" not in err
+
+
+def test_gram_certificates_follow_the_mode(capsys):
+    code, out, _ = _run(capsys, ["gram", "-n", "3", "--mode", "h1", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    q_samples = parse_q_samples(",".join(doc["config"]["q_samples"]))
+    differ = 0
+    for block in doc["results"]["blocks"]:
+        a, b = block["bidegree"]
+        want = [certify_posdef(gram(3, a, b, H_EQ_ONE), q0).to_json()
+                for q0 in q_samples]
+        assert block["certificates"] == want
+        hq = [certify_posdef(gram(3, a, b, H_EQ_Q), q0).to_json()
+              for q0 in q_samples]
+        differ += want != hq
+    assert differ == 8
 
 
 def test_numeric_mode_runs(capsys):

@@ -290,9 +290,24 @@ def test_lambda_operator_is_conjugated_raising():
             rng = random.Random(89)
             for k in range(2 * n + 1):
                 u = _random_form(rng, n, k)
-                assert lam.apply(u) == lambda_apply(u, mode)
-                assert lam.apply(u) == hodge_inverse(
-                    kappa(n).wedge(hodge(u, mode)), mode)
+                want = hodge_inverse(kappa(n).wedge(hodge(u, mode)), mode)
+                assert lam.apply(u) == want
+                assert lambda_apply(u, mode) == want
+
+
+def test_lambda_operator_is_built_once_per_rank_and_mode():
+    modes = (H_EQ_Q, H_EQ_ONE,
+             HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)),
+             HodgeMode.numeric(Fraction(9, 10), Fraction(5, 4)))
+    ops = [lambda_operator(2, mode) for mode in modes]
+    for mode, op in zip(modes, ops):
+        assert lambda_operator(2, mode) is op
+    same = HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8))
+    assert lambda_operator(2, same) is ops[2]
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            assert ops[i] != ops[j], (modes[i], modes[j])
+    assert lambda_operator(1, H_EQ_Q) is not ops[0]
 
 
 def test_lambda_kills_primitives_and_lowers_kappa():

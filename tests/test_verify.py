@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkahler import verify
 from qkahler.scalars import H_EQ_ONE, H_EQ_Q, HodgeMode
 from qkahler.verify import DEFAULT_Q_SAMPLES, SUITES, run_suites
 
@@ -72,6 +73,22 @@ def test_posdef_suite_emits_certificates_per_sample():
     passed = [e for e in entries if e["status"] == "pass"]
     for s in ("9/10", "1", "11/10"):
         assert any(s in e["name"] for e in passed)
+
+
+def test_posdef_suite_certifies_the_requested_mode(monkeypatch):
+    asked = set()
+    real_gram = verify.gram
+
+    def recording_gram(n, a, b, mode):
+        asked.add(mode)
+        return real_gram(n, a, b, mode)
+
+    monkeypatch.setattr(verify, "gram", recording_gram)
+    for mode in MODES:
+        asked.clear()
+        _, failures = run_suites(["posdef"], 2, mode)
+        assert not failures
+        assert asked == {mode}
 
 
 def test_cp1_suite_reports_the_eigenvalue():
