@@ -5,14 +5,16 @@ JSON ({"schema": "qkahler/1"}, sorted keys, exact scalar strings), so the
 same invocation is usable interactively and as a regression artifact.
 
 Exit codes: 0 all requested checks pass, 1 at least one identity failed,
-2 configuration error, 3 the report could not be written to --out or the
-command raised an unexpected exception (one `error:` line, no traceback).
+2 configuration error, 3 the report could not be written to --out or to
+stdout, or the command raised an unexpected exception (one `error:` line,
+no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -288,7 +290,14 @@ def main(argv=None) -> int:
             print(f"error: cannot write --out file: {e}", file=sys.stderr)
             return 3
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as e:
+            # The interpreter flushes stdout again at exit; point it at
+            # devnull so a closed pipe is not reported a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write to stdout: {e}", file=sys.stderr)
+            return 3
     return 1 if failures else 0
 
 

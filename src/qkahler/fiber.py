@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .scalars import (
-    ONE, Q, Scalar, GaussianRational, parse_scalar, render_scalar,
+    ONE, Q, Scalar, GaussianRational, memoize, parse_scalar, render_scalar,
+    render_terms,
 )
 
 _NEG_Q = -Q
@@ -78,15 +79,9 @@ def _check_indices(idx, n: int, label: str):
         prev = i
 
 
-_reduce_cache: dict = {}
-
-
+@memoize
 def _reduce_word(n: int, word: tuple) -> dict:
     """Normal form of a wedge word as {BasisMonomial: Scalar}."""
-    key = (n, word)
-    hit = _reduce_cache.get(key)
-    if hit is not None:
-        return hit
     out: dict = {}
     stack = [(word, ONE)]
     while stack:
@@ -124,21 +119,12 @@ def _reduce_word(n: int, word: tuple) -> dict:
             stack.append((head + ((+1, i1), (-1, i1)) + tail, c * _NEG_Q2))
             for a in range(i1 + 1, n + 1):
                 stack.append((head + ((+1, a), (-1, a)) + tail, c * _ONE_MINUS_Q2))
-    out = {m: s for m, s in out.items() if s}
-    _reduce_cache[key] = out
-    return out
+    return {m: s for m, s in out.items() if s}
 
 
-_wedge_cache: dict = {}
-
-
+@memoize
 def _wedge_monomials(n: int, m1: BasisMonomial, m2: BasisMonomial) -> dict:
-    key = (n, m1, m2)
-    hit = _wedge_cache.get(key)
-    if hit is None:
-        hit = _reduce_word(n, m1.word() + m2.word())
-        _wedge_cache[key] = hit
-    return hit
+    return _reduce_word(n, m1.word() + m2.word())
 
 
 # star on generators: e+_a -> q^(-2(a+1)) e-_a and e-_a -> q^(2(a+1)) e+_a.
@@ -154,14 +140,8 @@ def _star_generator(s: int, a: int):
     return (+1, a), Scalar.q_power(2 * (a + 1))
 
 
-_star_cache: dict = {}
-
-
+@memoize
 def _star_monomial(n: int, m: BasisMonomial) -> dict:
-    key = (n, m)
-    hit = _star_cache.get(key)
-    if hit is not None:
-        return hit
     w = m.word()
     k = m.degree
     coeff = ONE if (k * (k - 1) // 2) % 2 == 0 else -ONE
@@ -171,9 +151,7 @@ def _star_monomial(n: int, m: BasisMonomial) -> dict:
         img.append(g)
         coeff = coeff * c
     reduced = _reduce_word(n, tuple(img))
-    out = {mono: coeff * c for mono, c in reduced.items()}
-    _star_cache[key] = out
-    return out
+    return {mono: coeff * c for mono, c in reduced.items()}
 
 
 class FiberForm:
@@ -323,23 +301,7 @@ class FiberForm:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            cs = render_scalar(c)
-            ms = str(m)
-            if m is UNIT_MONOMIAL or m == UNIT_MONOMIAL:
-                parts.append(cs if _is_simple(cs) else f"({cs})")
-            elif cs == "1":
-                parts.append(ms)
-            elif cs == "-1":
-                parts.append(f"-{ms}")
-            elif _is_simple(cs):
-                parts.append(f"{cs}*{ms}")
-            else:
-                parts.append(f"({cs})*{ms}")
-        return " + ".join(parts)
+        return render_terms((c, str(m)) for m, c in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -357,23 +319,6 @@ class FiberForm:
             acc = acc + FiberForm.monomial(n, t["I"], t["J"],
                                            parse_scalar(t["coeff"]))
         return acc
-
-
-def _is_simple(cs: str) -> bool:
-    """True when a rendered scalar needs no parentheses as a coefficient."""
-    if cs.startswith("(") and cs.endswith(")"):
-        return False
-    depth = 0
-    for k, ch in enumerate(cs):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in "+-" and k > 0 and cs[k - 1] != "^":
-            return False
-        elif depth == 0 and ch == "/":
-            return False
-    return True
 
 
 def e_plus(n: int, i: int) -> FiberForm:

@@ -18,7 +18,7 @@ by exact LDL* pivots.
 from __future__ import annotations
 
 from .scalars import (
-    ZERO, ONE, HodgeMode, H_EQ_Q, Scalar, qfact, i_power,
+    ZERO, ONE, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize,
 )
 from .fiber import FiberForm, BasisMonomial, basis_bidegree
 from . import linalg
@@ -42,18 +42,9 @@ def vol(u: FiberForm) -> Scalar:
     return u.coefficient(top_monomial(n)) * i_power(-(n % 2))
 
 
-_hodge_cache: dict = {}
-_hodge_inv_cache: dict = {}
-_gram_cache: dict = {}
-_lambda_cache: dict = {}
-
-
+@memoize
 def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
     """Matrix of the Hodge map from the (a, b) to the (n-b, n-a) component."""
-    key = (n, a, b, mode)
-    hit = _hodge_cache.get(key)
-    if hit is not None:
-        return hit
     src = basis_bidegree(n, a, b)
     tgt = basis_bidegree(n, n - b, n - a)
     cols = string_columns(n, a, b)
@@ -68,10 +59,7 @@ def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatri
         seed = _seed_form(n, ap, bp, _idx)
         images.append(L_power(seed, n - j - kp).scale(coeff))
     c_mat = ScalarMatrix.from_columns([to_coords(f, tgt) for f in images], len(tgt))
-    b_mat = string_basis_matrix(n, a, b)
-    out = c_mat @ linalg.inverse(b_mat)
-    _hodge_cache[key] = out
-    return out
+    return c_mat @ linalg.inverse(string_basis_matrix(n, a, b))
 
 
 def _seed_form(n, ap, bp, idx):
@@ -79,14 +67,10 @@ def _seed_form(n, ap, bp, idx):
     return primitive_basis(n, ap, bp)[idx]
 
 
+@memoize
 def hodge_block_inverse(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
     """Inverse of the (a, b) Hodge block, mapping (n-b, n-a) back."""
-    key = (n, a, b, mode)
-    hit = _hodge_inv_cache.get(key)
-    if hit is None:
-        hit = linalg.inverse(hodge_block(n, a, b, mode))
-        _hodge_inv_cache[key] = hit
-    return hit
+    return linalg.inverse(hodge_block(n, a, b, mode))
 
 
 def hodge(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
@@ -137,6 +121,7 @@ def metric(u: FiberForm, v: FiberForm, mode: HodgeMode = H_EQ_Q) -> Scalar:
     return acc
 
 
+@memoize
 def gram(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
     """Gram matrix of the monomial basis of the (a, b) component.
 
@@ -145,18 +130,12 @@ def gram(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
     Hodge block and P the Serre pairing of (a, b) with (n-a, n-b).  Blocks
     are cached per (n, a, b, mode), so `adjoint` reuses them.
     """
-    key = (n, a, b, mode)
-    hit = _gram_cache.get(key)
-    if hit is not None:
-        return hit
     basis = basis_bidegree(n, a, b)
     conj = basis_bidegree(n, b, a)
     star_mat = ScalarMatrix.from_columns(
         [to_coords(FiberForm(n, {m: ONE}).star(), conj) for m in basis],
         len(conj))
-    out = serre_pairing(n, a, b) @ hodge_block(n, b, a, mode) @ star_mat
-    _gram_cache[key] = out
-    return out
+    return serre_pairing(n, a, b) @ hodge_block(n, b, a, mode) @ star_mat
 
 
 def gram_to_json(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> dict:
@@ -338,14 +317,11 @@ def l_operator(n: int) -> GradedOperator:
     return GradedOperator(n, blocks)
 
 
+@memoize
 def lambda_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
     """Lowering operator as blocks H^-1 . L . H: the Hodge block of (a, b),
     the raising matrix on its (n-b, n-a) image, and the inverse Hodge block
     back to (a-1, b-1).  Built once per (n, mode)."""
-    key = (n, mode)
-    hit = _lambda_cache.get(key)
-    if hit is not None:
-        return hit
     from .lefschetz import l_matrix
     blocks = {}
     for a in range(1, n + 1):
@@ -356,6 +332,4 @@ def lambda_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
                    @ l_matrix(n, n - b, n - a)
                    @ hodge_block(n, a, b, mode))
             blocks[(a, b)] = ((a - 1, b - 1), mat)
-    out = GradedOperator(n, blocks)
-    _lambda_cache[key] = out
-    return out
+    return GradedOperator(n, blocks)

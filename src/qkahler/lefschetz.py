@@ -12,7 +12,7 @@ lefschetz_decompose work.
 from __future__ import annotations
 
 from .scalars import (
-    ZERO, ONE, I, HodgeMode, H_EQ_Q, Scalar, qint, qfact, i_power,
+    ZERO, ONE, I, HodgeMode, H_EQ_Q, Scalar, qint, qfact, i_power, memoize,
 )
 from .fiber import FiberForm, BasisMonomial, basis_bidegree, basis_degree
 from . import linalg
@@ -27,19 +27,12 @@ def kappa(n: int) -> FiberForm:
     return acc.scale(I)
 
 
-_kappa_pow_cache: dict = {}
-
-
+@memoize
 def kappa_power(n: int, l: int) -> FiberForm:
     """l-fold wedge power of the fundamental form, computed by iteration."""
     if l < 0:
         raise ValueError("negative wedge power")
-    key = (n, l)
-    hit = _kappa_pow_cache.get(key)
-    if hit is None:
-        hit = FiberForm.unit(n) if l == 0 else kappa_power(n, l - 1).wedge(kappa(n))
-        _kappa_pow_cache[key] = hit
-    return hit
+    return FiberForm.unit(n) if l == 0 else kappa_power(n, l - 1).wedge(kappa(n))
 
 
 def L(u: FiberForm) -> FiberForm:
@@ -68,21 +61,13 @@ def from_coords(n: int, vec: list, basis: list) -> FiberForm:
     return FiberForm(n, {m: c for m, c in zip(basis, vec) if c})
 
 
-_l_matrix_cache: dict = {}
-
-
+@memoize
 def l_matrix(n: int, a: int, b: int) -> ScalarMatrix:
     """Matrix of the Lefschetz map on the (a, b) component."""
-    key = (n, a, b)
-    hit = _l_matrix_cache.get(key)
-    if hit is not None:
-        return hit
     src = basis_bidegree(n, a, b)
     tgt = basis_bidegree(n, a + 1, b + 1)
     cols = [to_coords(L(FiberForm(n, {m: ONE})), tgt) for m in src]
-    out = ScalarMatrix.from_columns(cols, len(tgt))
-    _l_matrix_cache[key] = out
-    return out
+    return ScalarMatrix.from_columns(cols, len(tgt))
 
 
 def l_power_matrix(n: int, a: int, b: int, j: int) -> ScalarMatrix:
@@ -93,29 +78,19 @@ def l_power_matrix(n: int, a: int, b: int, j: int) -> ScalarMatrix:
     return ScalarMatrix.from_columns(cols, len(tgt))
 
 
-_primitive_cache: dict = {}
-
-
-def primitive_basis(n: int, a: int, b: int) -> list:
+@memoize
+def primitive_basis(n: int, a: int, b: int) -> tuple:
     """Deterministic basis of the primitive (a, b) component.
 
     Kernel of the (n-k+1)-st Lefschetz power, k = a+b; empty above the
     middle degree.
     """
-    key = (n, a, b)
-    hit = _primitive_cache.get(key)
-    if hit is not None:
-        return hit
     k = a + b
     if k > n or a > n or b > n or a < 0 or b < 0:
-        _primitive_cache[key] = []
-        return []
+        return ()
     mat = l_power_matrix(n, a, b, n - k + 1)
     src = basis_bidegree(n, a, b)
-    vecs = linalg.kernel_basis(mat)
-    out = [from_coords(n, v, src) for v in vecs]
-    _primitive_cache[key] = out
-    return out
+    return tuple(from_coords(n, v, src) for v in linalg.kernel_basis(mat))
 
 
 def primitive_basis_degree(n: int, k: int) -> list:
@@ -145,28 +120,18 @@ def bidegree_levels(n: int, a: int, b: int) -> list:
     return out
 
 
-_string_cache: dict = {}
-
-
-def string_columns(n: int, a: int, b: int) -> list:
+@memoize
+def string_columns(n: int, a: int, b: int) -> tuple:
     """String basis of the (a, b) component.
 
-    Returns [(j, seed_bidegree, seed_index, form)] where form = L^j(seed),
+    Returns (j, seed_bidegree, seed_index, form) tuples, form = L^j(seed),
     ordered by level then seed.  The forms are a basis; the change of basis
     to monomial coordinates is invertible, which verify_string_basis and the
     Hodge construction both rely on.
     """
-    key = (n, a, b)
-    hit = _string_cache.get(key)
-    if hit is not None:
-        return hit
-    out = []
-    for j, (ap, bp) in bidegree_levels(n, a, b):
-        seeds = primitive_basis(n, ap, bp)
-        for idx, p in enumerate(seeds):
-            out.append((j, (ap, bp), idx, L_power(p, j)))
-    _string_cache[key] = out
-    return out
+    return tuple((j, (ap, bp), idx, L_power(p, j))
+                 for j, (ap, bp) in bidegree_levels(n, a, b)
+                 for idx, p in enumerate(primitive_basis(n, ap, bp)))
 
 
 def string_basis_matrix(n: int, a: int, b: int) -> ScalarMatrix:

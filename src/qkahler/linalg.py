@@ -21,7 +21,8 @@ from .scalars import (
 
 
 class ScalarMatrix:
-    """Dense matrix with Scalar entries.
+    """Dense matrix with Scalar entries, immutable: rows is a tuple of
+    tuples, so cached matrices can be shared safely.
 
     The column count is stored explicitly so zero-row matrices (maps into a
     zero space) keep their shape.
@@ -30,7 +31,7 @@ class ScalarMatrix:
     __slots__ = ("rows", "_ncols")
 
     def __init__(self, rows, ncols=None):
-        self.rows = [list(r) for r in rows]
+        self.rows = tuple(tuple(r) for r in rows)
         if self.rows:
             self._ncols = len(self.rows[0])
             if any(len(r) != self._ncols for r in self.rows):
@@ -46,18 +47,16 @@ class ScalarMatrix:
 
     @staticmethod
     def identity(m: int) -> "ScalarMatrix":
-        out = ScalarMatrix.zeros(m, m)
-        for i in range(m):
-            out.rows[i][i] = ONE
-        return out
+        return ScalarMatrix([[ONE if i == j else ZERO for j in range(m)]
+                             for i in range(m)], ncols=m)
 
     @staticmethod
     def from_columns(cols, nrows: int) -> "ScalarMatrix":
-        out = ScalarMatrix.zeros(nrows, len(cols))
+        rows = [[ZERO] * len(cols) for _ in range(nrows)]
         for j, col in enumerate(cols):
             for i, v in enumerate(col):
-                out.rows[i][j] = v
-        return out
+                rows[i][j] = v
+        return ScalarMatrix(rows, ncols=len(cols))
 
     @property
     def nrows(self) -> int:
@@ -285,11 +284,8 @@ def solve(matrix: ScalarMatrix, rhs: ScalarMatrix) -> ScalarMatrix:
             raise ValueError("inconsistent linear system")
     if len(pivot_of) != nc:
         raise ValueError("system is underdetermined")
-    out = ScalarMatrix.zeros(nc, rhs.ncols)
-    for c in range(nc):
-        r = pivot_of[c]
-        out.rows[c] = srows[r][nc:]
-    return out
+    return ScalarMatrix([srows[pivot_of[c]][nc:] for c in range(nc)],
+                        ncols=rhs.ncols)
 
 
 def inverse(matrix: ScalarMatrix) -> ScalarMatrix:

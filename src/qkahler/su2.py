@@ -19,8 +19,9 @@ by the scalar q[2]_q.
 
 from __future__ import annotations
 
-from .scalars import Scalar, ZERO, ONE, qint, render_scalar
-from .fiber import _is_simple
+from .scalars import (
+    Scalar, ZERO, ONE, memoize, qint, render_scalar, render_terms,
+)
 
 _Q = Scalar.q_power
 
@@ -63,19 +64,13 @@ def _times_generator(terms: dict, gen: str) -> dict:
     return out
 
 
-_mono_mul_cache: dict = {}
-
-
+@memoize
 def _mul_monomials(m1: tuple, m2: tuple) -> dict:
-    key = (m1, m2)
-    hit = _mono_mul_cache.get(key)
-    if hit is None:
-        hit = {m1: ONE}
-        for gen, count in zip("abcd", m2):
-            for _ in range(count):
-                hit = _times_generator(hit, gen)
-        _mono_mul_cache[key] = hit
-    return hit
+    out = {m1: ONE}
+    for gen, count in zip("abcd", m2):
+        for _ in range(count):
+            out = _times_generator(out, gen)
+    return out
 
 
 def _mono_degree(m: tuple) -> int:
@@ -188,25 +183,8 @@ class SU2Element:
         return {_mono_degree(m) for m in self.terms}
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         keys = sorted(self.terms, key=lambda m: (_mono_degree(m), m))
-        parts = []
-        for m in keys:
-            c = self.terms[m]
-            cs = render_scalar(c)
-            ms = _mono_str(m)
-            if ms == "1":
-                parts.append(cs if _is_simple(cs) else f"({cs})")
-            elif cs == "1":
-                parts.append(ms)
-            elif cs == "-1":
-                parts.append(f"-{ms}")
-            elif _is_simple(cs):
-                parts.append(f"{cs}*{ms}")
-            else:
-                parts.append(f"({cs})*{ms}")
-        return " + ".join(parts)
+        return render_terms((self.terms[m], _mono_str(m)) for m in keys)
 
     __repr__ = __str__
 
@@ -315,18 +293,13 @@ _COPRODUCT_GEN = {
                         ((0, 0, 0, 1), (0, 0, 0, 1)): ONE}),
 }
 
-_coproduct_cache: dict = {}
-
-
+@memoize
 def _coproduct_monomial(m: tuple) -> TensorElement:
-    hit = _coproduct_cache.get(m)
-    if hit is None:
-        hit = TensorElement.of(E_ONE, E_ONE)
-        for gen, count in zip("abcd", m):
-            for _ in range(count):
-                hit = hit * _COPRODUCT_GEN[gen]
-        _coproduct_cache[m] = hit
-    return hit
+    out = TensorElement.of(E_ONE, E_ONE)
+    for gen, count in zip("abcd", m):
+        for _ in range(count):
+            out = out * _COPRODUCT_GEN[gen]
+    return out
 
 
 def coproduct(x: SU2Element) -> TensorElement:

@@ -180,3 +180,18 @@ def test_console_script_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "dimension 2" in proc.stdout
+
+
+def test_closed_stdout_is_an_io_error():
+    # 200 kB of JSON overfills the pipe, so the write fails once the
+    # reader has gone, whatever the timing.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qkahler.cli", "basis", "-n", "6", "-k", "6",
+         "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.read(1)
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 3
+    assert err.startswith("error: cannot write to stdout:")
+    assert "Traceback" not in err and "Exception ignored" not in err

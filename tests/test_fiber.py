@@ -309,3 +309,8 @@ def test_render_of_forms():
     assert "e+[1]^e-[1]" in str(v) and "q^-2" in str(v)
     assert str(FiberForm.unit(2)) == "1"
     assert str(FiberForm.zero(2)) == "0"
+    w = FiberForm.unit(2).scale(ONE / (Q + ONE)) \
+        + FiberForm.monomial(2, [1], [2], Q - ONE) \
+        + FiberForm.monomial(2, [2], [], I * Q) \
+        - FiberForm.monomial(2, [], [1])
+    assert str(w) == "((1)/(q + 1)) + (i)*q*e+[2] + -e-[1] + (q - 1)*e+[1]^e-[2]"

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import qkahler
 from qkahler import linalg
 from qkahler.fiber import FiberForm, basis_bidegree, basis_degree, e_minus, e_plus
 from qkahler.hodge import (
@@ -15,7 +18,8 @@ from qkahler.hodge import (
     lambda_operator, metric, serre_pairing, vol,
 )
 from qkahler.lefschetz import (
-    L_power, kappa, kappa_power, lambda_string_factor, primitive_basis,
+    L_power, kappa, kappa_power, l_matrix, lambda_string_factor,
+    primitive_basis, string_columns,
 )
 from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, PoleError, Q, Scalar, ZERO,
@@ -308,6 +312,39 @@ def test_lambda_operator_is_built_once_per_rank_and_mode():
         for j in range(i + 1, len(ops)):
             assert ops[i] != ops[j], (modes[i], modes[j])
     assert lambda_operator(1, H_EQ_Q) is not ops[0]
+
+
+def test_memo_keys_fill_in_defaults_and_keywords():
+    assert gram(2, 0, 0) is gram(2, 0, 0, H_EQ_Q)
+    assert qint(3, H_EQ_Q, step=2) is qint(3, H_EQ_Q, 2)
+    assert qfact(3) is qfact(3, H_EQ_Q)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            kappa_power(2, -1)
+
+
+def test_no_module_keeps_its_own_cache():
+    for info in pkgutil.iter_modules(qkahler.__path__):
+        mod = importlib.import_module(f"qkahler.{info.name}")
+        caches = [name for name, val in vars(mod).items()
+                  if name.endswith("_cache") and isinstance(val, dict)]
+        assert not caches, (info.name, caches)
+
+
+def test_cached_blocks_cannot_be_mutated():
+    for block in (gram(2, 0, 0), hodge_block(2, 1, 0), l_matrix(2, 0, 0)):
+        with pytest.raises(TypeError):
+            block.rows[0][0] = ZERO
+        with pytest.raises(TypeError):
+            block.rows[0] = ()
+    assert isinstance(primitive_basis(2, 1, 1), tuple)
+    assert isinstance(string_columns(2, 1, 1), tuple)
+    basis = basis_bidegree(2, 0, 0)
+    g = gram(2, 0, 0)
+    for i, mi in enumerate(basis):
+        for j, mj in enumerate(basis):
+            assert g.rows[i][j] == metric(FiberForm(2, {mi: ONE}),
+                                          FiberForm(2, {mj: ONE}))
 
 
 def test_lambda_kills_primitives_and_lowers_kappa():

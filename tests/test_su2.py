@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from qkahler.scalars import ONE, Q, Scalar, ZERO, qint
+from qkahler.scalars import I, ONE, Q, Scalar, ZERO, qint
 from qkahler.su2 import (
     A, B, C, D, E_ONE, SU2Element, TensorElement, XY_TABLE,
     antipode_u_entry, coproduct, coproduct2, laplacian0_cp1,
@@ -38,6 +38,16 @@ def _random_element(rng, max_words=3, max_len=3) -> SU2Element:
 # ---------------------------------------------------------------------------
 # ring structure
 # ---------------------------------------------------------------------------
+
+def test_render_of_elements():
+    x = SU2Element({(0, 0, 0, 0): Q + ONE, (1, 0, 0, 0): ONE,
+                    (0, 1, 0, 0): -ONE, (0, 0, 1, 0): Q / (Q + ONE),
+                    (0, 1, 1, 0): I * Q, (0, 0, 0, 2): Scalar.q_power(-1) - I})
+    assert str(x) == ("(q + 1) + ((q)/(q + 1))*c + -b + a + (-i + q^-1)*d^2"
+                      " + (i)*q*b c")
+    assert str(SU2Element({(0, 0, 0, 0): I * Q})) == "(i)*q"
+    assert str(SU2Element.zero()) == "0"
+
 
 def test_frt_relations():
     assert A * B == (B * A).scale(Q)
