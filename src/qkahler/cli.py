@@ -18,9 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .scalars import (
-    HodgeMode, H_EQ_Q, H_EQ_ONE, ONE, render_scalar,
-)
+from .scalars import HodgeMode, H_EQ_Q, H_EQ_ONE, ONE
 from .fiber import FiberForm, basis_bidegree, basis_degree, weight
 from .lefschetz import primitive_basis
 from .hodge import hodge, gram_to_json, gram, certify_posdef

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 
 from .scalars import (
-    ONE, Q, Scalar, GaussianRational, memoize, parse_scalar, render_scalar,
+    ZERO, ONE, Q, Scalar, GaussianRational, memoize, parse_scalar, render_scalar,
     render_terms,
 )
 
@@ -156,17 +157,23 @@ def _star_monomial(n: int, m: BasisMonomial) -> dict:
 
 class FiberForm:
     """Element of the rank-n fiber algebra: a Scalar combination of
-    normal-form monomials."""
+    normal-form monomials.  terms is a read-only {monomial: nonzero Scalar}
+    view, so cached forms can be shared."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    self.terms[m] = c
+        self.terms = MappingProxyType(
+            {m: c for m, c in terms.items() if c} if terms else {})
+
+    @staticmethod
+    def _own(n: int, terms: dict) -> "FiberForm":
+        """Wrap a fresh dict of nonzero terms without copying it."""
+        r = object.__new__(FiberForm)
+        r.n = n
+        r.terms = MappingProxyType(terms)
+        return r
 
     @staticmethod
     def zero(n: int) -> "FiberForm":
@@ -206,14 +213,10 @@ class FiberForm:
                 out[m] = s
             else:
                 out.pop(m, None)
-        r = FiberForm(self.n)
-        r.terms = out
-        return r
+        return FiberForm._own(self.n, out)
 
     def __neg__(self):
-        r = FiberForm(self.n)
-        r.terms = {m: -c for m, c in self.terms.items()}
-        return r
+        return FiberForm._own(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -223,9 +226,7 @@ class FiberForm:
             c = Scalar.from_int(c) if isinstance(c, int) else Scalar.from_gaussian(c)
         if not c:
             return FiberForm(self.n)
-        r = FiberForm(self.n)
-        r.terms = {m: cc * c for m, cc in self.terms.items()}
-        return r
+        return FiberForm._own(self.n, {m: cc * c for m, cc in self.terms.items()})
 
     def wedge(self, other: "FiberForm") -> "FiberForm":
         self._compatible(other)
@@ -240,9 +241,7 @@ class FiberForm:
                         out[m] = s
                     else:
                         out.pop(m, None)
-        r = FiberForm(self.n)
-        r.terms = out
-        return r
+        return FiberForm._own(self.n, out)
 
     def __mul__(self, other):
         if isinstance(other, FiberForm):
@@ -265,9 +264,7 @@ class FiberForm:
                     out[mono] = s
                 else:
                     out.pop(mono, None)
-        r = FiberForm(self.n)
-        r.terms = out
-        return r
+        return FiberForm._own(self.n, out)
 
     def degrees(self):
         return sorted({m.degree for m in self.terms})
@@ -294,7 +291,6 @@ class FiberForm:
         return {k: FiberForm(self.n, t) for k, t in sorted(out.items())}
 
     def coefficient(self, mono: BasisMonomial) -> Scalar:
-        from .scalars import ZERO
         return self.terms.get(mono, ZERO)
 
     def sorted_terms(self):

@@ -17,6 +17,8 @@ by exact LDL* pivots.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .scalars import (
     ZERO, ONE, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize,
 )
@@ -24,7 +26,8 @@ from .fiber import FiberForm, BasisMonomial, basis_bidegree
 from . import linalg
 from .linalg import ScalarMatrix, LDLCertificate
 from .lefschetz import (
-    L_power, string_columns, string_basis_matrix, to_coords, from_coords,
+    L_power, l_matrix, primitive_basis, string_columns, string_basis_matrix,
+    to_coords, from_coords,
 )
 
 
@@ -52,51 +55,26 @@ def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatri
         raise ArithmeticError(
             f"string basis of ({a},{b}) has wrong size: {len(cols)} != {len(src)}")
     images = []
-    for j, (ap, bp), _idx, _form in cols:
+    for j, (ap, bp), idx, _form in cols:
         kp = ap + bp
         sign = -ONE if (kp * (kp + 1) // 2) % 2 else ONE
         coeff = sign * i_power(ap - bp) * qfact(j, mode) / qfact(n - j - kp, mode)
-        seed = _seed_form(n, ap, bp, _idx)
+        seed = primitive_basis(n, ap, bp)[idx]
         images.append(L_power(seed, n - j - kp).scale(coeff))
     c_mat = ScalarMatrix.from_columns([to_coords(f, tgt) for f in images], len(tgt))
     return c_mat @ linalg.inverse(string_basis_matrix(n, a, b))
 
 
-def _seed_form(n, ap, bp, idx):
-    from .lefschetz import primitive_basis
-    return primitive_basis(n, ap, bp)[idx]
-
-
-@memoize
-def hodge_block_inverse(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
-    """Inverse of the (a, b) Hodge block, mapping (n-b, n-a) back."""
-    return linalg.inverse(hodge_block(n, a, b, mode))
-
-
 def hodge(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
     """Apply the Hodge map to any form, component by component."""
-    n = u.n
-    out = FiberForm.zero(n)
-    for (a, b), comp in u.bidegree_split().items():
-        src = basis_bidegree(n, a, b)
-        tgt = basis_bidegree(n, n - b, n - a)
-        vec = hodge_block(n, a, b, mode).apply(to_coords(comp, src))
-        out = out + from_coords(n, vec, tgt)
-    return out
+    return hodge_operator(u.n, mode).apply(u)
 
 
 def hodge_inverse(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
-    """Apply the inverse Hodge map; the (c, d) component pulls back to
-    (n-d, n-c)."""
-    n = u.n
-    out = FiberForm.zero(n)
-    for (c, d), comp in u.bidegree_split().items():
-        a, b = n - d, n - c
-        src = basis_bidegree(n, c, d)
-        tgt = basis_bidegree(n, a, b)
-        vec = hodge_block_inverse(n, a, b, mode).apply(to_coords(comp, src))
-        out = out + from_coords(n, vec, tgt)
-    return out
+    """Apply the inverse Hodge map.  The Hodge map squares to (-1)^k on
+    k-forms, so its inverse is the Hodge map after negating odd degrees."""
+    return hodge(FiberForm(u.n, {m: -c if m.degree % 2 else c
+                                 for m, c in u.terms.items()}), mode)
 
 
 def lambda_apply(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
@@ -173,41 +151,18 @@ def serre_pairing(n: int, a: int, b: int) -> ScalarMatrix:
 class GradedOperator:
     """Linear map on the fiber algebra stored as per-bidegree blocks.
 
-    blocks: {source_bidegree: (target_bidegree, matrix)}; blocks that are
-    identically zero are dropped, making equality of maps a dict compare.
+    blocks: read-only {source_bidegree: (target_bidegree, matrix)}, so
+    cached operators can be shared; blocks that are identically zero are
+    dropped, making equality of maps a dict compare.
     """
 
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks: dict):
         self.n = n
-        self.blocks = {}
-        for src, (tgt, mat) in blocks.items():
-            if mat.nrows and not mat.is_zero():
-                self.blocks[src] = (tgt, mat)
-
-    @staticmethod
-    def from_map(n: int, fn) -> "GradedOperator":
-        """Build from a function on forms that shifts bidegrees uniformly."""
-        blocks = {}
-        for a in range(n + 1):
-            for b in range(n + 1):
-                src = basis_bidegree(n, a, b)
-                images = [fn(FiberForm(n, {m: ONE})) for m in src]
-                tgt_bd = None
-                for f in images:
-                    for bd in f.bidegree_split():
-                        if tgt_bd is None:
-                            tgt_bd = bd
-                        elif tgt_bd != bd:
-                            raise ValueError("map does not shift bidegrees uniformly")
-                if tgt_bd is None:
-                    continue
-                tgt = basis_bidegree(n, *tgt_bd)
-                mat = ScalarMatrix.from_columns(
-                    [to_coords(f, tgt) for f in images], len(tgt))
-                blocks[(a, b)] = (tgt_bd, mat)
-        return GradedOperator(n, blocks)
+        self.blocks = MappingProxyType({
+            src: (tgt, mat) for src, (tgt, mat) in blocks.items()
+            if mat.nrows and not mat.is_zero()})
 
     @staticmethod
     def diagonal(n: int, eig) -> "GradedOperator":
@@ -255,9 +210,7 @@ class GradedOperator:
     def _merge(self, other: "GradedOperator", sign: int) -> "GradedOperator":
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        blocks = {}
-        for src, (tgt, mat) in self.blocks.items():
-            blocks[src] = (tgt, mat)
+        blocks = dict(self.blocks)
         for src, (tgt, mat) in other.blocks.items():
             mat = mat if sign > 0 else -mat
             if src in blocks:
@@ -298,6 +251,7 @@ def adjoint(op: GradedOperator, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
     return GradedOperator(n, blocks)
 
 
+@memoize
 def hodge_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
     blocks = {}
     for a in range(n + 1):
@@ -308,7 +262,6 @@ def hodge_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
 
 
 def l_operator(n: int) -> GradedOperator:
-    from .lefschetz import l_matrix
     blocks = {}
     for a in range(n + 1):
         for b in range(n + 1):
@@ -320,16 +273,16 @@ def l_operator(n: int) -> GradedOperator:
 @memoize
 def lambda_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
     """Lowering operator as blocks H^-1 . L . H: the Hodge block of (a, b),
-    the raising matrix on its (n-b, n-a) image, and the inverse Hodge block
-    back to (a-1, b-1).  Built once per (n, mode)."""
-    from .lefschetz import l_matrix
+    the raising matrix on its (n-b, n-a) image, and the Hodge block of
+    (n-b+1, n-a+1) back to (a-1, b-1), which is the inverse Hodge block up
+    to the sign (-1)^(a+b).  Built once per (n, mode)."""
     blocks = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             if not basis_bidegree(n, a, b):
                 continue
-            mat = (hodge_block_inverse(n, a - 1, b - 1, mode)
+            mat = (hodge_block(n, n - b + 1, n - a + 1, mode)
                    @ l_matrix(n, n - b, n - a)
                    @ hodge_block(n, a, b, mode))
-            blocks[(a, b)] = ((a - 1, b - 1), mat)
+            blocks[(a, b)] = ((a - 1, b - 1), -mat if (a + b) % 2 else mat)
     return GradedOperator(n, blocks)

@@ -158,12 +158,11 @@ def _pivot_key(p: LaurentPoly):
 def _bareiss(rows):
     """Fraction-free forward elimination in place.
 
-    Returns (pivots, swap_sign) where pivots is a list of (row, col) pairs.
+    Returns the pivots as a list of (row, col) pairs.
     """
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots = []
-    sign = 1
     prev = _LP_ONE
     r = 0
     for c in range(nc):
@@ -180,7 +179,6 @@ def _bareiss(rows):
         i = best[1]
         if i != r:
             rows[i], rows[r] = rows[r], rows[i]
-            sign = -sign
         piv = rows[r][c]
         for i in range(r + 1, nr):
             head = rows[i][c]
@@ -198,7 +196,7 @@ def _bareiss(rows):
         prev = piv
         pivots.append((r, c))
         r += 1
-    return pivots, sign
+    return pivots
 
 
 def _rref(matrix: ScalarMatrix):
@@ -206,7 +204,7 @@ def _rref(matrix: ScalarMatrix):
     if matrix.nrows == 0:
         return [], []
     rows = [_clear_row(r) for r in matrix.rows]
-    pivots, _ = _bareiss(rows)
+    pivots = _bareiss(rows)
     srows = [[Scalar(v) if v else ZERO for v in r] for r in rows]
     for r, c in reversed(pivots):
         piv = srows[r][c]
@@ -222,33 +220,7 @@ def rank(matrix: ScalarMatrix) -> int:
     if matrix.nrows == 0:
         return 0
     rows = [_clear_row(r) for r in matrix.rows]
-    pivots, _ = _bareiss(rows)
-    return len(pivots)
-
-
-def determinant(matrix: ScalarMatrix) -> Scalar:
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    if matrix.nrows == 0:
-        return ONE
-    dens = ONE
-    rows = []
-    for row in matrix.rows:
-        cleared = _clear_row(row)
-        # record the scaling factor applied when clearing this row
-        for orig, new in zip(row, cleared):
-            if orig:
-                dens = dens * (Scalar(new) / orig)
-                break
-        else:
-            return ZERO
-        rows.append(cleared)
-    pivots, sign = _bareiss(rows)
-    if len(pivots) < matrix.nrows:
-        return ZERO
-    r, c = pivots[-1]
-    d = Scalar(rows[r][c])
-    return (d if sign > 0 else -d) / dens
+    return len(_bareiss(rows))
 
 
 def kernel_basis(matrix: ScalarMatrix) -> list:

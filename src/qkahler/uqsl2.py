@@ -21,7 +21,6 @@ from .scalars import (
 from .fiber import FiberForm, basis_bidegree
 from .lefschetz import (
     L_power, lambda_string_factor, primitive_basis, string_basis_matrix,
-    to_coords,
 )
 from .hodge import GradedOperator, l_operator, lambda_operator, lambda_apply
 from . import linalg

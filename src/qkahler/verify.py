@@ -14,8 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .scalars import (
-    HodgeMode, H_EQ_Q, H_EQ_ONE, ONE, I, Scalar, qint, qfact,
-    render_scalar, parse_scalar,
+    H_EQ_Q, ONE, I, Scalar, qfact, render_scalar, parse_scalar,
 )
 from .fiber import (
     FiberForm, basis_bidegree, basis_degree, weight, e_plus, e_minus,

@@ -18,8 +18,8 @@ from qkahler.hodge import (
     lambda_operator, metric, serre_pairing, vol,
 )
 from qkahler.lefschetz import (
-    L_power, kappa, kappa_power, l_matrix, lambda_string_factor,
-    primitive_basis, string_columns,
+    L_power, from_coords, kappa, kappa_power, l_matrix, primitive_basis,
+    string_columns, to_coords,
 )
 from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, PoleError, Q, Scalar, ZERO,
@@ -277,14 +277,32 @@ def test_graded_operator_algebra():
     assert lop.apply(u) == kappa(n).wedge(u)
 
 
-def test_operator_from_map_round_trips():
-    n = 2
-    direct = GradedOperator.from_map(n, lambda u: hodge(u))
-    assert direct == hodge_operator(n)
-    rng = random.Random(83)
-    for k in range(2 * n + 1):
-        u = _random_form(rng, n, k)
-        assert direct.apply(u) == hodge(u)
+def _inverse_by_elimination(u, mode):
+    """Oracle for hodge_inverse: each (c, d) component pulls back to
+    (n-d, n-c) through the Hodge block inverted by elimination."""
+    n = u.n
+    out = FiberForm.zero(n)
+    for (c, d), comp in u.bidegree_split().items():
+        a, b = n - d, n - c
+        inv = linalg.inverse(hodge_block(n, a, b, mode))
+        vec = inv.apply(to_coords(comp, basis_bidegree(n, c, d)))
+        out = out + from_coords(n, vec, basis_bidegree(n, a, b))
+    return out
+
+
+def test_hodge_inverse_matches_elimination():
+    """hodge_inverse negates odd degrees and applies the Hodge map; on each
+    component that must be the inverse of the Hodge block."""
+    for n in (1, 2, 3):
+        for mode in MODES:
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    src = basis_bidegree(n, a, b)
+                    cols = [to_coords(hodge_inverse(FiberForm(n, {m: ONE}), mode), src)
+                            for m in basis_bidegree(n, n - b, n - a)]
+                    engine = linalg.ScalarMatrix.from_columns(cols, len(src))
+                    assert engine == linalg.inverse(hodge_block(n, a, b, mode)), \
+                        (n, mode, a, b)
 
 
 def test_lambda_operator_is_conjugated_raising():
@@ -294,7 +312,7 @@ def test_lambda_operator_is_conjugated_raising():
             rng = random.Random(89)
             for k in range(2 * n + 1):
                 u = _random_form(rng, n, k)
-                want = hodge_inverse(kappa(n).wedge(hodge(u, mode)), mode)
+                want = _inverse_by_elimination(kappa(n).wedge(hodge(u, mode)), mode)
                 assert lam.apply(u) == want
                 assert lambda_apply(u, mode) == want
 
@@ -345,6 +363,21 @@ def test_cached_blocks_cannot_be_mutated():
         for j, mj in enumerate(basis):
             assert g.rows[i][j] == metric(FiberForm(2, {mi: ONE}),
                                           FiberForm(2, {mj: ONE}))
+
+
+def test_cached_operators_and_forms_cannot_be_mutated():
+    for op in (lambda_operator(2), hodge_operator(2)):
+        with pytest.raises(TypeError):
+            op.blocks[(1, 1)] = op.blocks[(1, 1)]
+        with pytest.raises(AttributeError):
+            op.blocks.clear()
+    seed = primitive_basis(2, 1, 1)[0]
+    with pytest.raises(TypeError):
+        seed.terms[next(iter(seed.terms))] = ZERO
+    with pytest.raises(AttributeError):
+        seed.terms.clear()
+    assert lambda_apply(kappa(2)) == FiberForm.unit(2).scale(qint(2))
+    assert not lambda_apply(seed)
 
 
 def test_lambda_kills_primitives_and_lowers_kappa():

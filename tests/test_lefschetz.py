@@ -244,6 +244,5 @@ def test_lefschetz_isomorphism_reports():
             rep = verify_lefschetz_iso(n, k)
             assert rep["full_rank"]
             assert rep["rank"] == rep["dimension"] == comb(2 * n, k)
-            assert rep["determinant"] != "0"
     with pytest.raises(ValueError):
         verify_lefschetz_iso(2, 2)
