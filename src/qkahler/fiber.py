@@ -14,6 +14,15 @@ brought to this normal form with the rewrite rules
 
 applied leftmost first.  The mixed rule with matching indices is the only
 branching rule; all coefficients live in Q(i)(q).
+
+In the wedge of two basis monomials e+_P1 e-_M1 and e+_P2 e-_M2 only the
+middle word e-_M1 e+_P2 meets the mixed rules; its normal form is cached per
+(n, M1, P2), at most 4^n entries.  Each middle term c e+_P e-_M then gives
+the single monomial e+_(P1 u P) e-_(M u M2) with coefficient
+c (-q)^inv(P1, P) (-q^-1)^inv(M, M2), where inv(A, B) counts the pairs
+x in A, y in B with x > y, or 0 when either union repeats an index: the
+outer letters only need the same-sign swaps.  No cache is kept per monomial
+pair.
 """
 
 from __future__ import annotations
@@ -23,8 +32,8 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .scalars import (
-    ZERO, ONE, Q, Scalar, GaussianRational, memoize, parse_scalar, render_scalar,
-    render_terms,
+    ZERO, ONE, Q, Scalar, GaussianRational, memoize, parse_scalar,
+    refuse_assignment, render_scalar, render_terms,
 )
 
 _NEG_Q = -Q
@@ -80,7 +89,6 @@ def _check_indices(idx, n: int, label: str):
         prev = i
 
 
-@memoize
 def _reduce_word(n: int, word: tuple) -> dict:
     """Normal form of a wedge word as {BasisMonomial: Scalar}."""
     out: dict = {}
@@ -124,8 +132,22 @@ def _reduce_word(n: int, word: tuple) -> dict:
 
 
 @memoize
-def _wedge_monomials(n: int, m1: BasisMonomial, m2: BasisMonomial) -> dict:
-    return _reduce_word(n, m1.word() + m2.word())
+def _middle(n: int, minus: tuple, plus: tuple) -> tuple:
+    """Normal form of the word e-_minus e+_plus as (plus', minus', c) triples."""
+    word = tuple((-1, j) for j in minus) + tuple((+1, i) for i in plus)
+    return tuple((m.plus, m.minus, c) for m, c in _reduce_word(n, word).items())
+
+
+@memoize
+def _merge(a: tuple, b: tuple):
+    """(ascending union, inv(a, b)) of two ascending index tuples, or None
+    when they share an index: the sort of the word a b, one transposition
+    per inverted pair."""
+    if not a or not b:
+        return a + b, 0
+    if not set(a).isdisjoint(b):
+        return None
+    return tuple(sorted(a + b)), sum(x > y for x in a for y in b)
 
 
 # star on generators: e+_a -> q^(-2(a+1)) e-_a and e-_a -> q^(2(a+1)) e+_a.
@@ -158,21 +180,23 @@ def _star_monomial(n: int, m: BasisMonomial) -> dict:
 class FiberForm:
     """Element of the rank-n fiber algebra: a Scalar combination of
     normal-form monomials.  terms is a read-only {monomial: nonzero Scalar}
-    view, so cached forms can be shared."""
+    view and neither attribute can be rebound, so cached forms can be
+    shared."""
 
     __slots__ = ("n", "terms")
+    __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = MappingProxyType(
-            {m: c for m, c in terms.items() if c} if terms else {})
+        _set_n(self, n)
+        _set_terms(self, MappingProxyType(
+            {m: c for m, c in terms.items() if c} if terms else {}))
 
     @staticmethod
     def _own(n: int, terms: dict) -> "FiberForm":
         """Wrap a fresh dict of nonzero terms without copying it."""
         r = object.__new__(FiberForm)
-        r.n = n
-        r.terms = MappingProxyType(terms)
+        _set_n(r, n)
+        _set_terms(r, MappingProxyType(terms))
         return r
 
     @staticmethod
@@ -230,18 +254,29 @@ class FiberForm:
 
     def wedge(self, other: "FiberForm") -> "FiberForm":
         self._compatible(other)
+        n = self.n
         out: dict = {}
         for m1, c1 in self.terms.items():
+            p1 = m1.plus
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
-                for m, f in _wedge_monomials(self.n, m1, m2).items():
+                for plus, minus, c in _middle(n, m1.minus, m2.plus):
+                    hp = _merge(p1, plus)
+                    if hp is None:
+                        continue
+                    hm = _merge(minus, m2.minus)
+                    if hm is None:
+                        continue
+                    # (-q)^inv(P1, P) (-q^-1)^inv(M, M2)
+                    f = c12 * c.q_shift(hp[1] - hm[1], (hp[1] + hm[1]) & 1)
+                    m = BasisMonomial(hp[0], hm[0])
                     s = out.get(m)
-                    s = c12 * f if s is None else s + c12 * f
+                    s = f if s is None else s + f
                     if s:
                         out[m] = s
                     else:
                         out.pop(m, None)
-        return FiberForm._own(self.n, out)
+        return FiberForm._own(n, out)
 
     def __mul__(self, other):
         if isinstance(other, FiberForm):
@@ -315,6 +350,11 @@ class FiberForm:
             acc = acc + FiberForm.monomial(n, t["I"], t["J"],
                                            parse_scalar(t["coeff"]))
         return acc
+
+
+# the slots' own setters, cheaper than object.__setattr__ on the wedge path
+_set_n = FiberForm.n.__set__
+_set_terms = FiberForm.terms.__set__
 
 
 def e_plus(n: int, i: int) -> FiberForm:

@@ -21,6 +21,7 @@ from types import MappingProxyType
 
 from .scalars import (
     ZERO, ONE, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize,
+    refuse_assignment,
 )
 from .fiber import FiberForm, BasisMonomial, basis_bidegree
 from . import linalg
@@ -151,18 +152,20 @@ def serre_pairing(n: int, a: int, b: int) -> ScalarMatrix:
 class GradedOperator:
     """Linear map on the fiber algebra stored as per-bidegree blocks.
 
-    blocks: read-only {source_bidegree: (target_bidegree, matrix)}, so
-    cached operators can be shared; blocks that are identically zero are
-    dropped, making equality of maps a dict compare.
+    blocks: read-only {source_bidegree: (target_bidegree, matrix)}, and
+    neither attribute can be rebound, so cached operators can be shared;
+    blocks that are identically zero are dropped, making equality of maps
+    a dict compare.
     """
 
     __slots__ = ("n", "blocks")
+    __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, n: int, blocks: dict):
-        self.n = n
-        self.blocks = MappingProxyType({
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", MappingProxyType({
             src: (tgt, mat) for src, (tgt, mat) in blocks.items()
-            if mat.nrows and not mat.is_zero()})
+            if mat.nrows and not mat.is_zero()}))
 
     @staticmethod
     def diagonal(n: int, eig) -> "GradedOperator":

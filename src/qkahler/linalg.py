@@ -16,30 +16,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (
-    ZERO, ONE, LaurentPoly, Scalar, _LP_ONE, _laurent_gcd,
+    ZERO, ONE, LaurentPoly, Scalar, _LP_ONE, _laurent_gcd, refuse_assignment,
 )
 
 
 class ScalarMatrix:
     """Dense matrix with Scalar entries, immutable: rows is a tuple of
-    tuples, so cached matrices can be shared safely.
+    tuples and no attribute can be rebound, so cached matrices can be
+    shared safely.
 
     The column count is stored explicitly so zero-row matrices (maps into a
     zero space) keep their shape.
     """
 
     __slots__ = ("rows", "_ncols")
+    __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, rows, ncols=None):
-        self.rows = tuple(tuple(r) for r in rows)
-        if self.rows:
-            self._ncols = len(self.rows[0])
-            if any(len(r) != self._ncols for r in self.rows):
+        rows = tuple(tuple(r) for r in rows)
+        if rows:
+            ncols = len(rows[0])
+            if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged rows")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit ncols")
-            self._ncols = ncols
+        elif ncols is None:
+            raise ValueError("empty matrix needs an explicit ncols")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_ncols", ncols)
 
     @staticmethod
     def zeros(nr: int, nc: int) -> "ScalarMatrix":

@@ -47,6 +47,13 @@ def memoize(fn):
     return wrapper
 
 
+def refuse_assignment(self, name, value=None):
+    """__setattr__ and __delattr__ of a value class whose attributes are
+    fixed once it is built, so a cached instance cannot be rebound."""
+    raise AttributeError(f"{type(self).__name__} is immutable: "
+                         f"cannot set or delete {name!r}")
+
+
 class PoleError(ArithmeticError):
     """Raised when a scalar is evaluated at a zero of its denominator."""
 
@@ -468,8 +475,24 @@ class Scalar:
             return NotImplemented
         return other / self
 
+    def q_shift(self, k: int, negate=False) -> "Scalar":
+        """self * q^k, negated when negate is true.  Both factors are units
+        of the Laurent ring, so only the numerator moves and the pair stays
+        canonical."""
+        num = self.num.shift(k) if k else self.num
+        s = Scalar.__new__(Scalar)
+        s.num = -num if negate else num
+        s.den = self.den
+        return s
+
     def conjugate(self) -> "Scalar":
-        return Scalar(self.num.conjugate(), self.den.conjugate())
+        # an automorphism fixing q and den's constant term 1, so the
+        # conjugate of a canonical pair is canonical as it stands; a unit
+        # den is 1 and stays the shared _LP_ONE for the fast paths
+        s = Scalar.__new__(Scalar)
+        s.num = self.num.conjugate()
+        s.den = _LP_ONE if self.den.is_unit() else self.den.conjugate()
+        return s
 
     def evaluate(self, q0) -> GaussianRational:
         """Substitute a rational q0 > 0.  Raises PoleError at denominator

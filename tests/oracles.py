@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qkahler.scalars import Scalar, ONE, ZERO, qint
+from qkahler.scalars import Scalar, ONE, ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,15 @@ from qkahler.fiber import (
     FiberForm, basis_bidegree, basis_degree, e_minus, e_plus,
 )
 from qkahler.hodge import (
-    certify_posdef, gram, hodge, hodge_operator, lambda_apply, metric,
+    certify_posdef, gram, hodge, hodge_operator, metric,
 )
 from qkahler.lefschetz import (
-    L_power, kappa, kappa_power, lambda_string_factor, primitive_basis,
-    to_coords, verify_lefschetz_iso,
+    L_power, kappa, kappa_power, primitive_basis, to_coords,
+    verify_lefschetz_iso,
 )
 from qkahler.linalg import ScalarMatrix
 from qkahler.scalars import (
-    GaussianRational, H_EQ_ONE, H_EQ_Q, I, ONE, Q, Scalar, i_power,
-    parse_scalar, qfact, qint,
+    H_EQ_ONE, H_EQ_Q, I, ONE, Q, Scalar, i_power, parse_scalar, qfact, qint,
 )
 from qkahler.uqsl2 import (
     verify_lefschetz_identities, verify_lowering_factors,

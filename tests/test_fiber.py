@@ -8,12 +8,12 @@ from math import comb
 import pytest
 
 from qkahler.fiber import (
-    BasisMonomial, FiberForm, UNIT_MONOMIAL, _reduce_word, basis_bidegree,
-    basis_degree, e_minus, e_plus, weight,
+    BasisMonomial, FiberForm, _reduce_word, basis_bidegree, basis_degree,
+    e_minus, e_plus, weight,
 )
 from qkahler.hodge import hodge, vol
 from qkahler.lefschetz import kappa
-from qkahler.scalars import H_EQ_Q, I, ONE, Q, Scalar, parse_scalar
+from qkahler.scalars import H_EQ_Q, I, ONE, Q, Scalar
 
 from oracles import reduce_rightmost
 
@@ -113,6 +113,20 @@ def test_normal_form_matches_rightmost_oracle():
             got = _wedge_word(n, word)
             want = reduce_rightmost(n, word)
             assert {(m.plus, m.minus): c for m, c in got.terms.items()} == want
+
+
+def test_wedge_of_every_monomial_pair_matches_rightmost_oracle():
+    # the engine rewrites only the middle word of m1 m2 and sorts the outer
+    # letters by inversion counts; the oracle rewrites the whole word
+    for n in (1, 2, 3):
+        basis = [m for k in range(2 * n + 1) for m in basis_degree(n, k)]
+        for m1 in basis:
+            u = FiberForm(n, {m1: ONE})
+            for m2 in basis:
+                got = u.wedge(FiberForm(n, {m2: ONE}))
+                want = reduce_rightmost(n, m1.word() + m2.word())
+                assert {(m.plus, m.minus): c
+                        for m, c in got.terms.items()} == want, (m1, m2)
 
 
 def test_wedge_associativity_fuzz():

@@ -380,6 +380,24 @@ def test_cached_operators_and_forms_cannot_be_mutated():
     assert not lambda_apply(seed)
 
 
+def test_cached_values_cannot_be_rebound():
+    seed = primitive_basis(2, 1, 1)[0]
+    text = str(seed)
+    product = e_plus(2, 1).wedge(e_minus(2, 1))
+    op = hodge_operator(2)
+    block = gram(2, 0, 0)
+    for obj, names in ((seed, ("n", "terms")), (product, ("n", "terms")),
+                       (op, ("n", "blocks")), (block, ("rows", "_ncols"))):
+        for name in names + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, {})
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert str(primitive_basis(2, 1, 1)[0]) == text
+    assert hodge_operator(2).blocks and gram(2, 0, 0).nrows == 1
+    assert lambda_operator(2).apply(seed) == FiberForm.zero(2)
+
+
 def test_lambda_kills_primitives_and_lowers_kappa():
     for n in (1, 2, 3):
         for a in range(n + 1):

@@ -9,8 +9,8 @@ import pytest
 
 from qkahler.scalars import (
     GaussianRational, HodgeMode, H_EQ_ONE, H_EQ_Q, I, LaurentPoly, ONE,
-    PoleError, Scalar, ZERO, i_power, parse_scalar, qbinom, qfact, qint,
-    qint_signed, render_scalar,
+    PoleError, Q, Scalar, ZERO, _LP_ONE, i_power, parse_scalar, qbinom, qfact,
+    qint, qint_signed, render_scalar,
 )
 
 from oracles import (
@@ -153,6 +153,26 @@ def test_scalar_conjugation():
     # conjugation fixes q and flips the imaginary unit
     assert Scalar.q_power(3).conjugate() == Scalar.q_power(3)
     assert I.conjugate() == -I
+
+
+def test_conjugate_is_canonical_as_built():
+    rng = random.Random(47)
+    checked = 0
+    while checked < 40:
+        s = _random_scalar(rng)
+        if s.den.is_unit() or all(c.is_real() for c in s.num.terms.values()):
+            continue
+        checked += 1
+        c = s.conjugate()
+        ref = Scalar(s.num.conjugate(), s.den.conjugate())
+        assert c.num == ref.num and c.den == ref.den
+    # a polynomial keeps the shared unit denominator, so the Scalar
+    # __add__/__mul__ fast paths still apply to its conjugate
+    one_plus_q = ONE + Q
+    cancelled = Scalar((I + Q).num * one_plus_q.num, one_plus_q.num)
+    for s in (ONE, I, Q + I, Scalar.q_power(-3) * (ONE - I), ZERO, cancelled):
+        assert s.conjugate().den is _LP_ONE
+    assert cancelled.conjugate() == Q - I
 
 
 def test_i_power_cycle():

@@ -6,15 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from qkahler.fiber import FiberForm, basis_bidegree, basis_degree
+from qkahler.fiber import FiberForm, basis_bidegree
 from qkahler.hodge import l_operator, lambda_operator
 from qkahler.lefschetz import L_power, primitive_basis
-from qkahler.scalars import H_EQ_ONE, H_EQ_Q, HodgeMode, ONE, Scalar, qint_signed
+from qkahler.scalars import H_EQ_ONE, H_EQ_Q, HodgeMode, ONE, qint_signed
 from qkahler.uqsl2 import (
-    Sl2String, deformed_commutator, h_operator, k_operator,
-    string_decomposition, string_inventory, verify_lefschetz_identities,
-    verify_lowering_factors, verify_primitive_is_lambda_kernel,
-    verify_string_basis,
+    deformed_commutator, h_operator, k_operator, string_decomposition,
+    string_inventory, verify_lefschetz_identities, verify_lowering_factors,
+    verify_primitive_is_lambda_kernel, verify_string_basis,
 )
 
 NUMERIC = HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8))
