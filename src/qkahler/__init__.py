@@ -15,7 +15,7 @@ from .lefschetz import (
 )
 from .hodge import (
     vol, hodge, hodge_inverse, lambda_apply, metric, gram, gram_to_json,
-    certify_posdef, serre_pairing, GradedOperator, adjoint,
+    certify_posdef, serre_pairing, GradedOperator, adjoint_defect,
     hodge_operator, l_operator, lambda_operator,
 )
 from .uqsl2 import (
@@ -40,7 +40,7 @@ __all__ = [
     "lambda_string_factor",
     "vol", "hodge", "hodge_inverse", "lambda_apply", "metric", "gram",
     "gram_to_json", "certify_posdef", "serre_pairing", "GradedOperator",
-    "adjoint", "hodge_operator", "l_operator", "lambda_operator",
+    "adjoint_defect", "hodge_operator", "l_operator", "lambda_operator",
     "h_operator", "k_operator", "Sl2String",
     "verify_lefschetz_identities", "string_decomposition", "string_inventory",
     "SU2Element", "TensorElement", "u_entry", "antipode_u_entry",

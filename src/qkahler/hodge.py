@@ -107,7 +107,7 @@ def gram(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
     Entry (r, c) is vol(m_r ^ H(star(m_c))), assembled as P . H . S: S is
     the matrix of star from the (a, b) to the (b, a) basis, H the (b, a)
     Hodge block and P the Serre pairing of (a, b) with (n-a, n-b).  Blocks
-    are cached per (n, a, b, mode), so `adjoint` reuses them.
+    are cached per (n, a, b, mode) and never inverted: see `adjoint_defect`.
     """
     basis = basis_bidegree(n, a, b)
     conj = basis_bidegree(n, b, a)
@@ -146,7 +146,7 @@ def serre_pairing(n: int, a: int, b: int) -> ScalarMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Graded operators and metric adjoints
+# Graded operators and metric adjointness
 # ---------------------------------------------------------------------------
 
 class GradedOperator:
@@ -240,18 +240,23 @@ class GradedOperator:
         return not self.blocks
 
 
-def adjoint(op: GradedOperator, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
-    """Metric adjoint: g(op(u), v) = g(u, adjoint(op)(v)) for all u, v."""
-    n = op.n
-    blocks = {}
-    for src, (tgt, mat) in op.blocks.items():
-        g_src = gram(n, *src, mode)
-        g_tgt = gram(n, *tgt, mode)
-        w = linalg.solve(g_src, mat.transpose() @ g_tgt).conjugate()
-        if tgt in blocks:
-            raise ValueError("operator blocks collide under adjoint")
-        blocks[tgt] = (src, w)
-    return GradedOperator(n, blocks)
+def adjoint_defect(op: GradedOperator, other: GradedOperator,
+                   mode: HodgeMode = H_EQ_Q):
+    """None when `other` is the metric adjoint of `op`, g(op(u), v) =
+    g(u, other(v)) for all u, v; otherwise the first source bidegree where
+    that fails.  On coordinates g(u, v) = x^T . G . conj(y), so each block
+    M: src -> tgt of `op` needs a block W: tgt -> src of `other` with
+    M^T . G_tgt = G_src . conj(W), and `other` may have no block that no
+    block of `op` maps into.  No Gram block is inverted."""
+    if op.n != other.n:
+        raise ValueError("rank mismatch")
+    for src, (tgt, mat) in sorted(op.blocks.items()):
+        back, w = other.blocks.get(tgt, (None, None))
+        if back != src or (mat.transpose() @ gram(op.n, *tgt, mode)
+                           != gram(op.n, *src, mode) @ w.conjugate()):
+            return src
+    hit = {tgt for tgt, _ in op.blocks.values()}
+    return min((src for src in other.blocks if src not in hit), default=None)
 
 
 @memoize

@@ -58,10 +58,6 @@ class PoleError(ArithmeticError):
     """Raised when a scalar is evaluated at a zero of its denominator."""
 
 
-_FRZERO = Fraction(0)
-_FRONE = Fraction(1)
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -391,7 +387,8 @@ class Scalar:
         if d.min_exp() != 0:  # pragma: no cover - gcd keeps constant terms
             d = d.shift(-d.min_exp())
         self.num = n.shift(nlo - dlo).scale(GR_ONE / c0)
-        self.den = d.scale(GR_ONE / c0)
+        # a den reduced to 1 is the shared _LP_ONE, for the fast paths
+        self.den = _LP_ONE if d.is_unit() else d.scale(GR_ONE / c0)
 
     @staticmethod
     def _raw(num: LaurentPoly) -> "Scalar":
@@ -506,7 +503,7 @@ class Scalar:
         return self.num.evaluate(q0) / d
 
     def is_polynomial(self) -> bool:
-        return self.den == _LP_ONE
+        return self.den is _LP_ONE
 
     def __str__(self):
         return render_scalar(self)
@@ -683,7 +680,7 @@ def render_laurent(p: LaurentPoly) -> str:
 
 
 def render_scalar(s: Scalar) -> str:
-    if s.den == _LP_ONE:
+    if s.den is _LP_ONE:
         return render_laurent(s.num)
     return f"({render_laurent(s.num)})/({render_laurent(s.den)})"
 

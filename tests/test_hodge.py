@@ -13,7 +13,7 @@ import qkahler
 from qkahler import linalg
 from qkahler.fiber import FiberForm, basis_bidegree, basis_degree, e_minus, e_plus
 from qkahler.hodge import (
-    GradedOperator, adjoint, certify_posdef, gram, gram_to_json, hodge,
+    GradedOperator, adjoint_defect, certify_posdef, gram, gram_to_json, hodge,
     hodge_block, hodge_inverse, hodge_operator, l_operator, lambda_apply,
     lambda_operator, metric, serre_pairing, vol,
 )
@@ -25,6 +25,7 @@ from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, PoleError, Q, Scalar, ZERO,
     i_power, parse_scalar, qfact, qint,
 )
+from qkahler.uqsl2 import h_operator, k_operator
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)))
 
@@ -407,16 +408,78 @@ def test_lambda_kills_primitives_and_lowers_kappa():
         assert lambda_apply(kappa(n)) == FiberForm.unit(n).scale(qint(n))
 
 
+def _adjoint_by_elimination(op, mode):
+    """Oracle for adjoint_defect: the metric adjoint block by block,
+    W = conj(G_src^-1 . M^T . G_tgt), solved by elimination on the Gram
+    blocks."""
+    n = op.n
+    blocks = {}
+    for src, (tgt, mat) in op.blocks.items():
+        w = linalg.solve(gram(n, *src, mode), mat.transpose() @ gram(n, *tgt, mode))
+        assert tgt not in blocks, "operator blocks collide under adjoint"
+        blocks[tgt] = (src, w.conjugate())
+    return GradedOperator(n, blocks)
+
+
+def _with_entry_bumped(op, src):
+    """op with entry (0, 0) of its block at src increased by one."""
+    blocks = dict(op.blocks)
+    tgt, mat = blocks[src]
+    rows = [list(r) for r in mat.rows]
+    rows[0][0] = rows[0][0] + ONE
+    blocks[src] = (tgt, linalg.ScalarMatrix(rows))
+    return GradedOperator(op.n, blocks)
+
+
 def test_adjoint_against_the_metric():
     rng = random.Random(97)
     for n in (1, 2):
-        for mode in (H_EQ_Q, H_EQ_ONE):
+        for mode in MODES:
             lop = l_operator(n)
-            adj = adjoint(lop, mode)
-            assert adj == lambda_operator(n, mode)
-            assert adjoint(adj, mode) == lop
+            lam = lambda_operator(n, mode)
+            hop = h_operator(n, mode)
+            kop = k_operator(n, mode)
+            star = hodge_operator(n, mode)
+            star_inv = GradedOperator(n, {
+                src: (tgt, -mat if sum(src) % 2 else mat)
+                for src, (tgt, mat) in star.blocks.items()})
+            ops = (lop, lam, hop, kop, star)
+            candidates = ops + (star_inv, lam.scale(-ONE), lam.scale(Q),
+                                kop.scale(Q))
+            for op in ops:
+                want = _adjoint_by_elimination(op, mode)
+                assert adjoint_defect(op, want, mode) is None
+                for other in candidates:
+                    assert (adjoint_defect(op, other, mode) is None) == \
+                        (other == want)
+            assert adjoint_defect(lam, lop, mode) is None
+            assert adjoint_defect(star, star_inv, mode) is None
             for k in range(2 * n - 1):
                 u = _random_form(rng, n, k)
                 v = _random_form(rng, n, k + 2)
                 assert metric(lop.apply(u), v, mode) == \
-                    metric(u, adj.apply(v), mode)
+                    metric(u, lam.apply(v), mode)
+
+
+def test_adjoint_defect_names_the_failing_bidegree():
+    for n in (1, 2, 3):
+        for mode in MODES:
+            lop = l_operator(n)
+            lam = lambda_operator(n, mode)
+            kop = k_operator(n, mode)
+            assert adjoint_defect(lop, lam, mode) is None
+            assert adjoint_defect(kop, kop, mode) is None
+            for op, other in ((lop, lam.scale(-ONE)), (lop, lam.scale(Q)),
+                              (lop, lop), (kop, kop.scale(Q))):
+                assert adjoint_defect(op, other, mode) == (0, 0)
+            # a wrong entry in the block of (a, b) fails at (a-1, b-1), the
+            # source of the L block that meets it
+            for a, b in (min(lam.blocks), max(lam.blocks)):
+                assert adjoint_defect(lop, _with_entry_bumped(lam, (a, b)),
+                                      mode) == (a - 1, b - 1)
+            # a block nothing maps into fails at its own source
+            extra = GradedOperator.diagonal(
+                n, lambda a, b: ONE if a == b == 0 else ZERO)
+            assert adjoint_defect(lop, lam + extra, mode) == (0, 0)
+    with pytest.raises(ValueError):
+        adjoint_defect(l_operator(1), l_operator(2))

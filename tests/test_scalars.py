@@ -175,6 +175,24 @@ def test_conjugate_is_canonical_as_built():
     assert cancelled.conjugate() == Q - I
 
 
+def test_unit_denominators_are_the_shared_one():
+    # a denominator that cancels to 1 is the singleton, so later sums and
+    # products take the polynomial fast paths
+    s = (ONE / (ONE + Q)) * (ONE + Q)
+    assert s == ONE and s.den is _LP_ONE and s.is_polynomial()
+    rng = random.Random(53)
+    units = 0
+    for _ in range(25):
+        x, y = _random_scalar(rng), _random_scalar(rng)
+        if not y:
+            continue
+        for s in (x * y, x + y, x / y, (x / y) * y, y / y):
+            if s.den == _LP_ONE:
+                units += 1
+                assert s.den is _LP_ONE
+    assert units >= 25
+
+
 def test_i_power_cycle():
     assert [i_power(k) for k in range(4)] == [ONE, I, -ONE, -I]
     for k in range(-8, 9):
