@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (
-    ZERO, ONE, LaurentPoly, Scalar, _LP_ONE, _laurent_gcd, refuse_assignment,
+    ZERO, ONE, LaurentPoly, Scalar, _LP_ONE, _laurent_gcd, dot,
+    refuse_assignment,
 )
 
 
@@ -97,24 +98,12 @@ class ScalarMatrix:
     def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
-        ocols = other.ncols
-        out = []
-        for r in self.rows:
-            row = []
-            for j in range(ocols):
-                acc = ZERO
-                for k, a in enumerate(r):
-                    if a:
-                        b = other.rows[k][j]
-                        if b:
-                            acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return ScalarMatrix(out, ncols=ocols)
+        cols = [other.column(j) for j in range(other.ncols)]
+        return ScalarMatrix([[dot(zip(r, c)) for c in cols]
+                             for r in self.rows], ncols=other.ncols)
 
     def apply(self, vec: list) -> list:
-        return [sum((a * v for a, v in zip(r, vec) if a and v), ZERO)
-                for r in self.rows]
+        return [dot(zip(r, vec)) for r in self.rows]
 
     def transpose(self) -> "ScalarMatrix":
         if not self.rows:

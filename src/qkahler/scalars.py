@@ -425,6 +425,8 @@ class Scalar:
             return NotImplemented
         if self.den is _LP_ONE and other.den is _LP_ONE:
             return Scalar._raw(self.num + other.num)
+        if self.den == other.den:
+            return Scalar(self.num + other.num, self.den)
         return Scalar(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 
@@ -525,6 +527,37 @@ ZERO = Scalar._raw(LaurentPoly())
 ONE = Scalar.from_int(1)
 I = Scalar.from_gaussian(GR_I)
 Q = Scalar.q_power(1)
+
+
+def dot(pairs) -> Scalar:
+    """Sum of a * b over the (a, b) pairs of scalars, canonicalised once.
+
+    The numerator products are summed per distinct denominator product,
+    which most entries of one Hodge or Gram block share, and the groups are
+    then put over one denominator by cross-multiplication.  The one gcd at
+    the end gives the same canonical pair as a fold of Scalar additions.
+    """
+    num = LaurentPoly()  # the products over denominator 1
+    groups = {}
+    for a, b in pairs:
+        if not (a.num and b.num):
+            continue
+        p = a.num * b.num
+        if a.den is _LP_ONE:
+            if b.den is _LP_ONE:
+                num = num + p
+                continue
+            den = b.den
+        else:
+            den = a.den if b.den is _LP_ONE else a.den * b.den
+        s = groups.get(den)
+        groups[den] = p if s is None else s + p
+    den = _LP_ONE
+    for d, s in groups.items():
+        if s:
+            num = num * d + (s if den is _LP_ONE else s * den)
+            den = d if den is _LP_ONE else den * d
+    return Scalar._raw(num) if den is _LP_ONE else Scalar(num, den)
 
 
 def i_power(k: int) -> Scalar:

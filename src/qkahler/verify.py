@@ -26,7 +26,7 @@ from .lefschetz import (
 from . import linalg
 from .hodge import (
     GradedOperator, hodge, hodge_operator, metric, gram, certify_posdef,
-    serre_pairing, adjoint_defect, l_operator, lambda_operator,
+    serre_pairing, adjoint_defect, l_operator, lambda_operator, vol,
 )
 from .uqsl2 import (
     h_operator, k_operator, verify_lefschetz_identities, string_decomposition,
@@ -292,14 +292,16 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
                 ok = False
     out.append(_entry("metric", "Gram blocks are conjugate-symmetric", ok))
 
+    # one degree, so metric(u, v) is vol(u ^ hodge(star(v))): one image per v
     ok = True
     for k in range(2 * n + 1):
         mons = basis_degree(n, k)
+        images = [hodge(_mono_form(n, mv).star(), mode) for mv in mons]
         for mu in mons:
-            for mv in mons:
-                if mu.bidegree != mv.bidegree:
-                    if metric(_mono_form(n, mu), _mono_form(n, mv), mode):
-                        ok = False
+            u = _mono_form(n, mu)
+            for mv, w in zip(mons, images):
+                if mu.bidegree != mv.bidegree and vol(u.wedge(w)):
+                    ok = False
     out.append(_entry("metric", "distinct bidegrees are orthogonal", ok))
 
     ok = all(not metric(_mono_form(n, mu), _mono_form(n, mv), mode)
@@ -323,13 +325,17 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
             if a > n or b > n:
                 continue
             seeds = primitive_basis(n, a, b)
+            # homogeneous seeds and lifts: metric is vol(u ^ hodge(star(v)))
+            images = [hodge(s.star(), mode) for s in seeds]
             for j in range(1, n - k + 1):
                 factor = (qfact(j, mode) * qfact(n - k, mode)
                           / qfact(n - j - k, mode))
-                for alpha in seeds:
-                    for beta in seeds:
-                        lhs = metric(L_power(alpha, j), L_power(beta, j), mode)
-                        rhs = factor * metric(alpha, beta, mode)
+                lifts = [L_power(s, j) for s in seeds]
+                lift_images = [hodge(f.star(), mode) for f in lifts]
+                for alpha, lift in zip(seeds, lifts):
+                    for w, lift_w in zip(images, lift_images):
+                        lhs = vol(lift.wedge(lift_w))
+                        rhs = factor * vol(alpha.wedge(w))
                         if lhs != rhs:
                             ok, wit = False, {"bidegree": [a, b], "level": j}
     out.append(_entry("metric",
@@ -416,9 +422,11 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     for a in range(n + 1):
         for b in range(n + 1):
             cols = string_columns(n, a, b)
+            # one bidegree, so metric(f1, f2) is vol(f1 ^ hodge(star(f2)))
+            images = [hodge(f.star(), mode) for _, _, _, f in cols]
             for j1, _, _, f1 in cols:
-                for j2, _, _, f2 in cols:
-                    if j1 != j2 and metric(f1, f2, mode):
+                for (j2, _, _, _), w in zip(cols, images):
+                    if j1 != j2 and vol(f1.wedge(w)):
                         ok = False
     out.append(_entry("strings",
                       "members over different levels are metric-orthogonal", ok))

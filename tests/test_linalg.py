@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qkahler.hodge import hodge_block
+from qkahler.lefschetz import l_matrix
 from qkahler.linalg import (
     ScalarMatrix, hermitian_ldl, inverse, kernel_basis, rank, solve,
 )
@@ -16,7 +17,10 @@ from qkahler.scalars import (
     GaussianRational, H_EQ_ONE, I, ONE, Q, Scalar, ZERO,
 )
 
-from oracles import eval_matrix, gauss_rank, sylvester_positive
+from oracles import (
+    C_ZERO, c_add, c_mul, eval_matrix, eval_scalar, gauss_rank,
+    sylvester_positive,
+)
 
 POINTS = [Fraction(17, 13), Fraction(23, 7)]
 
@@ -43,6 +47,35 @@ def test_matrix_ring_axioms():
         assert (a + a).scale(Scalar.from_int(1) / Scalar.from_int(2)) == a
         assert (a @ b).transpose() == b.transpose() @ a.transpose()
         assert (a @ b).conjugate() == a.conjugate() @ b.conjugate()
+
+
+def _eval_product(x, y):
+    """Product of evaluated matrices in complex rational arithmetic."""
+    out = []
+    for r in x:
+        row = []
+        for col in zip(*y):
+            acc = C_ZERO
+            for a, b in zip(r, col):
+                acc = c_add(acc, c_mul(a, b))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def test_block_products_match_evaluated_products():
+    q0 = Fraction(17, 13)
+    rng = random.Random(67)
+    for n in (1, 2, 3):
+        for a in range(n):
+            for b in range(n):
+                lm = l_matrix(n, a, b)
+                hb = hodge_block(n, a + 1, b + 1)
+                hv, lv = eval_matrix(hb, q0), eval_matrix(lm, q0)
+                assert eval_matrix(hb @ lm, q0) == _eval_product(hv, lv)
+                vec = [rng.choice(_POOL) for _ in range(hb.ncols)]
+                want = _eval_product(hv, [[eval_scalar(v, q0)] for v in vec])
+                assert [[eval_scalar(x, q0)] for x in hb.apply(vec)] == want
 
 
 def test_rank_matches_evaluation_oracle():

@@ -9,9 +9,10 @@ import pytest
 
 from qkahler.scalars import (
     GaussianRational, HodgeMode, H_EQ_ONE, H_EQ_Q, I, LaurentPoly, ONE,
-    PoleError, Q, Scalar, ZERO, _LP_ONE, i_power, parse_scalar, qbinom, qfact,
-    qint, qint_signed, render_scalar,
+    PoleError, Q, Scalar, ZERO, _LP_ONE, dot, i_power, parse_scalar, qbinom,
+    qfact, qint, qint_signed, render_scalar,
 )
+from qkahler.hodge import gram
 
 from oracles import (
     c_add, c_div, c_mul, dict_add, dict_eval, dict_mul, eval_scalar,
@@ -191,6 +192,61 @@ def test_unit_denominators_are_the_shared_one():
                 units += 1
                 assert s.den is _LP_ONE
     assert units >= 25
+
+
+def _same_pair(got, want):
+    """Equal canonical pairs, with a unit denominator as the shared one."""
+    return (got.num == want.num and got.den == want.den
+            and (got.den is _LP_ONE) == (want.den is _LP_ONE))
+
+
+def test_equal_denominator_addition_matches_cross_multiplication():
+    g = gram(3, 1, 1)
+    shared = [x for row in g.rows for x in row if not x.is_polynomial()]
+    rng = random.Random(59)
+    checked = 0
+    for _ in range(60):
+        a = rng.choice(shared)
+        b = rng.choice(shared) * rng.choice([ONE, -ONE, I, Scalar.from_int(2)])
+        if a.den != b.den:
+            continue
+        checked += 1
+        cross = Scalar(a.num * b.den + b.num * a.den, a.den * b.den)
+        assert _same_pair(a + b, cross)
+        assert _same_pair(a - a, ZERO)
+    assert checked >= 40
+
+
+def _fold(pairs):
+    acc = ZERO
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def test_dot_matches_the_addition_fold():
+    # unit, equal non-unit and distinct non-unit denominators, so the
+    # products fall into several groups, some with a shared denominator
+    dens = [ONE, ONE, ONE + Q, ONE + Q, ONE + Q, Q * Q - Q + ONE, Q - I]
+    rng = random.Random(61)
+    pool = [ZERO]
+    while len(pool) < 24:
+        num, _ = _random_laurent(rng, max_terms=3)
+        pool.append(Scalar(num) / rng.choice(dens))
+    for _ in range(150):
+        pairs = [(rng.choice(pool), rng.choice(pool))
+                 for _ in range(rng.randint(0, 6))]
+        want = _fold(pairs)
+        assert _same_pair(dot(pairs), want)
+        # a sum that cancels to 0, and one whose denominator cancels to 1
+        assert _same_pair(dot(pairs + [(-a, b) for a, b in pairs]), ZERO)
+        assert _same_pair(dot(pairs + [(-want, ONE), (Q, I)]), I * Q)
+    assert _same_pair(dot([]), ZERO)
+    # distinct denominator products (1+q)(1+2q) and 1+2q whose sum is 1
+    two_q = Scalar.from_int(2) * Q
+    r = ONE / (ONE + two_q)
+    one = dot([(ONE / (ONE + Q), (ONE + Q) * r), (two_q * r, ONE)])
+    assert one == ONE and one.den is _LP_ONE
 
 
 def test_i_power_cycle():
