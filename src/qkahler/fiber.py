@@ -23,6 +23,12 @@ c (-q)^inv(P1, P) (-q^-1)^inv(M, M2), where inv(A, B) counts the pairs
 x in A, y in B with x > y, or 0 when either union repeats an index: the
 outer letters only need the same-sign swaps.  No cache is kept per monomial
 pair.
+
+The star sends each basis monomial e+_P e-_M to +-q^k times the single
+monomial e+_M e-_P, cached per monomial as (monomial, k, negate); starring a
+form conjugates each coefficient and shifts it by that signed q-power.  A
+product with +-q^k is itself a shift of the numerator (Scalar.__mul__), so
+the wedge of such coefficients needs no Laurent product either.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from types import MappingProxyType
 
 from .scalars import (
     ZERO, ONE, Q, Scalar, GaussianRational, memoize, parse_scalar,
-    refuse_assignment, render_scalar, render_terms,
+    _signed_q_power, refuse_assignment, render_scalar, render_terms,
 )
 
 _NEG_Q = -Q
@@ -164,7 +170,9 @@ def _star_generator(s: int, a: int):
 
 
 @memoize
-def _star_monomial(n: int, m: BasisMonomial) -> dict:
+def _star_monomial(n: int, m: BasisMonomial) -> tuple:
+    """star(m) as (monomial, k, negate): the image is +-q^k times one basis
+    monomial, so star permutes the basis up to signed q-powers."""
     w = m.word()
     k = m.degree
     coeff = ONE if (k * (k - 1) // 2) % 2 == 0 else -ONE
@@ -174,7 +182,12 @@ def _star_monomial(n: int, m: BasisMonomial) -> dict:
         img.append(g)
         coeff = coeff * c
     reduced = _reduce_word(n, tuple(img))
-    return {mono: coeff * c for mono, c in reduced.items()}
+    if len(reduced) == 1:
+        (mono, c), = reduced.items()
+        u = _signed_q_power(coeff * c)
+        if u is not None:
+            return (mono, *u)
+    raise ArithmeticError(f"star of {m} is not a signed q-power of one monomial")
 
 
 class FiberForm:
@@ -288,17 +301,12 @@ class FiberForm:
         return self.scale(other)
 
     def star(self) -> "FiberForm":
-        """Graded conjugate-linear involution of the algebra."""
-        out: dict = {}
+        """Graded conjugate-linear involution of the algebra.  It permutes
+        the basis up to signed q-powers, so each term maps to one term."""
+        out = {}
         for m, c in self.terms.items():
-            cc = c.conjugate()
-            for mono, f in _star_monomial(self.n, m).items():
-                s = out.get(mono)
-                s = cc * f if s is None else s + cc * f
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+            mono, k, negate = _star_monomial(self.n, m)
+            out[mono] = c.conjugate().q_shift(k, negate)
         return FiberForm._own(self.n, out)
 
     def degrees(self):

@@ -310,7 +310,12 @@ def hermitian_ldl(entries, q0) -> LDLCertificate:
         perm.append(pick)
         pivots.append(d.re)
         remaining.remove(pick)
-        for i in remaining:
-            for j in remaining:
-                a[i][j] = a[i][j] - a[i][pick] * a[pick][j] / d
+        # the Schur complement stays Hermitian: update the upper triangle
+        # in remaining order and mirror it
+        for t, i in enumerate(remaining):
+            f = a[i][pick] / d
+            for j in remaining[t:]:
+                v = a[i][j] - f * a[pick][j]
+                a[i][j] = v
+                a[j][i] = v.conjugate()
     return LDLCertificate(q0, pivots, perm, True)

@@ -454,6 +454,13 @@ class Scalar:
         other = _coerce_scalar(other)
         if other is NotImplemented:
             return NotImplemented
+        # a factor +-q^k is a unit of the Laurent ring: shift the other
+        u = _signed_q_power(other)
+        if u is not None:
+            return self.q_shift(*u)
+        u = _signed_q_power(self)
+        if u is not None:
+            return other.q_shift(*u)
         if self.den is _LP_ONE and other.den is _LP_ONE:
             return Scalar._raw(self.num * other.num)
         return Scalar(self.num * other.num, self.den * other.den)
@@ -511,6 +518,16 @@ class Scalar:
         return render_scalar(self)
 
     __repr__ = __str__
+
+
+def _signed_q_power(s: Scalar):
+    """(k, negate) when s is exactly +-q^k, else None."""
+    if s.den is not _LP_ONE or len(s.num.terms) != 1:
+        return None
+    (k, c), = s.num.terms.items()
+    if c.im or (c.re != 1 and c.re != -1):
+        return None
+    return k, c.re < 0
 
 
 def _coerce_scalar(x):

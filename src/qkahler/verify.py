@@ -117,13 +117,14 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
             ok = False
     out.append(_entry("relations", "wedge associativity on seeded random triples", ok))
 
+    forms = {m: _mono_form(n, m)
+             for k in range(2 * n + 1) for m in basis_degree(n, k)}
     kap = kappa(n)
-    ok = all(_mono_form(n, m) * kap == kap * _mono_form(n, m)
-             for k in range(2 * n + 1) for m in basis_degree(n, k))
+    ok = all(u * kap == kap * u for u in forms.values())
     out.append(_entry("relations", "fundamental form is central", ok))
 
-    ok = all(_mono_form(n, m).star().star() == _mono_form(n, m)
-             for k in range(2 * n + 1) for m in basis_degree(n, k))
+    stars = {m: u.star() for m, u in forms.items()}
+    ok = all(stars[m].star() == u for m, u in forms.items())
     out.append(_entry("relations", "star is an involution on the basis", ok))
 
     ok = True
@@ -131,9 +132,8 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
         for l in range(2 * n + 1):
             for mu in basis_degree(n, k):
                 for mv in basis_degree(n, l):
-                    u, v = _mono_form(n, mu), _mono_form(n, mv)
-                    w = u * v
-                    rev = v.star() * u.star()
+                    w = forms[mu] * forms[mv]
+                    rev = stars[mv] * stars[mu]
                     if (k * l) % 2:
                         rev = -rev
                     if w.star() != rev:

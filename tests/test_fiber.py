@@ -8,8 +8,8 @@ from math import comb
 import pytest
 
 from qkahler.fiber import (
-    BasisMonomial, FiberForm, _reduce_word, basis_bidegree, basis_degree,
-    e_minus, e_plus, weight,
+    BasisMonomial, FiberForm, _reduce_word, _star_monomial, basis_bidegree,
+    basis_degree, e_minus, e_plus, weight,
 )
 from qkahler.hodge import hodge, vol
 from qkahler.lefschetz import kappa
@@ -219,6 +219,47 @@ def test_fundamental_form_is_central():
         for k in range(2 * n):
             u = _random_form(rng, n, k)
             assert kap.wedge(u) == u.wedge(kap)
+
+
+def _oracle_star_image(n, m):
+    """star(m) from the generator images e+_a -> q^(-2(a+1)) e-_a and
+    e-_a -> q^(2(a+1)) e+_a, taken in reverse order with the sign
+    (-1)^(k(k-1)/2) and reduced by the rightmost-first oracle."""
+    k = m.degree
+    shift = 0
+    img = []
+    for s, a in reversed(m.word()):
+        img.append((-s, a))
+        shift -= 2 * s * (a + 1)
+    negate = (k * (k - 1) // 2) % 2 == 1
+    return {BasisMonomial(*key): c.q_shift(shift, negate)
+            for key, c in reduce_rightmost(n, tuple(img)).items()}
+
+
+def test_star_monomial_is_one_signed_q_power():
+    for n in (1, 2, 3, 4):
+        for k in range(2 * n + 1):
+            for m in basis_degree(n, k):
+                mono, shift, negate = _star_monomial(n, m)
+                assert mono == BasisMonomial(m.minus, m.plus)
+                qk = Scalar.q_power(shift)
+                want = {mono: -qk if negate else qk}
+                assert _oracle_star_image(n, m) == want
+
+
+def test_star_of_forms_matches_the_oracle_images():
+    rng = random.Random(707)
+    for n in (1, 2, 3):
+        images = {m: _oracle_star_image(n, m)
+                  for k in range(2 * n + 1) for m in basis_degree(n, k)}
+        for _ in range(12):
+            k = rng.randint(0, 2 * n)
+            u = _random_form(rng, n, k) + _random_form(rng, n, rng.randint(0, 2 * n))
+            want = FiberForm.zero(n)
+            for m, c in u.terms.items():
+                want = want + FiberForm(n, images[m]).scale(c.conjugate())
+            assert u.star() == want
+            assert u.star().star() == u
 
 
 def _candidate_star(u, c1, c0, sp, sm):

@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from qkahler.hodge import hodge_block
+from qkahler.hodge import gram, hodge_block
 from qkahler.lefschetz import l_matrix
 from qkahler.linalg import (
-    ScalarMatrix, hermitian_ldl, inverse, kernel_basis, rank, solve,
+    LDLCertificate, ScalarMatrix, hermitian_ldl, inverse, kernel_basis, rank,
+    solve,
 )
 from qkahler.scalars import (
-    GaussianRational, H_EQ_ONE, I, ONE, Q, Scalar, ZERO,
+    GaussianRational, H_EQ_ONE, H_EQ_Q, I, ONE, Q, Scalar, ZERO,
 )
 
 from oracles import (
@@ -185,3 +186,59 @@ def test_hermitian_ldl_rejects_non_hermitian_input():
     cert = hermitian_ldl(bad, Fraction(1))
     assert not cert.positive_definite
     assert "Hermitian" in cert.reason or "diagonal" in cert.reason
+
+
+def _ldl_full_square(entries, q0):
+    """hermitian_ldl with the whole remaining square updated per pivot and
+    no use of symmetry: the reference for the triangle-and-mirror update."""
+    m = len(entries)
+    a = [list(row) for row in entries]
+    remaining = list(range(m))
+    perm, pivots = [], []
+    while remaining:
+        pick = next((i for i in remaining if a[i][i].re > 0), None)
+        if pick is None:
+            return LDLCertificate(q0, pivots, perm, False,
+                                  "no positive pivot available")
+        d = a[pick][pick]
+        perm.append(pick)
+        pivots.append(d.re)
+        remaining.remove(pick)
+        for i in remaining:
+            for j in remaining:
+                a[i][j] = a[i][j] - a[i][pick] * a[pick][j] / d
+    return LDLCertificate(q0, pivots, perm, True)
+
+
+def _random_hermitian(rng, size):
+    a = [[None] * size for _ in range(size)]
+    for i in range(size):
+        a[i][i] = _gr(Fraction(rng.randint(-2, 6), rng.randint(1, 3)))
+        for j in range(i + 1, size):
+            a[i][j] = _gr(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                          rng.randint(-2, 2))
+            a[j][i] = a[i][j].conjugate()
+    return a
+
+
+def test_hermitian_ldl_matches_the_full_square_update():
+    rng = random.Random(71)
+    q0 = Fraction(9, 10)
+    late_failures = 0
+    for _ in range(200):
+        a = _random_hermitian(rng, rng.randint(1, 6))
+        got, want = hermitian_ldl(a, q0), _ldl_full_square(a, q0)
+        assert got == want
+        late_failures += not got.positive_definite and len(got.pivots) > 1
+    assert late_failures >= 10
+    for n in (1, 2, 3):
+        for mode in (H_EQ_Q, H_EQ_ONE):
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    block = gram(n, a, b, mode)
+                    for q0 in (Fraction(9, 10), Fraction(11, 10)):
+                        entries = [[x.evaluate(q0) for x in row]
+                                   for row in block.rows]
+                        got = hermitian_ldl(entries, q0)
+                        assert got == _ldl_full_square(entries, q0)
+                        assert got.positive_definite

@@ -9,8 +9,8 @@ import pytest
 
 from qkahler.scalars import (
     GaussianRational, HodgeMode, H_EQ_ONE, H_EQ_Q, I, LaurentPoly, ONE,
-    PoleError, Q, Scalar, ZERO, _LP_ONE, dot, i_power, parse_scalar, qbinom,
-    qfact, qint, qint_signed, render_scalar,
+    PoleError, Q, Scalar, ZERO, _LP_ONE, _signed_q_power, dot, i_power,
+    parse_scalar, qbinom, qfact, qint, qint_signed, render_scalar,
 )
 from qkahler.hodge import gram
 
@@ -346,3 +346,39 @@ def test_hodge_mode_powers_and_labels():
         GaussianRational(Fraction(8, 7)))
     labels = {H_EQ_Q.label(), H_EQ_ONE.label(), numeric.label()}
     assert len(labels) == 3
+
+
+def _as_dict(p):
+    return {e: (c.re, c.im) for e, c in p.terms.items()}
+
+
+# (c, whether c q^k takes the +-q^k shortcut)
+_UNITS = ((GaussianRational(1), True), (GaussianRational(-1), True),
+          (GaussianRational(0, 1), False), (GaussianRational(0, -1), False),
+          (GaussianRational(2), False))
+
+
+def test_multiplying_by_a_signed_q_power_matches_dict_oracle():
+    # dict_mul shares no code with Scalar multiplication, so it also checks
+    # the +-q^k shortcut; any unit c q^k leaves a canonical den as it is
+    rng = random.Random(67)
+    pool = [ZERO, ONE, Q]
+    while len(pool) < 40:
+        num, _ = _random_laurent(rng)
+        den = rng.choice([ONE, ONE + Q, Q * Q - I])
+        pool.append(Scalar(num) / den)
+    for x in pool:
+        for k in range(-3, 4):
+            for c, signed in _UNITS:
+                u = Scalar._raw(LaurentPoly.q_power(k, c))
+                assert (_signed_q_power(u) is not None) == signed
+                want = dict_mul(_as_dict(x.num), {k: (c.re, c.im)})
+                for got in (x * u, u * x):
+                    assert _as_dict(got.num) == want
+                    assert got.den == x.den
+                    assert (got.den is _LP_ONE) == (x.den is _LP_ONE)
+    # a product of two polynomials keeps the shared unit denominator
+    for x in pool:
+        for y in (Q + I, Q * Q, -Scalar.q_power(-2)):
+            if x.is_polynomial():
+                assert (x * y).den is _LP_ONE and (y * x).den is _LP_ONE
