@@ -151,8 +151,6 @@ def cmd_gram(args, mode) -> tuple:
     lines = [f"Gram blocks, rank {n}, {mode.label()}"]
     for a in range(n + 1):
         for b in range(n + 1):
-            if not basis_bidegree(n, a, b):
-                continue
             block = gram_to_json(n, a, b, mode)
             certs = []
             for q0 in q_samples:

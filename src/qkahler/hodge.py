@@ -10,9 +10,10 @@ parameter itself, 1, or a fixed positive rational.  On each (a, b) component
 the map is assembled as a matrix through the string basis, so applying it to
 arbitrary forms costs one matrix-vector product.
 
-The metric is g(u, v) = vol(u ^ hodge(star(v))), zero across different
-degrees; its Gram blocks are certified positive definite at rational points
-by exact LDL* pivots.
+The metric is g(u, v) = vol(u ^ hodge(star(v))).  Different bidegrees are
+orthogonal, so it is stored as one Gram block per bidegree and evaluated on
+coordinates from those blocks; the blocks are certified positive definite at
+rational points by exact LDL* pivots.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .scalars import (
-    ZERO, ONE, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize,
+    ONE, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize, dot,
     refuse_assignment,
 )
 from .fiber import FiberForm, BasisMonomial, basis_bidegree
 from . import linalg
 from .linalg import ScalarMatrix, LDLCertificate
 from .lefschetz import (
-    L_power, l_matrix, primitive_basis, string_columns, string_basis_matrix,
+    L_power, l_matrix, primitive_basis, string_columns, string_basis_inverse,
     to_coords, from_coords,
 )
 
@@ -63,7 +64,7 @@ def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatri
         seed = primitive_basis(n, ap, bp)[idx]
         images.append(L_power(seed, n - j - kp).scale(coeff))
     c_mat = ScalarMatrix.from_columns([to_coords(f, tgt) for f in images], len(tgt))
-    return c_mat @ linalg.inverse(string_basis_matrix(n, a, b))
+    return c_mat @ string_basis_inverse(n, a, b)
 
 
 def hodge(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
@@ -86,18 +87,25 @@ def lambda_apply(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
 
 
 def metric(u: FiberForm, v: FiberForm, mode: HodgeMode = H_EQ_Q) -> Scalar:
-    """Sesquilinear pairing g(u, v) = vol(u ^ hodge(star(v))), linear in u,
-    conjugate-linear in v, zero across different degrees."""
+    """Sesquilinear pairing g(u, v) = vol(u ^ hodge(star(v))), linear in u
+    and conjugate-linear in v.  Different bidegrees are orthogonal, so on
+    coordinates it is the sum over shared bidegrees of x^T . G . conj(y),
+    read off the cached Gram blocks as one dot product."""
     if u.n != v.n:
         raise ValueError(f"mixed ranks {u.n} and {v.n}")
-    du = u.degree_split()
-    dv = v.degree_split()
-    acc = ZERO
-    for k, uk in du.items():
-        vk = dv.get(k)
-        if vk is not None:
-            acc = acc + vol(uk.wedge(hodge(vk.star(), mode)))
-    return acc
+    n = u.n
+    dv = v.bidegree_split()
+    pairs = []
+    for bd, uc in u.bidegree_split().items():
+        vc = dv.get(bd)
+        if vc is None:
+            continue
+        index = {m: r for r, m in enumerate(basis_bidegree(n, *bd))}
+        rows = gram(n, *bd, mode).rows
+        pairs.extend((x * y.conjugate(), rows[index[mu]][index[mv]])
+                     for mu, x in uc.terms.items()
+                     for mv, y in vc.terms.items())
+    return dot(pairs)
 
 
 @memoize
@@ -173,9 +181,9 @@ class GradedOperator:
         blocks = {}
         for a in range(n + 1):
             for b in range(n + 1):
-                dim = len(basis_bidegree(n, a, b))
                 lam = eig(a, b)
-                if dim and lam:
+                if lam:
+                    dim = len(basis_bidegree(n, a, b))
                     blocks[(a, b)] = ((a, b), ScalarMatrix.identity(dim).scale(lam))
         return GradedOperator(n, blocks)
 
@@ -264,17 +272,15 @@ def hodge_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
     blocks = {}
     for a in range(n + 1):
         for b in range(n + 1):
-            if basis_bidegree(n, a, b):
-                blocks[(a, b)] = ((n - b, n - a), hodge_block(n, a, b, mode))
+            blocks[(a, b)] = ((n - b, n - a), hodge_block(n, a, b, mode))
     return GradedOperator(n, blocks)
 
 
 def l_operator(n: int) -> GradedOperator:
     blocks = {}
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if basis_bidegree(n, a, b) and a < n and b < n:
-                blocks[(a, b)] = ((a + 1, b + 1), l_matrix(n, a, b))
+    for a in range(n):
+        for b in range(n):
+            blocks[(a, b)] = ((a + 1, b + 1), l_matrix(n, a, b))
     return GradedOperator(n, blocks)
 
 
@@ -287,8 +293,6 @@ def lambda_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
     blocks = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            if not basis_bidegree(n, a, b):
-                continue
             mat = (hodge_block(n, n - b + 1, n - a + 1, mode)
                    @ l_matrix(n, n - b, n - a)
                    @ hodge_block(n, a, b, mode))

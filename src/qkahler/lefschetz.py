@@ -5,8 +5,9 @@ The fundamental 2-form is kappa = i * sum_a e+[a]^e-[a].  Wedging with it
 raises (a, b) to (a+1, b+1).  Primitive elements of degree k are those
 killed by the (n-k+1)-st power; each degree-k primitive seed generates a
 string L^0, L^1, ..., L^(n-k) and the strings of all seeds form a basis of
-the whole algebra, which is what makes the triangular extraction in
-lefschetz_decompose work.
+the whole algebra.  Its change of basis to monomial coordinates, S, is
+inverted once per bidegree in `string_basis_inverse`; the Hodge blocks of
+every mode and lefschetz_decompose all read that one inverse.
 """
 
 from __future__ import annotations
@@ -138,6 +139,14 @@ def string_basis_matrix(n: int, a: int, b: int) -> ScalarMatrix:
     return ScalarMatrix.from_columns(cols, len(basis))
 
 
+@memoize
+def string_basis_inverse(n: int, a: int, b: int) -> ScalarMatrix:
+    """Inverse of the string basis matrix: monomial coordinates of the (a, b)
+    component to string coordinates.  No Hodge parameter enters, so one
+    inverse per (n, a, b) serves every mode."""
+    return linalg.inverse(string_basis_matrix(n, a, b))
+
+
 def lambda_string_factor(n: int, k: int, j: int, mode: HodgeMode = H_EQ_Q) -> Scalar:
     """Eigenfactor of the lowering operator along a string.
 
@@ -150,42 +159,25 @@ def lambda_string_factor(n: int, k: int, j: int, mode: HodgeMode = H_EQ_Q) -> Sc
 def lefschetz_decompose(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> list:
     """Split a homogeneous form into Lefschetz levels.
 
-    Returns [(j, alpha_j)] with u = sum_j L^j(alpha_j) and every alpha_j
-    primitive.  The top level is read off through the lowering operator,
-    whose j-fold action on L^j(alpha) is multiplication by
-    prod_{t=1..j} [t]_h [n-t-deg(alpha)+1]_h, then subtracted; levels are
-    peeled top down.
+    Returns [(j, alpha_j)] by increasing j, with u = sum_j L^j(alpha_j) and
+    every alpha_j primitive and nonzero.  Each (a, b) component has string
+    coordinates x = S^-1 . coords(u), and alpha_j sums x_i * seed_i over the
+    string members at level j.  The string basis involves no Hodge
+    parameter, so the result does not depend on `mode`; it is accepted so
+    that every form query takes one.
     """
-    from .hodge import lambda_apply  # deferred: hodge builds on this module
-
-    if not u:
-        return []
     if not u.is_homogeneous():
         raise ValueError("lefschetz_decompose needs a degree-homogeneous form")
     n = u.n
-    k = u.degree()
-    out = []
-    rem = u
-    for m in range(k // 2, 0, -1):
-        kp = k - 2 * m
-        if kp > n:
-            continue
-        lowered = rem
-        scale = ONE
-        for t in range(1, m + 1):
-            lowered = lambda_apply(lowered, mode)
-            scale = scale * lambda_string_factor(n, kp, t, mode)
-        if not lowered:
-            continue
-        alpha = lowered.scale(ONE / scale)
-        out.append((m, alpha))
-        rem = rem - L_power(alpha, m)
-    if rem:
-        if k > n:
-            raise ValueError("degree above middle left a level-0 remainder")
-        out.append((0, rem))
-    out.sort(key=lambda t: t[0])
-    return out
+    levels = {}
+    for (a, b), comp in u.bidegree_split().items():
+        x = string_basis_inverse(n, a, b).apply(
+            to_coords(comp, basis_bidegree(n, a, b)))
+        for c, (j, (ap, bp), idx, _) in zip(x, string_columns(n, a, b)):
+            if c:
+                part = primitive_basis(n, ap, bp)[idx].scale(c)
+                levels[j] = levels[j] + part if j in levels else part
+    return sorted(levels.items())
 
 
 def verify_lefschetz_iso(n: int, k: int) -> dict:

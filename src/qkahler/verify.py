@@ -26,7 +26,8 @@ from .lefschetz import (
 from . import linalg
 from .hodge import (
     GradedOperator, hodge, hodge_operator, metric, gram, certify_posdef,
-    serre_pairing, adjoint_defect, l_operator, lambda_operator, vol,
+    serre_pairing, adjoint_defect, l_operator, lambda_apply, lambda_operator,
+    vol,
 )
 from .uqsl2 import (
     h_operator, k_operator, verify_lefschetz_identities, string_decomposition,
@@ -285,8 +286,6 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     ok = True
     for a in range(n + 1):
         for b in range(n + 1):
-            if not basis_bidegree(n, a, b):
-                continue
             g = gram(n, a, b, mode)
             if g != g.transpose().conjugate():
                 ok = False
@@ -309,12 +308,8 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
              for mv in basis_degree(n, k + 1))
     out.append(_entry("metric", "distinct degrees pair to zero", ok))
 
-    ok = True
-    for a in range(n + 1):
-        for b in range(n + 1):
-            dim = len(basis_bidegree(n, a, b))
-            if dim and linalg.rank(serre_pairing(n, a, b)) != dim:
-                ok = False
+    ok = all(linalg.rank(serre_pairing(n, a, b)) == len(basis_bidegree(n, a, b))
+             for a in range(n + 1) for b in range(n + 1))
     out.append(_entry("metric", "top-degree wedge pairing is nondegenerate", ok))
 
     ok = True
@@ -387,14 +382,26 @@ def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 
 def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
-    strings = string_decomposition(n, mode)
+    strings = string_decomposition(n)
     total = sum(s.length for s in strings)
     out.append(_entry("strings", "string members count the whole fiber",
                       total == 4 ** n, detail=f"{total} of {4 ** n}"))
+    wit = None
+    for s in strings:
+        conditions = (
+            ("killed by the lowering operator", not lambda_apply(s.seed, mode)),
+            ("L^(n-k) is nonzero", bool(s.members[-1])),
+            ("L^(n-k+1) is zero", not L_power(s.seed, s.length)),
+        )
+        failed = next((c for c, holds in conditions if not holds), None)
+        if failed is not None:
+            wit = {"bidegree": list(s.seed_bidegree),
+                   "seed_index": s.seed_index, "condition": failed}
+            break
     out.append(_entry("strings",
                       "every seed is killed by the lowering operator and "
-                      "lives for exactly n-k+1 steps", True,
-                      detail=f"{len(strings)} strings"))
+                      "lives for exactly n-k+1 steps", wit is None,
+                      detail=f"{len(strings)} strings", witness=wit))
 
     basis_rep = verify_string_basis(n)
     out.append(_entry("strings", "string members form a basis per bidegree",
@@ -450,8 +457,6 @@ def suite_posdef(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
         wit = None
         for a in range(n + 1):
             for b in range(n + 1):
-                if not basis_bidegree(n, a, b):
-                    continue
                 cert = certify_posdef(gram(n, a, b, mode), q0)
                 if not cert.positive_definite:
                     all_ok = False

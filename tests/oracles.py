@@ -6,13 +6,16 @@ numbers, Sylvester minors for positivity, and rewrite reducers that walk
 words from the right instead of the left.  Slow but transparently correct,
 which is what an oracle is for.  Nothing here imports the linear algebra,
 rewrite, or Hodge code under test; only the scalar type is shared, and the
-scalar type has its own dict-arithmetic oracle below.
+scalar type has its own dict-arithmetic oracle below.  The one exception is
+the form-level metric at the end: it wedges forms through the engine's
+Hodge map, so it checks the Gram-block path of `metric` and nothing else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from qkahler.hodge import hodge, vol
 from qkahler.scalars import Scalar, ONE, ZERO
 
 
@@ -297,3 +300,19 @@ def su2_reduce_word(word: str) -> dict:
         for mid, f in repl:
             stack.append((head + mid + tail, coef * f))
     return out
+
+
+# ---------------------------------------------------------------------------
+# form-level metric
+# ---------------------------------------------------------------------------
+
+def form_metric(u, v, mode):
+    """g(u, v) = sum_k vol(u_k ^ hodge(star(v_k))) over the degrees k: one
+    wedge, star and Hodge image per degree, no Gram block."""
+    dv = v.degree_split()
+    acc = ZERO
+    for k, uk in u.degree_split().items():
+        vk = dv.get(k)
+        if vk is not None:
+            acc = acc + vol(uk.wedge(hodge(vk.star(), mode)))
+    return acc

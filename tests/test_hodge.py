@@ -27,6 +27,8 @@ from qkahler.scalars import (
 )
 from qkahler.uqsl2 import h_operator, k_operator
 
+from oracles import form_metric
+
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)))
 
 
@@ -190,6 +192,25 @@ def test_metric_is_hermitian_and_graded():
         assert metric(u, v.scale(c)) == c.conjugate() * metric(u, v)
 
 
+def test_metric_matches_the_form_level_oracle():
+    """metric reads the Gram blocks; the oracle wedges u with the Hodge image
+    of star(v).  Pairs of one degree span several bidegrees, and pairs of
+    two different bidegrees of one degree must both give zero."""
+    rng = random.Random(97)
+    for n in (1, 2, 3):
+        for mode in MODES:
+            for k in range(2 * n + 1):
+                u, v = _random_form(rng, n, k), _random_form(rng, n, k)
+                w = u + _random_form(rng, n, (k + 1) % (2 * n + 1))
+                for x, y in ((u, v), (v, u), (w, v), (w, w)):
+                    assert metric(x, y, mode) == form_metric(x, y, mode), \
+                        (n, mode, k)
+                parts = list(_random_form(rng, n, k).bidegree_split().values())
+                for x in parts:
+                    for y in parts:
+                        assert metric(x, y, mode) == form_metric(x, y, mode)
+
+
 def test_hodge_is_a_metric_isometry():
     rng = random.Random(73)
     for n in (1, 2, 3):
@@ -200,8 +221,8 @@ def test_hodge_is_a_metric_isometry():
 
 
 def test_gram_agrees_with_metric_entries():
-    # gram assembles P . H . S from matrices; metric wedges forms.  The h1
-    # cases run after hq on the same blocks, so a cache that ignored the
+    # gram assembles P . H . S from matrices; the oracle wedges forms.  The
+    # h1 cases run after hq on the same blocks, so a cache that ignored the
     # mode would hand back the hq block and fail here.
     for n, mode in ((1, H_EQ_Q), (2, H_EQ_Q), (3, H_EQ_Q),
                     (1, H_EQ_ONE), (2, H_EQ_ONE)):
@@ -214,7 +235,7 @@ def test_gram_agrees_with_metric_entries():
                 assert g == g.transpose().conjugate()
                 for i, mi in enumerate(basis):
                     for j, mj in enumerate(basis):
-                        assert g.rows[i][j] == metric(
+                        assert g.rows[i][j] == form_metric(
                             FiberForm(n, {mi: ONE}), FiberForm(n, {mj: ONE}),
                             mode)
     assert gram(2, 0, 0, H_EQ_ONE) != gram(2, 0, 0, H_EQ_Q)
@@ -362,8 +383,8 @@ def test_cached_blocks_cannot_be_mutated():
     g = gram(2, 0, 0)
     for i, mi in enumerate(basis):
         for j, mj in enumerate(basis):
-            assert g.rows[i][j] == metric(FiberForm(2, {mi: ONE}),
-                                          FiberForm(2, {mj: ONE}))
+            assert g.rows[i][j] == form_metric(FiberForm(2, {mi: ONE}),
+                                               FiberForm(2, {mj: ONE}), H_EQ_Q)
 
 
 def test_cached_operators_and_forms_cannot_be_mutated():

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -19,8 +23,10 @@ from qkahler.lefschetz import (
 )
 from qkahler.linalg import ScalarMatrix
 from qkahler.scalars import (
-    H_EQ_ONE, H_EQ_Q, I, ONE, Q, Scalar, qfact, qint,
+    H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, Scalar, qfact, qint,
 )
+
+MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)))
 
 
 def _random_form(rng, n, k):
@@ -229,6 +235,80 @@ def test_lefschetz_decompose_of_a_pure_string_form():
     assert len(parts) == 1
     j, alpha = parts[0]
     assert j == 2 and alpha == p
+
+
+def _decompose_by_lowering(u, mode):
+    """Oracle for lefschetz_decompose: read the top level off through the
+    lowering operator, whose j-fold action on L^j(alpha) with alpha
+    primitive of degree k' multiplies by prod_t [t]_h [n-t-k'+1]_h, subtract
+    its string, and peel the levels top down."""
+    n, k = u.n, u.degree()
+    out = []
+    rem = u
+    for m in range(k // 2, 0, -1):
+        kp = k - 2 * m
+        if kp > n:
+            continue
+        lowered = rem
+        scale = ONE
+        for t in range(1, m + 1):
+            lowered = lambda_apply(lowered, mode)
+            scale = scale * lambda_string_factor(n, kp, t, mode)
+        if lowered:
+            alpha = lowered.scale(ONE / scale)
+            out.append((m, alpha))
+            rem = rem - L_power(alpha, m)
+    if rem:
+        out.append((0, rem))
+    return sorted(out, key=lambda t: t[0])
+
+
+def test_lefschetz_decompose_matches_lowering_in_every_mode():
+    """String coordinates and Lambda peeling agree on every degree; the
+    peeling uses the mode and the string coordinates do not, so the split
+    is the same in every mode."""
+    rng = random.Random(17)
+    for n in (1, 2, 3):
+        for k in range(2 * n + 1):
+            u = _random_form(rng, n, k)
+            parts = lefschetz_decompose(u)
+            assert parts and all(alpha for _, alpha in parts)
+            for mode in MODES:
+                assert lefschetz_decompose(u, mode) == parts
+                assert _decompose_by_lowering(u, mode) == parts, (n, k, mode)
+    assert lefschetz_decompose(FiberForm.zero(2)) == []
+
+
+def test_string_basis_is_inverted_once_per_bidegree():
+    """Both Hodge modes and the decomposition share one inverse per (a, b).
+    A fresh interpreter starts with empty caches."""
+    script = textwrap.dedent("""
+        from qkahler import linalg
+        from qkahler.fiber import FiberForm, basis_degree
+        from qkahler.hodge import hodge_operator
+        from qkahler.lefschetz import lefschetz_decompose
+        from qkahler.scalars import H_EQ_ONE, H_EQ_Q, ONE
+
+        calls = []
+        inverse = linalg.inverse
+
+        def counting(matrix):
+            calls.append(matrix)
+            return inverse(matrix)
+
+        linalg.inverse = counting
+        hodge_operator(3, H_EQ_Q)
+        hodge_operator(3, H_EQ_ONE)
+        for k in range(7):
+            u = FiberForm(3, {m: ONE for m in basis_degree(3, k)})
+            lefschetz_decompose(u, H_EQ_Q)
+            lefschetz_decompose(u, H_EQ_ONE)
+        print(len(calls))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["16"]
 
 
 def test_lefschetz_decompose_rejects_mixed_degree():

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from qkahler import verify
+from qkahler import cli, uqsl2, verify
+from qkahler.lefschetz import kappa, primitive_basis
 from qkahler.scalars import H_EQ_ONE, H_EQ_Q, HodgeMode
 from qkahler.verify import DEFAULT_Q_SAMPLES, SUITES, run_suites
 
@@ -102,3 +104,19 @@ def test_strings_suite_cross_level_orthogonality():
     assert not failures
     names = [e["name"] for e in entries]
     assert any("level" in s for s in names)
+
+
+def test_strings_suite_names_a_seed_that_is_not_primitive(monkeypatch, capsys):
+    def with_kappa_first(n, a, b):
+        seeds = primitive_basis(n, a, b)
+        return (kappa(n),) + seeds[1:] if (a, b) == (1, 1) else seeds
+
+    monkeypatch.setattr(uqsl2, "primitive_basis", with_kappa_first)
+    code = cli.main(["verify", "-n", "2", "--suite", "strings", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    entry, = [e for e in doc["results"]["results"]
+              if e["name"].startswith("every seed is killed")]
+    assert entry["status"] == "fail"
+    assert entry["witness"] == {"bidegree": [1, 1], "seed_index": 0,
+                                "condition": "killed by the lowering operator"}
