@@ -131,8 +131,6 @@ def cmd_primitive(args, mode) -> tuple:
     for k in range(n + 1):
         for b in range(k + 1):
             a = k - b
-            if a > n or b > n:
-                continue
             seeds = primitive_basis(n, a, b)
             entry = {"bidegree": [a, b],
                      "dimension": len(seeds),

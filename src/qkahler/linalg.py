@@ -6,8 +6,22 @@ reduced-echelon pass.  Pivots inside a column are chosen by lowest term
 count, then smallest exponent span, then position, which keeps intermediate
 entries small and the result deterministic.
 
+`rank`, `kernel_basis` and `solve` (so `inverse`) eliminate one connected
+component of the nonzero pattern at a time: rows and columns are joined
+when an entry between them is nonzero.  The operators of the fiber are
+covariant, so their matrices are block-diagonal by torus weight up to a
+permutation, and a component is a weight block or part of one.  Rows of one
+component meet no column of another, so the matrix is the direct sum of its
+components: the rank is the sum of their ranks, and the reduced echelon
+form, which is unique, is theirs put side by side.  Kernels and solutions
+are therefore the same scalars a dense elimination gives.  A matrix with one
+component goes through the same code.
+
 A separate rational LDL* routine certifies positive definiteness of
-Hermitian Gaussian-rational matrices by exhibiting exact pivots.
+Hermitian Gaussian-rational matrices by exhibiting exact pivots.  It skips
+a row whose multiplier a[i][pick] is zero: the matrix is Hermitian, so
+a[pick][i] is zero too, and the pivot step changes neither that row nor its
+mirrored column.  Pivots and permutation are those of the full update.
 """
 
 from __future__ import annotations
@@ -43,10 +57,6 @@ class ScalarMatrix:
             raise ValueError("empty matrix needs an explicit ncols")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_ncols", ncols)
-
-    @staticmethod
-    def zeros(nr: int, nc: int) -> "ScalarMatrix":
-        return ScalarMatrix([[ZERO] * nc for _ in range(nr)], ncols=nc)
 
     @staticmethod
     def identity(m: int) -> "ScalarMatrix":
@@ -207,48 +217,88 @@ def _rref(matrix: ScalarMatrix):
     return srows, pivots
 
 
+def _components(matrix: ScalarMatrix) -> list:
+    """Connected components of the nonzero pattern as (rows, cols) pairs of
+    ascending index lists.  A zero row is a component without columns and
+    a zero column one without rows."""
+    nr = matrix.nrows
+    parent = list(range(nr + matrix.ncols))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, row in enumerate(matrix.rows):
+        for j, v in enumerate(row):
+            if v:
+                parent[find(nr + j)] = find(i)
+    groups = {}
+    for x in range(len(parent)):
+        rows, cols = groups.setdefault(find(x), ([], []))
+        if x < nr:
+            rows.append(x)
+        else:
+            cols.append(x - nr)
+    return list(groups.values())
+
+
+def _submatrix(matrix: ScalarMatrix, rows, cols) -> ScalarMatrix:
+    return ScalarMatrix([[matrix.rows[i][j] for j in cols] for i in rows],
+                        ncols=len(cols))
+
+
 def rank(matrix: ScalarMatrix) -> int:
-    if matrix.nrows == 0:
-        return 0
-    rows = [_clear_row(r) for r in matrix.rows]
-    return len(_bareiss(rows))
+    return sum(len(_bareiss([_clear_row(r)
+                             for r in _submatrix(matrix, rows, cols).rows]))
+               for rows, cols in _components(matrix) if rows and cols)
 
 
 def kernel_basis(matrix: ScalarMatrix) -> list:
     """Deterministic basis of {x : M x = 0}, one vector per free column."""
     nc = matrix.ncols
-    srows, pivots = _rref(matrix)
-    pivot_cols = [c for _, c in pivots]
-    pivot_of = {c: r for r, c in pivots}
-    free = [c for c in range(nc) if c not in pivot_of]
-    out = []
-    for f in free:
-        vec = [ZERO] * nc
-        vec[f] = ONE
-        for c in pivot_cols:
-            vec[c] = -srows[pivot_of[c]][f]
-        out.append(vec)
-    return out
+    by_free = {}
+    for rows, cols in _components(matrix):
+        srows, pivots = _rref(_submatrix(matrix, rows, cols))
+        pivot_of = {c: r for r, c in pivots}
+        for f, col in enumerate(cols):
+            if f in pivot_of:
+                continue
+            vec = [ZERO] * nc
+            vec[col] = ONE
+            for c, r in pivot_of.items():
+                vec[cols[c]] = -srows[r][f]
+            by_free[col] = vec
+    return [by_free[f] for f in sorted(by_free)]
 
 
 def solve(matrix: ScalarMatrix, rhs: ScalarMatrix) -> ScalarMatrix:
-    """Solve M X = B for X; requires full column rank and consistency."""
+    """Solve M X = B for X; requires full column rank and consistency.
+
+    Each component (R, C) of M's pattern solves M[R][C] X[C] = B[R] on the
+    columns of B that are nonzero in R; X is zero on the others."""
     if matrix.nrows != rhs.nrows:
         raise ValueError("right hand side has wrong height")
-    nc = matrix.ncols
-    if nc == 0:
-        return ScalarMatrix.zeros(0, rhs.ncols)
-    aug = ScalarMatrix([mr + rr for mr, rr in zip(matrix.rows, rhs.rows)],
-                       ncols=nc + rhs.ncols)
-    srows, pivots = _rref(aug)
-    pivot_of = {c: r for r, c in pivots}
-    for c in range(nc, aug.ncols):
-        if c in pivot_of:
+    out = [[ZERO] * rhs.ncols for _ in range(matrix.ncols)]
+    for rows, cols in _components(matrix):
+        if not rows:
+            raise ValueError("system is underdetermined")
+        targets = [k for k in range(rhs.ncols)
+                   if any(rhs.rows[i][k] for i in rows)]
+        width = len(cols)
+        aug = ScalarMatrix([[matrix.rows[i][j] for j in cols]
+                            + [rhs.rows[i][k] for k in targets]
+                            for i in rows], ncols=width + len(targets))
+        srows, pivots = _rref(aug)
+        if any(c >= width for _, c in pivots):
             raise ValueError("inconsistent linear system")
-    if len(pivot_of) != nc:
-        raise ValueError("system is underdetermined")
-    return ScalarMatrix([srows[pivot_of[c]][nc:] for c in range(nc)],
-                        ncols=rhs.ncols)
+        if len(pivots) != width:
+            raise ValueError("system is underdetermined")
+        for r, c in pivots:
+            for t, k in enumerate(targets):
+                out[cols[c]][k] = srows[r][width + t]
+    return ScalarMatrix(out, ncols=rhs.ncols)
 
 
 def inverse(matrix: ScalarMatrix) -> ScalarMatrix:
@@ -311,8 +361,11 @@ def hermitian_ldl(entries, q0) -> LDLCertificate:
         pivots.append(d.re)
         remaining.remove(pick)
         # the Schur complement stays Hermitian: update the upper triangle
-        # in remaining order and mirror it
+        # in remaining order and mirror it; a zero multiplier changes
+        # nothing
         for t, i in enumerate(remaining):
+            if not a[i][pick]:
+                continue
             f = a[i][pick] / d
             for j in remaining[t:]:
                 v = a[i][j] - f * a[pick][j]

@@ -506,6 +506,8 @@ class Scalar:
         q0 = _as_fraction(q0)
         if q0 <= 0:
             raise ValueError(f"q must be a positive rational, got {q0}")
+        if not self.num:
+            return GR_ZERO
         d = self.den.evaluate(q0)
         if not d:
             raise PoleError(f"pole at q = {q0}")

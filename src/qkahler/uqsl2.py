@@ -174,8 +174,6 @@ def string_decomposition(n: int) -> list:
     for k in range(n + 1):
         for b in range(k + 1):
             a = k - b
-            if a > n or b > n:
-                continue
             for idx, seed in enumerate(primitive_basis(n, a, b)):
                 members = tuple(L_power(seed, j) for j in range(n - k + 1))
                 out.append(Sl2String((a, b), idx, k, n - k + 1, members))
@@ -222,8 +220,6 @@ def verify_lowering_factors(n: int, mode: HodgeMode = H_EQ_Q) -> dict:
     for k in range(n + 1):
         for b in range(k + 1):
             a = k - b
-            if a > n or b > n:
-                continue
             for idx, seed in enumerate(primitive_basis(n, a, b)):
                 for j in range(0, n - k + 1):
                     lhs = lambda_apply(L_power(seed, j), mode)

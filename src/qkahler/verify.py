@@ -317,8 +317,6 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     for k in range(n + 1):
         for b in range(k + 1):
             a = k - b
-            if a > n or b > n:
-                continue
             seeds = primitive_basis(n, a, b)
             # homogeneous seeds and lifts: metric is vol(u ^ hodge(star(v)))
             images = [hodge(s.star(), mode) for s in seeds]

@@ -311,6 +311,36 @@ def test_string_basis_is_inverted_once_per_bidegree():
     assert proc.stdout.split() == ["16"]
 
 
+def test_elimination_sees_one_component_at_a_time():
+    """At n = 3 no component of a string-basis or Lefschetz-power pattern
+    has more than 3 rows, while the largest of those matrices has 9.  A
+    fresh interpreter starts with empty caches."""
+    script = textwrap.dedent("""
+        from qkahler import linalg
+        from qkahler.hodge import hodge_operator
+        from qkahler.lefschetz import primitive_basis
+        from qkahler.scalars import H_EQ_Q
+
+        heights = []
+        bareiss = linalg._bareiss
+
+        def recording(rows):
+            heights.append(len(rows))
+            return bareiss(rows)
+
+        linalg._bareiss = recording
+        hodge_operator(3, H_EQ_Q)
+        for a in range(4):
+            for b in range(4):
+                primitive_basis(3, a, b)
+        print(max(heights))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3"]
+
+
 def test_lefschetz_decompose_rejects_mixed_degree():
     n = 2
     u = FiberForm.unit(n) + e_plus(n, 1)

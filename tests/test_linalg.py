@@ -11,8 +11,8 @@ import pytest
 from qkahler.hodge import gram, hodge_block
 from qkahler.lefschetz import l_matrix
 from qkahler.linalg import (
-    LDLCertificate, ScalarMatrix, hermitian_ldl, inverse, kernel_basis, rank,
-    solve,
+    LDLCertificate, ScalarMatrix, _bareiss, _clear_row, _rref, hermitian_ldl,
+    inverse, kernel_basis, rank, solve,
 )
 from qkahler.scalars import (
     GaussianRational, H_EQ_ONE, H_EQ_Q, I, ONE, Q, Scalar, ZERO,
@@ -155,6 +155,99 @@ def test_zero_sized_matrices():
     assert kernel_basis(ScalarMatrix([[ZERO, ZERO]])) != []
 
 
+# rational functions as well as Laurent polynomials, so cleared rows differ
+# between a component and the whole matrix
+_BLOCK_POOL = _POOL + [
+    ONE / (Q + ONE), Q / (Q * Q + ONE), (Q - I) / (Q + Scalar.from_int(3)),
+    Scalar.q_power(-2) + I / (Q - ONE),
+]
+
+
+def _scrambled_blocks(rng, shapes, zero_rows=0, zero_cols=0):
+    """Block-diagonal matrix with blocks of the given (rows, cols) shapes,
+    extra zero rows and columns, under random row and column permutations.
+    A block may repeat a row, so some blocks are singular."""
+    nr = sum(r for r, _ in shapes) + zero_rows
+    nc = sum(c for _, c in shapes) + zero_cols
+    dense = [[ZERO] * nc for _ in range(nr)]
+    r0 = c0 = 0
+    for h, w in shapes:
+        block = [[rng.choice(_BLOCK_POOL) for _ in range(w)] for _ in range(h)]
+        if h > 1 and rng.random() < 0.3:
+            block[-1] = [x * Q for x in block[0]]
+        for i in range(h):
+            dense[r0 + i][c0:c0 + w] = block[i]
+        r0, c0 = r0 + h, c0 + w
+    row_order, col_order = list(range(nr)), list(range(nc))
+    rng.shuffle(row_order)
+    rng.shuffle(col_order)
+    return ScalarMatrix([[dense[i][j] for j in col_order] for i in row_order],
+                        ncols=nc)
+
+
+def _whole_rank(matrix):
+    """Bareiss on the whole matrix, with no split into components."""
+    return len(_bareiss([_clear_row(r) for r in matrix.rows])) \
+        if matrix.nrows else 0
+
+
+def _whole_kernel(matrix):
+    """The kernel read off the reduced echelon form of the whole matrix."""
+    srows, pivots = _rref(matrix)
+    pivot_of = {c: r for r, c in pivots}
+    out = []
+    for f in range(matrix.ncols):
+        if f in pivot_of:
+            continue
+        vec = [ZERO] * matrix.ncols
+        vec[f] = ONE
+        for c, r in pivot_of.items():
+            vec[c] = -srows[r][f]
+        out.append(vec)
+    return out
+
+
+def test_split_elimination_matches_the_whole_matrix():
+    rng = random.Random(83)
+    several = 0
+    for _ in range(60):
+        shapes = [(rng.randint(1, 3), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 4))]
+        m = _scrambled_blocks(rng, shapes, rng.randint(0, 2),
+                              rng.randint(0, 2))
+        several += len(shapes) > 1
+        assert rank(m) == _whole_rank(m)
+        got, want = kernel_basis(m), _whole_kernel(m)
+        assert [[str(x) for x in v] for v in got] == \
+            [[str(x) for x in v] for v in want]
+    assert several >= 30
+
+
+def test_split_inverse_is_the_whole_inverse():
+    rng = random.Random(89)
+    done = 0
+    while done < 15:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+        m = _scrambled_blocks(rng, [(k, k) for k in sizes])
+        if _whole_rank(m) < m.nrows:
+            with pytest.raises(ValueError):
+                inverse(m)
+            continue
+        done += 1
+        minv = inverse(m)
+        size = m.nrows
+        assert m @ minv == ScalarMatrix.identity(size)
+        aug = ScalarMatrix([r + i for r, i in
+                            zip(m.rows, ScalarMatrix.identity(size).rows)])
+        srows, _ = _rref(aug)
+        assert minv == ScalarMatrix([r[size:] for r in srows])
+    # singular through a zero row and column, or through blocks that are
+    # not square although the whole matrix is
+    for shapes, zr, zc in (([(2, 2)], 1, 1), ([(1, 2), (2, 1)], 0, 0)):
+        with pytest.raises(ValueError):
+            inverse(_scrambled_blocks(rng, shapes, zr, zc))
+
+
 def _gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
 
@@ -210,11 +303,18 @@ def _ldl_full_square(entries, q0):
     return LDLCertificate(q0, pivots, perm, True)
 
 
-def _random_hermitian(rng, size):
-    a = [[None] * size for _ in range(size)]
+def _random_hermitian(rng, size, blocks=1):
+    """A random Hermitian matrix.  With blocks > 1 every index joins one of
+    that many blocks at random and entries between blocks are zero: a
+    block-diagonal matrix under a random permutation."""
+    block = [rng.randrange(blocks) for _ in range(size)] if blocks > 1 \
+        else [0] * size
+    a = [[_gr(0)] * size for _ in range(size)]
     for i in range(size):
         a[i][i] = _gr(Fraction(rng.randint(-2, 6), rng.randint(1, 3)))
         for j in range(i + 1, size):
+            if block[i] != block[j]:
+                continue
             a[i][j] = _gr(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
                           rng.randint(-2, 2))
             a[j][i] = a[i][j].conjugate()
@@ -231,6 +331,13 @@ def test_hermitian_ldl_matches_the_full_square_update():
         assert got == want
         late_failures += not got.positive_definite and len(got.pivots) > 1
     assert late_failures >= 10
+    sparse = {True: 0, False: 0}
+    for _ in range(200):
+        a = _random_hermitian(rng, rng.randint(3, 8), rng.randint(2, 4))
+        got, want = hermitian_ldl(a, q0), _ldl_full_square(a, q0)
+        assert got == want
+        sparse[got.positive_definite] += len(got.pivots) > 1
+    assert min(sparse.values()) >= 10
     for n in (1, 2, 3):
         for mode in (H_EQ_Q, H_EQ_ONE):
             for a in range(n + 1):
