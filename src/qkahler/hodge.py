@@ -14,15 +14,23 @@ The metric is g(u, v) = vol(u ^ hodge(star(v))).  Different bidegrees are
 orthogonal, so it is stored as one Gram block per bidegree and evaluated on
 coordinates from those blocks; the blocks are certified positive definite at
 rational points by exact LDL* pivots.
+
+Operator identities (adjointness, and through `combination_defect` the
+Hodge and sl2 relations) are zero tests, not comparisons of canonical
+matrices: each entry of lhs - rhs is one sum of products of structural
+nonzeros, put over a common denominator with no gcd.  Every denominator is
+a product of nonzero denominators, so the entry vanishes exactly when the
+numerator does.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from types import MappingProxyType
 
 from .scalars import (
-    ONE, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize, dot,
-    refuse_assignment,
+    ONE, ZERO, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize, dot,
+    dot_is_zero, refuse_assignment,
 )
 from .fiber import FiberForm, BasisMonomial, basis_bidegree
 from . import linalg
@@ -113,16 +121,21 @@ def gram(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
     """Gram matrix of the monomial basis of the (a, b) component.
 
     Entry (r, c) is vol(m_r ^ H(star(m_c))), assembled as P . H . S: S is
-    the matrix of star from the (a, b) to the (b, a) basis, H the (b, a)
-    Hodge block and P the Serre pairing of (a, b) with (n-a, n-b).  Blocks
-    are cached per (n, a, b, mode) and never inverted: see `adjoint_defect`.
+    `star_matrix(n, a, b)`, H the (b, a) Hodge block and P the Serre
+    pairing of (a, b) with (n-a, n-b).  Blocks are cached per
+    (n, a, b, mode) and never inverted: see `adjoint_defect`.
     """
-    basis = basis_bidegree(n, a, b)
+    return (serre_pairing(n, a, b) @ hodge_block(n, b, a, mode)
+            @ star_matrix(n, a, b))
+
+
+def star_matrix(n: int, a: int, b: int) -> ScalarMatrix:
+    """Matrix of star from the (a, b) to the (b, a) monomial basis; star is
+    conjugate-linear, so star(u) has coordinates S . conj(x)."""
     conj = basis_bidegree(n, b, a)
-    star_mat = ScalarMatrix.from_columns(
-        [to_coords(FiberForm(n, {m: ONE}).star(), conj) for m in basis],
-        len(conj))
-    return serre_pairing(n, a, b) @ hodge_block(n, b, a, mode) @ star_mat
+    return ScalarMatrix.from_columns(
+        [to_coords(FiberForm(n, {m: ONE}).star(), conj)
+         for m in basis_bidegree(n, a, b)], len(conj))
 
 
 def gram_to_json(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> dict:
@@ -184,7 +197,9 @@ class GradedOperator:
                 lam = eig(a, b)
                 if lam:
                     dim = len(basis_bidegree(n, a, b))
-                    blocks[(a, b)] = ((a, b), ScalarMatrix.identity(dim).scale(lam))
+                    blocks[(a, b)] = ((a, b), ScalarMatrix(
+                        [[lam if i == j else ZERO for j in range(dim)]
+                         for i in range(dim)], ncols=dim))
         return GradedOperator(n, blocks)
 
     def apply(self, u: FiberForm) -> FiberForm:
@@ -255,16 +270,61 @@ def adjoint_defect(op: GradedOperator, other: GradedOperator,
     that fails.  On coordinates g(u, v) = x^T . G . conj(y), so each block
     M: src -> tgt of `op` needs a block W: tgt -> src of `other` with
     M^T . G_tgt = G_src . conj(W), and `other` may have no block that no
-    block of `op` maps into.  No Gram block is inverted."""
+    block of `op` maps into.  No Gram block is inverted, and each identity
+    is one zero test per entry, with no product formed."""
     if op.n != other.n:
         raise ValueError("rank mismatch")
     for src, (tgt, mat) in sorted(op.blocks.items()):
         back, w = other.blocks.get(tgt, (None, None))
-        if back != src or (mat.transpose() @ gram(op.n, *tgt, mode)
-                           != gram(op.n, *src, mode) @ w.conjugate()):
+        if back != src or not _products_vanish(
+                [(mat.transpose(), gram(op.n, *tgt, mode)),
+                 (gram(op.n, *src, mode), -w.conjugate())]):
             return src
     hit = {tgt for tgt, _ in op.blocks.values()}
     return min((src for src in other.blocks if src not in hit), default=None)
+
+
+def _products_vanish(products) -> bool:
+    """Whether the sum of left . right over the (left, right) pairs of
+    matrices is zero: one `dot_is_zero` per entry that has a pair."""
+    return all(dot_is_zero(pairs) for row in linalg.product_pairs(products)
+               for pairs in row.values())
+
+
+def combination_defect(terms):
+    """None when the sum of c . X1 ... Xr over the terms (c, [X1, ..., Xr])
+    of graded operators is zero; otherwise the first source bidegree, in
+    sorted order, where it is not.
+
+    Each term is split as (c . X1 ... X(r-1)) . Xr: the prefix is built as
+    one canonical operator (c times the identity when r = 1), and its
+    product with Xr is never formed.  At each source the terms are grouped
+    by target, and each group must vanish on its own, as the blocks of one
+    GradedOperator do; a term that meets an absent block adds nothing.
+    Each entry of a group is a sum of products of structural nonzeros,
+    tested by `dot_is_zero`, so no gcd is taken."""
+    n = terms[0][1][0].n
+    if any(x.n != n for _, factors in terms for x in factors):
+        raise ValueError("rank mismatch")
+    split = []
+    for c, factors in terms:
+        *head, last = factors
+        if head:
+            prefix = reduce(GradedOperator.compose, head)
+            prefix = prefix if c == ONE else prefix.scale(c)
+        else:
+            prefix = GradedOperator.diagonal(n, lambda a, b: c)
+        split.append((prefix, last))
+    for src in sorted({s for _, last in split for s in last.blocks}):
+        groups = {}
+        for prefix, last in split:
+            mid, right = last.blocks.get(src, (None, None))
+            blk = prefix.blocks.get(mid)
+            if blk is not None:
+                groups.setdefault(blk[0], []).append((blk[1], right))
+        if not all(_products_vanish(g) for g in groups.values()):
+            return src
+    return None
 
 
 @memoize

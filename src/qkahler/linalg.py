@@ -102,15 +102,17 @@ class ScalarMatrix:
                             ncols=self._ncols)
 
     def scale(self, c) -> "ScalarMatrix":
-        return ScalarMatrix([[a * c for a in r] for r in self.rows],
-                            ncols=self._ncols)
+        return ScalarMatrix([[a * c if a else ZERO for a in r]
+                             for r in self.rows], ncols=self._ncols)
 
     def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
-        cols = [other.column(j) for j in range(other.ncols)]
-        return ScalarMatrix([[dot(zip(r, c)) for c in cols]
-                             for r in self.rows], ncols=other.ncols)
+        rows = []
+        for pairs in product_pairs([(self, other)]):
+            row = [ZERO] * other.ncols
+            for j, p in pairs.items():
+                row[j] = dot(p)
+            rows.append(row)
+        return ScalarMatrix(rows, ncols=other.ncols)
 
     def apply(self, vec: list) -> list:
         return [dot(zip(r, vec)) for r in self.rows]
@@ -134,6 +136,43 @@ class ScalarMatrix:
                          for r in self.rows)
 
     __repr__ = __str__
+
+
+def _nonzeros(rows) -> list:
+    """Per row, the (column, entry) pairs of its nonzero entries."""
+    return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+
+
+def product_pairs(products):
+    """The entries of the sum of left . right over the (left, right) pairs
+    of matrices, as pairs of structural nonzeros.
+
+    Yields one dict per row i, {j: [(left[i][k], right[k][j]), ...]} over
+    the k where both factors are nonzero, with every product's pairs for
+    entry (i, j) in one list: entry (i, j) of the sum is the sum of a * b
+    over them, and an entry with no pair is zero.  One row is gathered at a
+    time, so only that row's pairs are held.
+    """
+    if not products:
+        return
+    shape = (products[0][0].nrows, products[0][1].ncols)
+    for left, right in products:
+        if left.ncols != right.nrows or (left.nrows, right.ncols) != shape:
+            raise ValueError(f"shape mismatch {left.nrows}x{left.ncols} "
+                             f"times {right.nrows}x{right.ncols}")
+    factors = [(_nonzeros(left.rows), _nonzeros(right.rows))
+               for left, right in products]
+    for i in range(shape[0]):
+        acc = {}
+        for left, right in factors:
+            for k, a in left[i]:
+                for j, b in right[k]:
+                    p = acc.get(j)
+                    if p is None:
+                        acc[j] = [(a, b)]
+                    else:
+                        p.append((a, b))
+        yield acc
 
 
 def _laurent_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

@@ -548,13 +548,13 @@ I = Scalar.from_gaussian(GR_I)
 Q = Scalar.q_power(1)
 
 
-def dot(pairs) -> Scalar:
-    """Sum of a * b over the (a, b) pairs of scalars, canonicalised once.
+def _dot_fraction(pairs):
+    """Sum of a * b over the (a, b) pairs of scalars as a pair (num, den)
+    of Laurent polynomials, den nonzero and not reduced against num.
 
     The numerator products are summed per distinct denominator product,
     which most entries of one Hodge or Gram block share, and the groups are
-    then put over one denominator by cross-multiplication.  The one gcd at
-    the end gives the same canonical pair as a fold of Scalar additions.
+    then put over one denominator by cross-multiplication.
     """
     num = LaurentPoly()  # the products over denominator 1
     groups = {}
@@ -576,7 +576,22 @@ def dot(pairs) -> Scalar:
         if s:
             num = num * d + (s if den is _LP_ONE else s * den)
             den = d if den is _LP_ONE else den * d
+    return num, den
+
+
+def dot(pairs) -> Scalar:
+    """Sum of a * b over the (a, b) pairs of scalars, canonicalised once:
+    the one gcd at the end gives the same canonical pair as a fold of
+    Scalar additions."""
+    num, den = _dot_fraction(pairs)
     return Scalar._raw(num) if den is _LP_ONE else Scalar(num, den)
+
+
+def dot_is_zero(pairs) -> bool:
+    """Whether the sum of a * b over the (a, b) pairs is zero, with no gcd
+    and no division: the sum is num/den with den a product of nonzero
+    denominators, so it vanishes exactly when num does."""
+    return not _dot_fraction(pairs)[0]
 
 
 def i_power(k: int) -> Scalar:

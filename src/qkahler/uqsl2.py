@@ -3,9 +3,14 @@
 The raising operator L (wedging with the Hermitian form), its metric adjoint
 Lambda, and the diagonal counting operators H and K realise the quantised
 enveloping algebra of sl2 on the fiber algebra.  This module builds H and K,
-checks the deformed commutator identities as exact matrix equalities degree
-by degree, and splits the fiber into irreducible strings seeded on primitive
-forms.
+checks the deformed commutator identities exactly, block by block, and
+splits the fiber into irreducible strings seeded on primitive forms.
+
+Each relation lhs = rhs is written as terms (c, [X1, ..., Xr]) and checked
+by `hodge.combination_defect`: one zero test of lhs - rhs per entry, over a
+common denominator and with no gcd, which is exact because every
+denominator is nonzero.  Only a relation that fails is built as two
+canonical operators, to name the first entry where they differ.
 
 Conventions.  [A,B]_t := AB - t BA, and the eigenvalue of H on degree k is
 the symmetric quantum integer [k-n]_h, extended to negative arguments by
@@ -14,6 +19,7 @@ the one compatible with [L,Lambda] = H, and the reports record that choice.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .scalars import (
     HodgeMode, H_EQ_Q, ONE, ZERO, qint, qint_signed, render_scalar,
@@ -22,7 +28,10 @@ from .fiber import FiberForm, basis_bidegree
 from .lefschetz import (
     L_power, lambda_string_factor, primitive_basis, string_basis_matrix,
 )
-from .hodge import GradedOperator, l_operator, lambda_operator, lambda_apply
+from .hodge import (
+    GradedOperator, combination_defect, l_operator, lambda_operator,
+    lambda_apply,
+)
 from . import linalg
 
 
@@ -37,9 +46,22 @@ def k_operator(n: int, mode: HodgeMode = H_EQ_Q, inverse: bool = False) -> Grade
     return GradedOperator.diagonal(n, lambda a, b: mode.h_power(sgn * (a + b - n)))
 
 
+def _commutator(x: GradedOperator, y: GradedOperator, t) -> list:
+    """The terms of [x, y]_t = xy - t yx, as `combination_defect` takes
+    them."""
+    return [(ONE, [x, y]), (-t, [y, x])]
+
+
+def _operator(terms) -> GradedOperator:
+    """The sum of c . X1 ... Xr over the terms as one canonical operator."""
+    ops = [reduce(GradedOperator.compose, factors).scale(c)
+           for c, factors in terms]
+    return reduce(GradedOperator.__add__, ops)
+
+
 def deformed_commutator(x: GradedOperator, y: GradedOperator, t) -> GradedOperator:
     """[x, y]_t = xy - t yx; the plain commutator is t = 1."""
-    return (x @ y) - (y @ x).scale(t)
+    return _operator(_commutator(x, y, t))
 
 
 def _first_difference(lhs: GradedOperator, rhs: GradedOperator):
@@ -65,11 +87,20 @@ def _first_difference(lhs: GradedOperator, rhs: GradedOperator):
     return None
 
 
-def _check(name: str, lhs: GradedOperator, rhs: GradedOperator) -> dict:
-    ok = lhs == rhs
+def _relation(lhs: list, rhs: list):
+    """(holds, witness) for lhs = rhs, both sides lists of terms (c, [X1,
+    ..., Xr]).  The relation is one zero test of lhs - rhs per entry; only a
+    failure builds the two sides canonically, for the witness."""
+    if combination_defect(lhs + [(-c, factors) for c, factors in rhs]) is None:
+        return True, None
+    return False, _first_difference(_operator(lhs), _operator(rhs))
+
+
+def _check(name: str, lhs: list, rhs: list) -> dict:
+    ok, witness = _relation(lhs, rhs)
     out = {"relation": name, "holds": ok}
     if not ok:
-        out["witness"] = _first_difference(lhs, rhs)
+        out["witness"] = witness
     return out
 
 
@@ -93,15 +124,15 @@ def verify_lefschetz_identities(n: int, mode: HodgeMode = H_EQ_Q) -> dict:
 
     checks = [
         _check("[H,L]_{h^-2} = [2]_h L K",
-               deformed_commutator(H, L, hm2), (L @ K).scale(qint(2, mode))),
-        _check("[L,Lambda] = H", deformed_commutator(L, Lam, ONE), H),
+               _commutator(H, L, hm2), [(qint(2, mode), [L, K])]),
+        _check("[L,Lambda] = H", _commutator(L, Lam, ONE), [(ONE, [H])]),
         _check("[H,Lambda]_{h^2} = -[2]_h Lambda K",
-               deformed_commutator(H, Lam, h2),
-               (Lam @ K).scale(-qint(2, mode))),
-        _check("K K^-1 = id", K @ Kinv,
-               GradedOperator.diagonal(n, lambda a, b: ONE)),
-        _check("K L K^-1 = h^2 L", K @ L @ Kinv, L.scale(h2)),
-        _check("K Lambda K^-1 = h^-2 Lambda", K @ Lam @ Kinv, Lam.scale(hm2)),
+               _commutator(H, Lam, h2), [(-qint(2, mode), [Lam, K])]),
+        _check("K K^-1 = id", [(ONE, [K, Kinv])],
+               [(ONE, [GradedOperator.diagonal(n, lambda a, b: ONE)])]),
+        _check("K L K^-1 = h^2 L", [(ONE, [K, L, Kinv])], [(h2, [L])]),
+        _check("K Lambda K^-1 = h^-2 Lambda", [(ONE, [K, Lam, Kinv])],
+               [(hm2, [Lam])]),
     ]
 
     notes = [
@@ -114,19 +145,19 @@ def verify_lefschetz_identities(n: int, mode: HodgeMode = H_EQ_Q) -> dict:
         "matches this only at h = 1; the literal-form check records the "
         "difference.",
     ]
-    lhs3 = deformed_commutator(H, Lam, h2)
-    stated3 = (K @ Lam).scale(-qint(2, mode, step=2))
+    holds, witness = _relation(_commutator(H, Lam, h2),
+                               [(-qint(2, mode, step=2), [K, Lam])])
     checks.append({
         "relation": "literal form -[2]_{h^2} K Lambda (expected to differ for h != 1)",
-        "holds": lhs3 == stated3,
+        "holds": holds,
         "expected": mode.h_power(4) == ONE,
-        "witness": _first_difference(lhs3, stated3),
+        "witness": witness,
     })
     hdiff = mode.h_power(1) - mode.h_power(-1)
     if hdiff:
         checks.append(_check("[L,Lambda] = (K - K^-1)/(h - h^-1)",
-                             deformed_commutator(L, Lam, ONE),
-                             (K - Kinv).scale(ONE / hdiff)))
+                             _commutator(L, Lam, ONE),
+                             [(ONE / hdiff, [K]), (-ONE / hdiff, [Kinv])]))
     else:
         notes.append("h = 1: (K - K^-1)/(h - h^-1) is a 0/0 limit; the "
                      "relation is replaced by its limit [L,Lambda] = H, "

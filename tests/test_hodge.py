@@ -5,6 +5,9 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -13,7 +16,8 @@ import qkahler
 from qkahler import linalg
 from qkahler.fiber import FiberForm, basis_bidegree, basis_degree, e_minus, e_plus
 from qkahler.hodge import (
-    GradedOperator, adjoint_defect, certify_posdef, gram, gram_to_json, hodge,
+    GradedOperator, adjoint_defect, certify_posdef, combination_defect, gram,
+    gram_to_json, hodge,
     hodge_block, hodge_inverse, hodge_operator, l_operator, lambda_apply,
     lambda_operator, metric, serre_pairing, vol,
 )
@@ -27,7 +31,7 @@ from qkahler.scalars import (
 )
 from qkahler.uqsl2 import h_operator, k_operator
 
-from oracles import form_metric
+from oracles import dict_add, dict_mul, form_metric
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)))
 
@@ -504,3 +508,196 @@ def test_adjoint_defect_names_the_failing_bidegree():
             assert adjoint_defect(lop, lam + extra, mode) == (0, 0)
     with pytest.raises(ValueError):
         adjoint_defect(l_operator(1), l_operator(2))
+
+
+def test_adjoint_defect_takes_no_gcd():
+    """With the Gram blocks warm, the unitarity check of the Hodge map at
+    n = 3 is one zero test per entry and canonicalises nothing.  A fresh
+    interpreter starts with empty caches."""
+    script = textwrap.dedent("""
+        from qkahler import scalars
+        from qkahler.hodge import (
+            GradedOperator, adjoint_defect, gram, hodge_operator,
+        )
+        from qkahler.scalars import H_EQ_Q, ONE
+
+        star = hodge_operator(3, H_EQ_Q)
+        sign = GradedOperator.diagonal(
+            3, lambda a, b: -ONE if (a + b) % 2 else ONE)
+        inverse = star @ sign
+        for a in range(4):
+            for b in range(4):
+                gram(3, a, b, H_EQ_Q)
+        calls = []
+        gcd = scalars._laurent_gcd
+
+        def counting(p, r):
+            calls.append(p)
+            return gcd(p, r)
+
+        scalars._laurent_gcd = counting
+        assert adjoint_defect(star, inverse, H_EQ_Q) is None
+        print(len(calls))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+# ---------------------------------------------------------------------------
+# combination_defect: one zero test per entry
+# ---------------------------------------------------------------------------
+
+_SPARSE_POOL = [
+    ZERO, ZERO, ZERO, ZERO, ONE, -ONE, Q, Scalar.q_power(-1), I, Q + ONE,
+    Q - I, Scalar.from_int(2) * Q - ONE, ONE / (Q + ONE), Q / (Q * Q + ONE),
+    (Q - I) / (Q + Scalar.from_int(3)), I / (Q + ONE),
+    Scalar.q_power(-2) + ONE / (Q - ONE),
+]
+
+
+def _scrambled_operator(rng, n, target):
+    """A random sparse operator with one block src -> target(src) for each
+    src that target maps into the fiber."""
+    blocks = {}
+    for a in range(n + 1):
+        for b in range(n + 1):
+            tgt = target(a, b)
+            if not all(0 <= x <= n for x in tgt):
+                continue
+            rows = [[rng.choice(_SPARSE_POOL)
+                     for _ in basis_bidegree(n, a, b)]
+                    for _ in basis_bidegree(n, *tgt)]
+            blocks[(a, b)] = (tgt, linalg.ScalarMatrix(rows))
+    return GradedOperator(n, blocks)
+
+
+def _bumped(op, src, rng):
+    """op with one random entry of its block at src moved by a nonzero."""
+    blocks = dict(op.blocks)
+    tgt, mat = blocks[src]
+    rows = [list(r) for r in mat.rows]
+    i, j = rng.randrange(mat.nrows), rng.randrange(mat.ncols)
+    rows[i][j] = rows[i][j] + rng.choice([ONE, Q, ONE / (Q + I)])
+    blocks[src] = (tgt, linalg.ScalarMatrix(rows))
+    return GradedOperator(op.n, blocks)
+
+
+def _frac(s):
+    return ({e: (c.re, c.im) for e, c in s.num.terms.items()},
+            {e: (c.re, c.im) for e, c in s.den.terms.items()})
+
+
+_FRAC_ZERO = ({}, {0: (Fraction(1), Fraction(0))})
+
+
+def _frac_add(x, y):
+    if not x[0]:
+        return y
+    if not y[0]:
+        return x
+    return (dict_add(dict_mul(x[0], y[1]), dict_mul(y[0], x[1])),
+            dict_mul(x[1], y[1]))
+
+
+def _frac_mul(x, y):
+    if not x[0] or not y[0]:
+        return _FRAC_ZERO
+    return dict_mul(x[0], y[0]), dict_mul(x[1], y[1])
+
+
+def _sum_of(fracs):
+    acc = _FRAC_ZERO
+    for x in fracs:
+        acc = _frac_add(acc, x)
+    return acc
+
+
+def _dict_defect(terms):
+    """The oracle for combination_defect: every chain multiplied out in the
+    dict fractions of tests/oracles.py, summed per (source, target)."""
+    groups = {}
+    for c, factors in terms:
+        for src, (tgt, mat) in factors[-1].blocks.items():
+            acc = [[_frac(x) for x in r] for r in mat.rows]
+            for op in reversed(factors[:-1]):
+                if tgt not in op.blocks:
+                    break
+                tgt, left = op.blocks[tgt]
+                acc = [[_sum_of(_frac_mul(_frac(r[k]), acc[k][j])
+                                for k in range(len(acc)))
+                        for j in range(len(acc[0]))] for r in left.rows]
+            else:
+                acc = [[_frac_mul(_frac(c), x) for x in r] for r in acc]
+                old = groups.get((src, tgt))
+                groups[(src, tgt)] = acc if old is None else [
+                    [_frac_add(x, y) for x, y in zip(r0, r1)]
+                    for r0, r1 in zip(old, acc)]
+    return min((src for (src, _), acc in groups.items()
+                if any(x[0] for r in acc for x in r)), default=None)
+
+
+def _first_unequal(lhs, rhs):
+    return min((src for src in set(lhs.blocks) | set(rhs.blocks)
+                if lhs.blocks.get(src) != rhs.blocks.get(src)), default=None)
+
+
+def test_combination_defect_matches_canonical_products_and_the_oracle():
+    """A B - C D with C = A x and D = B / x, over scrambled sparse blocks of
+    Laurent polynomials and rational functions with shared and distinct
+    denominators, then with one entry of D bumped."""
+    n = 2
+    maps = (lambda a, b: (a, b), lambda a, b: (n - b, n - a),
+            lambda a, b: (a + 1, b + 1))
+    rng = random.Random(101)
+    found = 0
+    for trial in range(12):
+        ta, tb = maps[trial % 3], maps[trial // 3 % 3]
+        a_op = _scrambled_operator(rng, n, ta)
+        b_op = _scrambled_operator(rng, n, tb)
+        x = rng.choice([Q + ONE, ONE / (Q - I), Scalar.from_int(3)])
+        c_op, d_op = a_op.scale(x), b_op.scale(ONE / x)
+        bump = rng.choice(sorted(d_op.blocks))
+        for d in (d_op, _bumped(d_op, bump, rng)):
+            terms = [(ONE, [a_op, b_op]), (-ONE, [c_op, d])]
+            got = combination_defect(terms)
+            assert got == _first_unequal(a_op @ b_op, c_op @ d)
+            assert got == _dict_defect(terms)
+            assert got is None or (d is not d_op and got == bump)
+            found += got == bump
+    assert found >= 6
+    # three factors, a scalar term, and a prefix scaled by a fraction
+    a_op = _scrambled_operator(rng, n, maps[0])
+    b_op = _scrambled_operator(rng, n, maps[1])
+    y = ONE / (Q * Q + ONE)
+    terms = [(y, [a_op, b_op, a_op]), (-ONE, [a_op.scale(y), b_op, a_op]),
+             (Q, [a_op]), (-Q, [a_op])]
+    assert combination_defect(terms) is None
+    assert _dict_defect(terms) is None
+    terms[2] = (Q + ONE, [a_op])
+    assert combination_defect(terms) == _dict_defect(terms) == min(a_op.blocks)
+
+
+def test_combination_defect_groups_terms_by_source_and_target():
+    n = 2
+    lop = l_operator(n)
+    # a chain that meets an absent block adds nothing at that source
+    missing = GradedOperator.diagonal(
+        n, lambda a, b: ZERO if (a, b) == (1, 1) else ONE)
+    assert combination_defect([(ONE, [missing, lop]), (-ONE, [lop])]) == (0, 0)
+    rest = GradedOperator(n, {s: blk for s, blk in lop.blocks.items()
+                              if s != (0, 0)})
+    assert combination_defect([(ONE, [missing, lop]), (-ONE, [rest])]) is None
+    assert missing @ lop == rest
+    # equal matrices into different targets do not cancel
+    eye = linalg.ScalarMatrix.identity(2)
+    to_self = GradedOperator(n, {(1, 0): ((1, 0), eye)})
+    to_swap = GradedOperator(n, {(1, 0): ((0, 1), eye)})
+    assert combination_defect([(ONE, [to_self]), (-ONE, [to_swap])]) == (1, 0)
+    with pytest.raises(ValueError):
+        to_self - to_swap
+    assert combination_defect([(ONE, [to_self]), (-ONE, [to_self]),
+                               (ONE, [to_swap]), (-ONE, [to_swap])]) is None
+    with pytest.raises(ValueError):
+        combination_defect([(ONE, [l_operator(1)]), (ONE, [lop])])

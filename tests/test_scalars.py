@@ -9,7 +9,8 @@ import pytest
 
 from qkahler.scalars import (
     GaussianRational, HodgeMode, H_EQ_ONE, H_EQ_Q, I, LaurentPoly, ONE,
-    PoleError, Q, Scalar, ZERO, _LP_ONE, _signed_q_power, dot, i_power,
+    PoleError, Q, Scalar, ZERO, _LP_ONE, _signed_q_power, dot, dot_is_zero,
+    i_power,
     parse_scalar, qbinom, qfact, qint, qint_signed, render_scalar,
 )
 from qkahler.hodge import gram
@@ -247,6 +248,59 @@ def test_dot_matches_the_addition_fold():
     r = ONE / (ONE + two_q)
     one = dot([(ONE / (ONE + Q), (ONE + Q) * r), (two_q * r, ONE)])
     assert one == ONE and one.den is _LP_ONE
+
+
+def _dict_laurent(p):
+    return {e: (c.re, c.im) for e, c in p.terms.items()}
+
+
+def _dict_sum_is_zero(pairs):
+    """Whether the sum of a * b vanishes, by cross-multiplying the dict
+    numerators and denominators of the oracle, with no gcd."""
+    num, den = {}, {0: (Fraction(1), Fraction(0))}
+    for a, b in pairs:
+        n = dict_mul(_dict_laurent(a.num), _dict_laurent(b.num))
+        d = dict_mul(_dict_laurent(a.den), _dict_laurent(b.den))
+        num = dict_add(dict_mul(num, d), dict_mul(n, den))
+        den = dict_mul(den, d)
+    return not num
+
+
+def test_dot_is_zero_matches_the_dict_oracle():
+    # Laurent polynomials, and rational functions over shared and over
+    # distinct denominators, so the products fall into several groups
+    dens = [ONE, ONE + Q, ONE + Q, Q * Q - Q + ONE, Q - I,
+            Scalar.from_int(2) * Q + ONE]
+    rng = random.Random(71)
+    pool = [ZERO]
+    while len(pool) < 24:
+        num, _ = _random_laurent(rng, max_terms=3)
+        if num:
+            pool.append(Scalar(num) / rng.choice(dens))
+    zeros = nonzeros = 0
+    for _ in range(60):
+        pairs = [(rng.choice(pool), rng.choice(pool))
+                 for _ in range(rng.randint(0, 4))]
+        total = dot(pairs)
+        x = rng.choice(pool[1:])
+        cases = [
+            pairs,
+            # cancels pair by pair, in scrambled order
+            pairs + [(-a, b) for a, b in pairs],
+            # cancels only over the common denominator: -total = (-total x) / x
+            pairs + [(-total * x, ONE / x)],
+            # one bumped product, alone in its denominator group
+            pairs + [(-total * x, ONE / x), (Q, ONE / rng.choice(dens[1:]))],
+        ]
+        for case in cases:
+            case = list(case)
+            rng.shuffle(case)
+            want = _dict_sum_is_zero(case)
+            assert dot_is_zero(case) == want == (not dot(case))
+            zeros += want
+            nonzeros += not want
+    assert dot_is_zero([])
+    assert zeros >= 120 and nonzeros >= 60
 
 
 def test_i_power_cycle():

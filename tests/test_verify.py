@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from qkahler import cli, uqsl2, verify
+from qkahler import cli, linalg, uqsl2, verify
+from qkahler.hodge import GradedOperator
 from qkahler.lefschetz import kappa, primitive_basis
-from qkahler.scalars import H_EQ_ONE, H_EQ_Q, HodgeMode
+from qkahler.scalars import H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, qint
 from qkahler.verify import DEFAULT_Q_SAMPLES, SUITES, run_suites
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10)))
@@ -120,3 +122,160 @@ def test_strings_suite_names_a_seed_that_is_not_primitive(monkeypatch, capsys):
     assert entry["status"] == "fail"
     assert entry["witness"] == {"bidegree": [1, 1], "seed_index": 0,
                                 "condition": "killed by the lowering operator"}
+
+
+# ---------------------------------------------------------------------------
+# faults: each identity entry fails when one operator is wrong
+# ---------------------------------------------------------------------------
+
+# the package exports a function named hodge, which hides the module
+hodge = importlib.import_module("qkahler.hodge")
+
+
+def _with_block(op, src, change):
+    """op with its block at src replaced by change(rows), rows as lists."""
+    blocks = dict(op.blocks)
+    tgt, mat = blocks[src]
+    rows = [list(r) for r in mat.rows]
+    change(rows)
+    blocks[src] = (tgt, linalg.ScalarMatrix(rows))
+    return GradedOperator(op.n, blocks)
+
+
+def _negate(rows):
+    rows[:] = [[-x for x in r] for r in rows]
+
+
+def _times(c):
+    def change(rows):
+        i, j = next((i, j) for i, r in enumerate(rows)
+                    for j, x in enumerate(r) if x)
+        rows[i][j] = rows[i][j] * c
+    return change
+
+
+def _hodge_sign_fault(monkeypatch):
+    true = hodge.hodge_operator
+
+    def faulted(n, mode=H_EQ_Q):
+        return _with_block(true(n, mode), (1, 0), _negate)
+
+    monkeypatch.setattr(hodge, "hodge_operator", faulted)
+    monkeypatch.setattr(verify, "hodge_operator", faulted)
+
+
+def _l_entry_fault(monkeypatch):
+    true = hodge.l_operator
+
+    def faulted(n):
+        return _with_block(true(n), (0, 0), _times(Q))
+
+    monkeypatch.setattr(uqsl2, "l_operator", faulted)
+    monkeypatch.setattr(verify, "l_operator", faulted)
+
+
+def _gram_entry_fault(monkeypatch):
+    true = hodge.gram
+
+    def faulted(n, a, b, mode=H_EQ_Q):
+        g = true(n, a, b, mode)
+        if (a, b) != (1, 0):
+            return g
+        rows = [list(r) for r in g.rows]
+        rows[0][0] = rows[0][0] + ONE
+        return linalg.ScalarMatrix(rows)
+
+    monkeypatch.setattr(hodge, "gram", faulted)
+
+
+def _h_eigenvalue_fault(monkeypatch):
+    true = uqsl2.h_operator
+
+    def faulted(n, mode=H_EQ_Q):
+        return _with_block(true(n, mode), (0, 0), _times(I))
+
+    monkeypatch.setattr(uqsl2, "h_operator", faulted)
+    monkeypatch.setattr(verify, "h_operator", faulted)
+
+
+def _k_eigenvalue_fault(monkeypatch):
+    true = uqsl2.k_operator
+
+    def faulted(n, mode=H_EQ_Q, inverse=False):
+        op = true(n, mode, inverse)
+        return op if inverse else _with_block(op, (1, 1), _times(I))
+
+    monkeypatch.setattr(uqsl2, "k_operator", faulted)
+    monkeypatch.setattr(verify, "k_operator", faulted)
+
+
+SQUARE = "square is (-1)^degree"
+STAR = "commutes with star on the basis"
+UNITARY = "unitary for the fiber metric, blockwise"
+HL = "[H,L]_{h^-2} = [2]_h L K"
+LLAM = "[L,Lambda] = H"
+HLAM = "[H,Lambda]_{h^2} = -[2]_h Lambda K"
+KK = "K K^-1 = id"
+KL = "K L K^-1 = h^2 L"
+KLAM = "K Lambda K^-1 = h^-2 Lambda"
+LITERAL = "literal form -[2]_{h^2} K Lambda (expected to differ for h != 1)"
+CASIMIR = "[L,Lambda] = (K - K^-1)/(h - h^-1)"
+ADJ_L = "adjoint of L is the dual Lefschetz operator"
+ADJ_H = "H is self-adjoint"
+ADJ_K = "K is self-adjoint"
+
+# The relations [H,L], [H,Lambda], K K^-1, K L K^-1 and K Lambda K^-1 hold
+# for any L and Lambda that move the degree by 2, so only a fault in H or K
+# breaks them.
+FAULTS = [
+    (_hodge_sign_fault, H_EQ_Q,
+     {SQUARE, STAR, UNITARY, "rank-2 table: *(e+[1])",
+      "rank-2 table: *(e+[2])"}),
+    (_l_entry_fault, H_EQ_Q, {LLAM, CASIMIR, ADJ_L}),
+    (_gram_entry_fault, H_EQ_Q, {UNITARY, ADJ_L}),
+    (_h_eigenvalue_fault, H_EQ_Q, {HL, LLAM, HLAM, ADJ_H}),
+    (_h_eigenvalue_fault, H_EQ_ONE, {HL, LLAM, HLAM, LITERAL, ADJ_H}),
+    (_k_eigenvalue_fault, H_EQ_Q,
+     {HL, HLAM, KK, KL, KLAM, CASIMIR, ADJ_K}),
+]
+
+
+def _canonical_sides(n, mode):
+    """Both sides of every lids relation, built as canonical operators from
+    the operators the suite reads."""
+    h_op, k_op = uqsl2.h_operator(n, mode), uqsl2.k_operator(n, mode)
+    k_inv = uqsl2.k_operator(n, mode, inverse=True)
+    l_op, lam = uqsl2.l_operator(n), uqsl2.lambda_operator(n, mode)
+    h2, hm2, two = mode.h_power(2), mode.h_power(-2), qint(2, mode)
+    hdiff = mode.h_power(1) - mode.h_power(-1)
+    sides = {
+        HL: (h_op @ l_op - (l_op @ h_op).scale(hm2), (l_op @ k_op).scale(two)),
+        LLAM: (l_op @ lam - lam @ l_op, h_op),
+        HLAM: (h_op @ lam - (lam @ h_op).scale(h2), (lam @ k_op).scale(-two)),
+        KK: (k_op @ k_inv, GradedOperator.diagonal(n, lambda a, b: ONE)),
+        KL: (k_op @ l_op @ k_inv, l_op.scale(h2)),
+        KLAM: (k_op @ lam @ k_inv, lam.scale(hm2)),
+        LITERAL: (h_op @ lam - (lam @ h_op).scale(h2),
+                  (k_op @ lam).scale(-qint(2, mode, step=2))),
+    }
+    if hdiff:
+        sides[CASIMIR] = (l_op @ lam - lam @ l_op,
+                          (k_op - k_inv).scale(ONE / hdiff))
+    return sides
+
+
+@pytest.mark.parametrize("fault, mode, failing", FAULTS)
+def test_each_identity_entry_fails_under_its_fault(monkeypatch, fault, mode,
+                                                   failing):
+    n = 2
+    entries, failures = run_suites(["hodge", "lids"], n, mode)
+    assert not failures
+    fault(monkeypatch)
+    entries, failures = run_suites(["hodge", "lids"], n, mode)
+    assert {e["name"] for e in failures} == failing
+    sides = _canonical_sides(n, mode)
+    for e in failures:
+        if e["name"] in sides:
+            assert e["witness"] == uqsl2._first_difference(*sides[e["name"]])
+        elif e["suite"] == "lids":
+            assert e["witness"]["bidegree"]
