@@ -21,12 +21,16 @@ middle word e-_M1 e+_P2 meets the mixed rules; its normal form is cached per
 the single monomial e+_(P1 u P) e-_(M u M2) with coefficient
 c (-q)^inv(P1, P) (-q^-1)^inv(M, M2), where inv(A, B) counts the pairs
 x in A, y in B with x > y, or 0 when either union repeats an index: the
-outer letters only need the same-sign swaps.  No cache is kept per monomial
-pair.
+outer letters only need the same-sign swaps.  The coefficient product of
+the two factors' terms is formed only when some middle term survives both
+unions, so a pair of terms whose product vanishes costs no scalar product.
+No cache is kept per monomial pair.
 
 The star sends each basis monomial e+_P e-_M to +-q^k times the single
 monomial e+_M e-_P, cached per monomial as (monomial, k, negate); starring a
-form conjugates each coefficient and shifts it by that signed q-power.  A
+form conjugates each coefficient and shifts it by that signed q-power.
+Conjugation returns a coefficient whose Q(i) coefficients are all real as
+it is, so starring a form with real coefficients copies no polynomial.  A
 product with +-q^k is itself a shift of the numerator (Scalar.__mul__), so
 the wedge of such coefficients needs no Laurent product either.
 """
@@ -272,7 +276,7 @@ class FiberForm:
         for m1, c1 in self.terms.items():
             p1 = m1.plus
             for m2, c2 in other.terms.items():
-                c12 = c1 * c2
+                c12 = None  # formed once a middle term survives
                 for plus, minus, c in _middle(n, m1.minus, m2.plus):
                     hp = _merge(p1, plus)
                     if hp is None:
@@ -280,6 +284,8 @@ class FiberForm:
                     hm = _merge(minus, m2.minus)
                     if hm is None:
                         continue
+                    if c12 is None:
+                        c12 = c1 * c2
                     # (-q)^inv(P1, P) (-q^-1)^inv(M, M2)
                     f = c12 * c.q_shift(hp[1] - hm[1], (hp[1] + hm[1]) & 1)
                     m = BasisMonomial(hp[0], hm[0])

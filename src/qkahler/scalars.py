@@ -142,7 +142,7 @@ class GaussianRational:
         return other / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational(self.re, -self.im) if self.im else self
 
     def is_real(self) -> bool:
         return not self.im
@@ -260,6 +260,9 @@ class LaurentPoly:
 
     def conjugate(self) -> "LaurentPoly":
         # q is treated as real, so conjugation acts on coefficients only
+        # and fixes a polynomial whose coefficients are all real
+        if not any(c.im for c in self.terms.values()):
+            return self
         r = LaurentPoly.__new__(LaurentPoly)
         r.terms = {e: c.conjugate() for e, c in self.terms.items()}
         return r
@@ -494,10 +497,15 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         # an automorphism fixing q and den's constant term 1, so the
         # conjugate of a canonical pair is canonical as it stands; a unit
-        # den is 1 and stays the shared _LP_ONE for the fast paths
+        # den is 1 and stays the shared _LP_ONE for the fast paths, and a
+        # scalar with only real coefficients is its own conjugate
+        num = self.num.conjugate()
+        den = _LP_ONE if self.den.is_unit() else self.den.conjugate()
+        if num is self.num and den is self.den:
+            return self
         s = Scalar.__new__(Scalar)
-        s.num = self.num.conjugate()
-        s.den = _LP_ONE if self.den.is_unit() else self.den.conjugate()
+        s.num = num
+        s.den = den
         return s
 
     def evaluate(self, q0) -> GaussianRational:
@@ -529,7 +537,7 @@ def _signed_q_power(s: Scalar):
     (k, c), = s.num.terms.items()
     if c.im or (c.re != 1 and c.re != -1):
         return None
-    return k, c.re < 0
+    return k, c.re == -1
 
 
 def _coerce_scalar(x):
@@ -582,7 +590,11 @@ def _dot_fraction(pairs):
 def dot(pairs) -> Scalar:
     """Sum of a * b over the (a, b) pairs of scalars, canonicalised once:
     the one gcd at the end gives the same canonical pair as a fold of
-    Scalar additions."""
+    Scalar additions.  A list of one pair is that one product, which is a
+    shift with no gcd when a factor is +-q^k (Scalar.__mul__)."""
+    if type(pairs) is list and len(pairs) == 1:
+        (a, b), = pairs
+        return a * b
     num, den = _dot_fraction(pairs)
     return Scalar._raw(num) if den is _LP_ONE else Scalar(num, den)
 

@@ -152,6 +152,26 @@ def test_wedge_unit_and_grading():
             assert (not prod) or prod.degree() == k + 1
 
 
+def test_wedge_forms_no_coefficient_product_for_a_vanishing_product(
+        monkeypatch):
+    n = 3
+    u = FiberForm.monomial(n, (1, 2), (), I + Q)
+    v = FiberForm.monomial(n, (2,), (3,), ONE - I)
+    assert not u.wedge(v)  # e+_2 twice; _middle is now warm
+    calls = []
+    mul = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    assert not u.wedge(v)
+    assert calls == []
+    assert u.wedge(FiberForm.monomial(n, (3,), (1,), ONE - I))
+    assert calls
+
+
 def test_top_degree_is_one_dimensional():
     for n in (1, 2, 3):
         top = basis_degree(n, 2 * n)

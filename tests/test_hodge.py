@@ -545,6 +545,42 @@ def test_adjoint_defect_takes_no_gcd():
     assert proc.stdout.split() == ["0"]
 
 
+def test_one_pair_entries_with_a_signed_q_power_take_no_gcd():
+    """A product entry with one pair, one of whose factors is +-q^k, is a
+    shift of the other factor.  At n = 3, with the Hodge blocks warm:
+    H . sign (sign the +-1 diagonal) takes no gcd, and the 16 Gram blocks
+    P . H . S take one per entry of P . H with a denominator and none in
+    the product with the star matrix S, one +-q^k per column.  A fresh
+    interpreter starts with empty caches."""
+    script = textwrap.dedent("""
+        from qkahler import scalars
+        from qkahler.hodge import GradedOperator, gram, hodge_operator
+        from qkahler.scalars import H_EQ_Q, ONE
+
+        star = hodge_operator(3, H_EQ_Q)
+        sign = GradedOperator.diagonal(
+            3, lambda a, b: -ONE if (a + b) % 2 else ONE)
+        calls = []
+        gcd = scalars._laurent_gcd
+
+        def counting(p, r):
+            calls.append(p)
+            return gcd(p, r)
+
+        scalars._laurent_gcd = counting
+        star @ sign
+        print(len(calls))
+        for a in range(4):
+            for b in range(4):
+                gram(3, a, b, H_EQ_Q)
+        print(len(calls))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "42"]
+
+
 # ---------------------------------------------------------------------------
 # combination_defect: one zero test per entry
 # ---------------------------------------------------------------------------

@@ -157,6 +157,19 @@ def test_scalar_conjugation():
     assert I.conjugate() == -I
 
 
+def test_conjugate_of_real_coefficients_is_the_same_object():
+    half = GaussianRational(Fraction(1, 2))
+    poly = (ONE + Q * Scalar.from_int(3)).num
+    real = (ONE - Q) / (Scalar.from_int(2) + Q * Q)
+    for x in (half, poly, real, ONE, ZERO, Q, -Scalar.q_power(-4)):
+        assert x.conjugate() is x
+    for x in (I, I + Q, ONE / (Q - I), (Q - I) / (ONE + Q)):
+        c = x.conjugate()
+        assert c is not x and c != x and c.conjugate() == x
+    assert GaussianRational(1, 2).conjugate() == GaussianRational(1, -2)
+    assert (Q - I).num.conjugate() == (Q + I).num
+
+
 def test_conjugate_is_canonical_as_built():
     rng = random.Random(47)
     checked = 0

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from qkahler import cli, linalg, uqsl2, verify
+from qkahler.fiber import FiberForm
 from qkahler.hodge import GradedOperator
 from qkahler.lefschetz import kappa, primitive_basis
 from qkahler.scalars import H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, qint
@@ -279,3 +284,122 @@ def test_each_identity_entry_fails_under_its_fault(monkeypatch, fault, mode,
             assert e["witness"] == uqsl2._first_difference(*sides[e["name"]])
         elif e["suite"] == "lids":
             assert e["witness"]["bidegree"]
+
+
+# ---------------------------------------------------------------------------
+# relations: star reverses products, one orbit {(u, v), (v*, u*)} at a time
+# ---------------------------------------------------------------------------
+
+def _star_reversal_oracle(forms, stars):
+    """The ordered pairs (u, v) with star(u ^ v) != (-1)^(kl) star(v) ^
+    star(u), two wedges per pair, with no pairing of partners."""
+    for u, fu in forms.items():
+        for v, fv in forms.items():
+            w = fu * fv
+            rev = stars[v] * stars[u]
+            if u.degree * v.degree % 2:
+                rev = -rev
+            if w.star() != rev:
+                yield u, v
+
+
+def _basis_forms(n):
+    forms = {m: verify._mono_form(n, m)
+             for k in range(2 * n + 1) for m in verify.basis_degree(n, k)}
+    return forms, {m: f.star() for m, f in forms.items()}
+
+
+def test_star_reversal_takes_two_wedges_per_orbit(monkeypatch):
+    n = 3
+    forms, stars = _basis_forms(n)
+    calls = []
+    wedge = FiberForm.wedge
+
+    def counting(self, other):
+        calls.append(1)
+        return wedge(self, other)
+
+    monkeypatch.setattr(FiberForm, "wedge", counting)
+    assert list(verify._star_reversal_failures(forms, stars)) == []
+    # the per-pair check makes 2 * 4^(2n) = 8192
+    assert len(calls) <= 4 ** (2 * n) + 4 ** n
+
+
+STAR_INVOLUTION = "star is an involution on the basis"
+STAR_REVERSES = "star reverses products with the graded sign (-1)^(kl)"
+CENTRAL = "fundamental form is central"
+ASSOCIATIVE = "wedge associativity on seeded random triples"
+KAPPA_POWERS = \
+    "power formula kappa^l = i^(l mod 2) [l]_q! sum e+_I^e-_I"
+
+# Each fault is installed before anything is cached: _middle, _star_monomial
+# and kappa memoise what they see.  The star faults touch star(e+[1]^e-[2])
+# alone, so rank 1 is unaffected by them.
+_RELATIONS_FAULTS = {
+    "clean": ("", set(), True),
+    "star unit sign flipped": ("""
+        star_monomial = fiber._star_monomial
+
+        def faulty(n, m):
+            mono, k, negate = star_monomial(n, m)
+            return mono, k, negate != (m == TARGET)
+
+        fiber._star_monomial = faulty
+    """, {STAR_INVOLUTION, STAR_REVERSES}, True),
+    "star exponent plus one": ("""
+        star_monomial = fiber._star_monomial
+
+        def faulty(n, m):
+            mono, k, negate = star_monomial(n, m)
+            return mono, k + (m == TARGET), negate
+
+        fiber._star_monomial = faulty
+    """, {STAR_INVOLUTION, STAR_REVERSES}, True),
+    # the wedge is no longer bilinear, so the partner checks read other
+    # pairs than the oracle; only the verdicts must agree
+    "wedge ignores the right coefficients": ("""
+        wedge = FiberForm.wedge
+
+        def faulty(self, other):
+            return wedge(self, FiberForm(other.n, dict.fromkeys(other.terms, ONE)))
+
+        FiberForm.wedge = faulty
+    """, {CENTRAL, STAR_REVERSES, ASSOCIATIVE, KAPPA_POWERS}, False),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_RELATIONS_FAULTS))
+def test_relations_faults_fail_the_same_entries_as_the_per_pair_check(fault):
+    """In a fresh interpreter, under one fault: the failing relations
+    entries at n = 2 and 3, and, at n <= 3, the failing pairs of the
+    orbit-paired check against those of the per-pair oracle."""
+    install, failing, same_pairs = _RELATIONS_FAULTS[fault]
+    script = "\n".join([
+        "from qkahler import fiber, verify",
+        "from qkahler.fiber import BasisMonomial, FiberForm",
+        "from qkahler.scalars import ONE",
+        "TARGET = BasisMonomial((1,), (2,))",
+        textwrap.dedent(install),
+        textwrap.dedent(inspect.getsource(_star_reversal_oracle)),
+        textwrap.dedent(inspect.getsource(_basis_forms)),
+        textwrap.dedent("""
+            for n in (2, 3):
+                print(sorted(e["name"] for e in verify.suite_relations(n)
+                             if e["status"] == "fail"))
+            for n in (1, 2, 3):
+                forms, stars = _basis_forms(n)
+                got = set(verify._star_reversal_failures(forms, stars))
+                want = set(_star_reversal_oracle(forms, stars))
+                print(bool(got), bool(want), got == want)
+        """),
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5
+    assert lines[:2] == [repr(sorted(failing))] * 2
+    for line in lines[2:]:
+        got, want, same = line.split()
+        assert got == want
+        assert same == "True" or not same_pairs
