@@ -1,10 +1,11 @@
 """Exact linear algebra over Q(i)(q) scalars.
 
-Row reduction runs fraction-free (Bareiss single-step updates) on rows
-cleared to Laurent polynomials, deferring all field division to the final
-reduced-echelon pass.  Pivots inside a column are chosen by lowest term
-count, then smallest exponent span, then position, which keeps intermediate
-entries small and the result deterministic.
+Row reduction is one Gauss-Jordan pass over the field per component: for
+each column the pivot is the entry with the fewest numerator plus
+denominator terms (the first such row on a tie), its row is divided by it,
+and the column is cleared in every other row.  The reduced row echelon form
+of a matrix is unique, so the pivot rule only keeps intermediate entries
+small: ranks, kernels and inverses are the same scalars whatever the order.
 
 `rank`, `kernel_basis` and `solve` (so `inverse`) eliminate one connected
 component of the nonzero pattern at a time: rows and columns are joined
@@ -29,10 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import (
-    ZERO, ONE, LaurentPoly, Scalar, _LP_ONE, _laurent_gcd, dot,
-    refuse_assignment,
-)
+from .scalars import ZERO, ONE, dot, refuse_assignment
 
 
 class ScalarMatrix:
@@ -175,85 +173,29 @@ def product_pairs(products):
         yield acc
 
 
-def _laurent_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    g = _laurent_gcd(a, b)
-    return a * b.exact_div(g) if not g.is_unit() else a * b
-
-
-def _clear_row(row) -> list:
-    """Scale a Scalar row to Laurent polynomial entries."""
-    dens = [s.den for s in row if not s.is_polynomial()]
-    if not dens:
-        return [s.num for s in row]
-    common = dens[0]
-    for d in dens[1:]:
-        common = _laurent_lcm(common, d)
-    return [(s.num * common.exact_div(s.den)) for s in row]
-
-
-def _pivot_key(p: LaurentPoly):
-    return (len(p.terms), p.max_exp() - p.min_exp())
-
-
-def _bareiss(rows):
-    """Fraction-free forward elimination in place.
-
-    Returns the pivots as a list of (row, col) pairs.
-    """
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    pivots = []
-    prev = _LP_ONE
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        best = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                k = _pivot_key(rows[i][c])
-                if best is None or k < best[0]:
-                    best = (k, i)
-        if best is None:
-            continue
-        i = best[1]
-        if i != r:
-            rows[i], rows[r] = rows[r], rows[i]
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            head = rows[i][c]
-            if head:
-                for j in range(c + 1, nc):
-                    rows[i][j] = (piv * rows[i][j] - head * rows[r][j]).exact_div(prev)
-                rows[i][c] = LaurentPoly()
-            else:
-                # rows untouched by the pivot step still scale by piv/prev,
-                # keeping every entry an exact minor of the cleared matrix
-                for j in range(c + 1, nc):
-                    if rows[i][j]:
-                        num = piv * rows[i][j]
-                        rows[i][j] = num if prev is _LP_ONE else num.exact_div(prev)
-        prev = piv
-        pivots.append((r, c))
-        r += 1
-    return pivots
-
-
 def _rref(matrix: ScalarMatrix):
     """Reduced row echelon form over the field; returns (rows, pivots)."""
-    if matrix.nrows == 0:
-        return [], []
-    rows = [_clear_row(r) for r in matrix.rows]
-    pivots = _bareiss(rows)
-    srows = [[Scalar(v) if v else ZERO for v in r] for r in rows]
-    for r, c in reversed(pivots):
-        piv = srows[r][c]
-        srows[r] = [v / piv for v in srows[r]]
-        for i in range(r):
-            f = srows[i][c]
-            if f:
-                srows[i] = [a - f * b for a, b in zip(srows[i], srows[r])]
-    return srows, pivots
+    rows = [list(r) for r in matrix.rows]
+    pivots = []
+    for c in range(matrix.ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        live = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not live:
+            continue
+        i = min(live, key=lambda k: len(rows[k][c].num.terms)
+                + len(rows[k][c].den.terms))
+        rows[i], rows[r] = rows[r], rows[i]
+        piv = rows[r][c]
+        rows[r] = [v / piv if v else ZERO for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [a - f * b if b else a
+                           for a, b in zip(row, rows[r])]
+        pivots.append((r, c))
+    return rows, pivots
 
 
 def _components(matrix: ScalarMatrix) -> list:
@@ -289,8 +231,7 @@ def _submatrix(matrix: ScalarMatrix, rows, cols) -> ScalarMatrix:
 
 
 def rank(matrix: ScalarMatrix) -> int:
-    return sum(len(_bareiss([_clear_row(r)
-                             for r in _submatrix(matrix, rows, cols).rows]))
+    return sum(len(_rref(_submatrix(matrix, rows, cols))[1])
                for rows, cols in _components(matrix) if rows and cols)
 
 

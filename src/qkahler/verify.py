@@ -173,9 +173,11 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 
     # one wedge of basis forms and one of star forms decide both (u, v) and
     # its partner (v*, u*), since star permutes the basis up to units
-    ok = next(_star_reversal_failures(forms, stars), None) is None
+    bad = next(_star_reversal_failures(forms, stars), None)
     out.append(_entry("relations",
-                      "star reverses products with the graded sign (-1)^(kl)", ok))
+                      "star reverses products with the graded sign (-1)^(kl)",
+                      bad is None, witness=None if bad is None
+                      else {"pair": [str(m) for m in bad]}))
 
     ok = True
     for k in range(2 * n + 1):

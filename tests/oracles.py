@@ -105,6 +105,26 @@ def gauss_det(rows) -> tuple:
     return det
 
 
+def gauss_inverse(rows) -> list:
+    """Inverse of a square complex-rational matrix by Gauss-Jordan on
+    [M | I]; raises ValueError when M is singular."""
+    m = len(rows)
+    aug = [list(r) + [C_ONE if i == j else C_ZERO for j in range(m)]
+           for i, r in enumerate(rows)]
+    for c in range(m):
+        pivot = next((i for i in range(c, m) if aug[i][c] != C_ZERO), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pv = aug[c][c]
+        aug[c] = [c_div(x, pv) for x in aug[c]]
+        for i in range(m):
+            if i != c and aug[i][c] != C_ZERO:
+                f = aug[i][c]
+                aug[i] = [c_sub(x, c_mul(f, y)) for x, y in zip(aug[i], aug[c])]
+    return [r[m:] for r in aug]
+
+
 def sylvester_positive(rows) -> bool:
     """Positive definiteness of a Hermitian complex-rational matrix by
     leading principal minors."""

@@ -322,13 +322,13 @@ def test_elimination_sees_one_component_at_a_time():
         from qkahler.scalars import H_EQ_Q
 
         heights = []
-        bareiss = linalg._bareiss
+        rref = linalg._rref
 
-        def recording(rows):
-            heights.append(len(rows))
-            return bareiss(rows)
+        def recording(matrix):
+            heights.append(matrix.nrows)
+            return rref(matrix)
 
-        linalg._bareiss = recording
+        linalg._rref = recording
         hodge_operator(3, H_EQ_Q)
         for a in range(4):
             for b in range(4):

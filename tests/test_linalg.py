@@ -9,17 +9,17 @@ from fractions import Fraction
 import pytest
 
 from qkahler.hodge import gram, hodge_block
-from qkahler.lefschetz import l_matrix
+from qkahler.lefschetz import l_matrix, string_basis_matrix
 from qkahler.linalg import (
-    LDLCertificate, ScalarMatrix, _bareiss, _clear_row, _rref, hermitian_ldl,
+    LDLCertificate, ScalarMatrix, _rref, hermitian_ldl,
     inverse, kernel_basis, rank, solve,
 )
 from qkahler.scalars import (
-    GaussianRational, H_EQ_ONE, H_EQ_Q, I, ONE, Q, Scalar, ZERO,
+    GaussianRational, H_EQ_ONE, H_EQ_Q, I, ONE, PoleError, Q, Scalar, ZERO,
 )
 
 from oracles import (
-    C_ZERO, c_add, c_mul, eval_matrix, eval_scalar, gauss_rank,
+    C_ZERO, c_add, c_mul, eval_matrix, eval_scalar, gauss_inverse, gauss_rank,
     sylvester_positive,
 )
 
@@ -125,6 +125,25 @@ def test_solve_and_inverse():
         assert minv @ m == ScalarMatrix.identity(3)
 
 
+def test_string_basis_inverses_match_evaluated_inverses():
+    """Every string-basis inverse, evaluated, is the textbook inverse of the
+    evaluated string-basis matrix, away from poles."""
+    checked = 0
+    for n in (1, 2, 3):
+        for a in range(n + 1):
+            for b in range(n + 1):
+                s = string_basis_matrix(n, a, b)
+                s_inv = inverse(s)
+                for q0 in POINTS:
+                    try:
+                        got = eval_matrix(s_inv, q0)
+                    except PoleError:
+                        continue
+                    assert got == gauss_inverse(eval_matrix(s, q0))
+                    checked += 1
+    assert checked >= 40
+
+
 def test_solve_rejects_bad_systems():
     singular = ScalarMatrix([[ONE, ONE], [ONE, ONE]])
     with pytest.raises(ValueError):
@@ -135,8 +154,8 @@ def test_solve_rejects_bad_systems():
 
 
 def test_elimination_handles_rows_missed_by_early_pivots():
-    """Regression: fraction-free elimination must keep scaling rows whose
-    entry in the pivot column is zero, or later exact divisions break."""
+    """Regression: elimination must reach rows whose entry in an early
+    pivot column is zero; they still hold later pivots."""
     m = ScalarMatrix([
         [ONE, Q, ZERO],
         [ZERO, Q + ONE, I],
@@ -186,9 +205,8 @@ def _scrambled_blocks(rng, shapes, zero_rows=0, zero_cols=0):
 
 
 def _whole_rank(matrix):
-    """Bareiss on the whole matrix, with no split into components."""
-    return len(_bareiss([_clear_row(r) for r in matrix.rows])) \
-        if matrix.nrows else 0
+    """The pivots of the whole matrix, with no split into components."""
+    return len(_rref(matrix)[1])
 
 
 def _whole_kernel(matrix):

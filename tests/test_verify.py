@@ -371,8 +371,9 @@ _RELATIONS_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(_RELATIONS_FAULTS))
 def test_relations_faults_fail_the_same_entries_as_the_per_pair_check(fault):
     """In a fresh interpreter, under one fault: the failing relations
-    entries at n = 2 and 3, and, at n <= 3, the failing pairs of the
-    orbit-paired check against those of the per-pair oracle."""
+    entries at n = 2 and 3 and the pair the star-reversal entry names, and,
+    at n <= 3, the failing pairs of the orbit-paired check against those of
+    the per-pair oracle."""
     install, failing, same_pairs = _RELATIONS_FAULTS[fault]
     script = "\n".join([
         "from qkahler import fiber, verify",
@@ -382,15 +383,24 @@ def test_relations_faults_fail_the_same_entries_as_the_per_pair_check(fault):
         textwrap.dedent(install),
         textwrap.dedent(inspect.getsource(_star_reversal_oracle)),
         textwrap.dedent(inspect.getsource(_basis_forms)),
+        f"STAR_REVERSES = {STAR_REVERSES!r}",
         textwrap.dedent("""
+            named = {}
             for n in (2, 3):
-                print(sorted(e["name"] for e in verify.suite_relations(n)
+                entries = verify.suite_relations(n)
+                print(sorted(e["name"] for e in entries
                              if e["status"] == "fail"))
+                entry, = (e for e in entries if e["name"] == STAR_REVERSES)
+                named[n] = entry.get("witness", {}).get("pair")
             for n in (1, 2, 3):
                 forms, stars = _basis_forms(n)
                 got = set(verify._star_reversal_failures(forms, stars))
                 want = set(_star_reversal_oracle(forms, stars))
-                print(bool(got), bool(want), got == want)
+                pair = named.get(n)
+                by_name = {str(m): m for m in forms}
+                print(bool(got), bool(want), got == want,
+                      "none" if pair is None
+                      else (by_name[pair[0]], by_name[pair[1]]) in want)
         """),
     ])
     proc = subprocess.run([sys.executable, "-c", script],
@@ -399,7 +409,13 @@ def test_relations_faults_fail_the_same_entries_as_the_per_pair_check(fault):
     lines = proc.stdout.splitlines()
     assert len(lines) == 5
     assert lines[:2] == [repr(sorted(failing))] * 2
-    for line in lines[2:]:
-        got, want, same = line.split()
+    for n, line in zip((1, 2, 3), lines[2:]):
+        got, want, same, named = line.split()
         assert got == want
         assert same == "True" or not same_pairs
+        # the entry names a pair exactly when it fails; under a fault that
+        # keeps the wedge bilinear, the per-pair oracle fails that pair too
+        if n == 1 or STAR_REVERSES not in failing:
+            assert named == "none"
+        else:
+            assert named == "True" or (named == "False" and not same_pairs)
