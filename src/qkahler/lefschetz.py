@@ -63,10 +63,7 @@ def from_coords(n: int, vec: list, basis: list) -> FiberForm:
 @memoize
 def l_matrix(n: int, a: int, b: int) -> ScalarMatrix:
     """Matrix of the Lefschetz map on the (a, b) component."""
-    src = basis_bidegree(n, a, b)
-    tgt = basis_bidegree(n, a + 1, b + 1)
-    cols = [to_coords(L(FiberForm(n, {m: ONE})), tgt) for m in src]
-    return ScalarMatrix.from_columns(cols, len(tgt))
+    return l_power_matrix(n, a, b, 1)
 
 
 def l_power_matrix(n: int, a: int, b: int, j: int) -> ScalarMatrix:
@@ -125,8 +122,8 @@ def string_columns(n: int, a: int, b: int) -> tuple:
 
     Returns (j, seed_bidegree, seed_index, form) tuples, form = L^j(seed),
     ordered by level then seed.  The forms are a basis; the change of basis
-    to monomial coordinates is invertible, which verify_string_basis and the
-    Hodge construction both rely on.
+    to monomial coordinates is invertible, which the Hodge construction
+    relies on and the strings suite checks by rank.
     """
     return tuple((j, (ap, bp), idx, L_power(p, j))
                  for j, (ap, bp) in bidegree_levels(n, a, b)

@@ -386,9 +386,7 @@ class Scalar:
         if not g.is_unit():
             n = n.exact_div(g)
             d = d.exact_div(g)
-        c0 = d.terms[d.min_exp()]
-        if d.min_exp() != 0:  # pragma: no cover - gcd keeps constant terms
-            d = d.shift(-d.min_exp())
+        c0 = d.terms[0]  # d/g keeps d's nonzero constant term
         self.num = n.shift(nlo - dlo).scale(GR_ONE / c0)
         # a den reduced to 1 is the shared _LP_ONE, for the fast paths
         self.den = _LP_ONE if d.is_unit() else d.scale(GR_ONE / c0)

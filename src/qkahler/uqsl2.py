@@ -2,9 +2,11 @@
 
 The raising operator L (wedging with the Hermitian form), its metric adjoint
 Lambda, and the diagonal counting operators H and K realise the quantised
-enveloping algebra of sl2 on the fiber algebra.  This module builds H and K,
-checks the deformed commutator identities exactly, block by block, and
-splits the fiber into irreducible strings seeded on primitive forms.
+enveloping algebra of sl2 on the fiber algebra.  This module builds H and K
+and checks the deformed commutator identities exactly, block by block.  The
+irreducible strings L^j(alpha) of primitive forms alpha are modelled once,
+by `lefschetz.string_columns`; the strings suite in `verify` checks how the
+lowering operator acts on them.
 
 Each relation lhs = rhs is written as terms (c, [X1, ..., Xr]) and checked
 by `hodge.combination_defect`: one zero test of lhs - rhs per entry, over a
@@ -18,21 +20,14 @@ oddness.  The plain integer k-n works only at h = 1; the quantum version is
 the one compatible with [L,Lambda] = H, and the reports record that choice.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .scalars import (
     HodgeMode, H_EQ_Q, ONE, ZERO, qint, qint_signed, render_scalar,
 )
-from .fiber import FiberForm, basis_bidegree
-from .lefschetz import (
-    L_power, lambda_string_factor, primitive_basis, string_basis_matrix,
-)
 from .hodge import (
     GradedOperator, combination_defect, l_operator, lambda_operator,
-    lambda_apply,
 )
-from . import linalg
 
 
 def h_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
@@ -170,126 +165,3 @@ def verify_lefschetz_identities(n: int, mode: HodgeMode = H_EQ_Q) -> dict:
         "notes": notes,
         "all_hold": all(c["holds"] == c.get("expected", True) for c in checks),
     }
-
-
-@dataclass(frozen=True)
-class Sl2String:
-    """One irreducible string: a primitive seed and its L-orbit."""
-
-    seed_bidegree: tuple
-    seed_index: int
-    degree: int
-    length: int
-    members: tuple
-
-    @property
-    def seed(self) -> FiberForm:
-        return self.members[0]
-
-    def summary(self) -> dict:
-        return {
-            "seed_bidegree": list(self.seed_bidegree),
-            "seed_index": self.seed_index,
-            "degree": self.degree,
-            "length": self.length,
-            "seed": str(self.seed),
-        }
-
-
-def string_decomposition(n: int) -> list:
-    """All irreducible strings, seeded on the primitive bases: a degree-k
-    seed alpha gives the members L^0(alpha), ..., L^{n-k}(alpha).  That each
-    seed is primitive for the sl2 action, with a string of exactly that
-    length, is checked by the strings suite in `verify`."""
-    out = []
-    for k in range(n + 1):
-        for b in range(k + 1):
-            a = k - b
-            for idx, seed in enumerate(primitive_basis(n, a, b)):
-                members = tuple(L_power(seed, j) for j in range(n - k + 1))
-                out.append(Sl2String((a, b), idx, k, n - k + 1, members))
-    return out
-
-
-def string_inventory(n: int) -> dict:
-    """Bookkeeping view of the decomposition: counts, lengths, dimensions."""
-    strings = string_decomposition(n)
-    total = sum(s.length for s in strings)
-    return {
-        "n": n,
-        "strings": [s.summary() for s in strings],
-        "count": len(strings),
-        "total_dimension": total,
-        "fiber_dimension": 4 ** n,
-        "spans_fiber": total == 4 ** n,
-    }
-
-
-def verify_string_basis(n: int) -> dict:
-    """Union-of-strings completeness: per bidegree, the string members form
-    a square invertible change of basis to the monomial basis."""
-    blocks = []
-    ok = True
-    for a in range(n + 1):
-        for b in range(n + 1):
-            dim = len(basis_bidegree(n, a, b))
-            mat = string_basis_matrix(n, a, b)
-            r = linalg.rank(mat)
-            good = mat.ncols == dim and r == dim
-            ok = ok and good
-            blocks.append({"bidegree": [a, b], "dimension": dim,
-                           "string_members": mat.ncols, "rank": r,
-                           "full_rank": good})
-    return {"n": n, "blocks": blocks, "all_full_rank": ok}
-
-
-def verify_lowering_factors(n: int, mode: HodgeMode = H_EQ_Q) -> dict:
-    """Check Lambda L^j (alpha) = [j]_h [n-j-k+1]_h L^{j-1}(alpha) on every
-    primitive basis vector alpha and admissible level j."""
-    checks = []
-    ok = True
-    for k in range(n + 1):
-        for b in range(k + 1):
-            a = k - b
-            for idx, seed in enumerate(primitive_basis(n, a, b)):
-                for j in range(0, n - k + 1):
-                    lhs = lambda_apply(L_power(seed, j), mode)
-                    rhs = L_power(seed, j - 1).scale(
-                        lambda_string_factor(n, k, j, mode)) if j else FiberForm.zero(n)
-                    good = lhs == rhs
-                    ok = ok and good
-                    checks.append({"bidegree": [a, b], "seed_index": idx,
-                                   "level": j, "holds": good})
-    return {"n": n, "mode": mode.label(), "checks": checks, "all_hold": ok}
-
-
-def verify_primitive_is_lambda_kernel(n: int, mode: HodgeMode = H_EQ_Q) -> dict:
-    """P^k = ker(Lambda) on V^k, verified by exact rank bookkeeping.
-
-    Lambda kills every primitive basis vector (containment) and its kernel
-    dimension on degree k equals dim P^k (equality), where the kernel
-    dimension is dim V^k minus the exact rank of the Lambda matrix.
-    """
-    Lam = lambda_operator(n, mode)
-    degrees = []
-    ok = True
-    for k in range(2 * n + 1):
-        dim = contained = prim = 0
-        rank_sum = 0
-        for b in range(k + 1):
-            a = k - b
-            if a > n or b > n:
-                continue
-            d = len(basis_bidegree(n, a, b))
-            dim += d
-            seeds = primitive_basis(n, a, b)
-            prim += len(seeds)
-            contained += sum(1 for s in seeds if not lambda_apply(s, mode))
-            blk = Lam.blocks.get((a, b))
-            rank_sum += linalg.rank(blk[1]) if blk is not None else 0
-        kernel_dim = dim - rank_sum
-        good = contained == prim and kernel_dim == prim
-        ok = ok and good
-        degrees.append({"degree": k, "dim": dim, "primitive_dim": prim,
-                        "lambda_kernel_dim": kernel_dim, "match": good})
-    return {"n": n, "mode": mode.label(), "degrees": degrees, "all_match": ok}

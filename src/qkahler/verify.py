@@ -14,26 +14,23 @@ from itertools import combinations
 from math import comb
 
 from .scalars import (
-    H_EQ_Q, ONE, I, Scalar, qfact, render_scalar, parse_scalar,
+    H_EQ_Q, ONE, ZERO, I, Scalar, qfact, render_scalar, parse_scalar,
 )
 from .fiber import (
     FiberForm, basis_bidegree, basis_degree, weight, e_plus, e_minus,
 )
 from .lefschetz import (
-    kappa, kappa_power, L_power, primitive_basis, string_columns,
-    verify_lefschetz_iso,
+    kappa, kappa_power, L, L_power, lambda_string_factor, primitive_basis,
+    string_basis_matrix, string_columns, to_coords, verify_lefschetz_iso,
 )
 from . import linalg
+from .linalg import ScalarMatrix
 from .hodge import (
     GradedOperator, hodge, hodge_operator, metric, gram, certify_posdef,
     serre_pairing, adjoint_defect, combination_defect, l_operator,
-    lambda_apply, lambda_operator, star_matrix, vol,
+    lambda_apply, lambda_operator, star_matrix, vol, _products_vanish,
 )
-from .uqsl2 import (
-    h_operator, k_operator, verify_lefschetz_identities, string_decomposition,
-    verify_string_basis, verify_lowering_factors,
-    verify_primitive_is_lambda_kernel,
-)
+from .uqsl2 import h_operator, k_operator, verify_lefschetz_identities
 from .su2 import verify_cp1_laplacian
 
 DEFAULT_Q_SAMPLES = ("9/10", "1", "11/10")
@@ -119,24 +116,18 @@ def _star_reversal_failures(forms, stars):
                     yield mons[img[j]], mons[img[i]]
 
 
-def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
-    out = []
-    dims = [len(basis_degree(n, k)) for k in range(2 * n + 1)]
-    expect = [comb(2 * n, k) for k in range(2 * n + 1)]
-    out.append(_entry("relations", "dim V^k = C(2n, k) for all k",
-                      dims == expect, detail=f"dims {dims}"))
-
-    ok = True
-    wit = None
+def _generator_relation_failures(n):
+    """Yield, in order, each defining relation of the generators e+[i],
+    e-[i] that fails, named as the relations entry's witness."""
     for i in range(1, n + 1):
         epi, emi = e_plus(n, i), e_minus(n, i)
         if epi * epi or emi * emi:
-            ok, wit = False, f"square of index {i} generator nonzero"
+            yield f"square of index {i} generator nonzero"
         for h in range(1, i):
             if epi * e_plus(n, h) != (e_plus(n, h) * epi).scale(-_Q(1)):
-                ok, wit = False, f"holomorphic swap ({i},{h})"
+                yield f"holomorphic swap ({i},{h})"
             if emi * e_minus(n, h) != (e_minus(n, h) * emi).scale(-_Q(-1)):
-                ok, wit = False, f"antiholomorphic swap ({i},{h})"
+                yield f"antiholomorphic swap ({i},{h})"
         for j in range(1, n + 1):
             lhs = emi * e_plus(n, j)
             if i != j:
@@ -146,9 +137,19 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
                 for a in range(i + 1, n + 1):
                     rhs = rhs - (e_plus(n, a) * e_minus(n, a)).scale(_Q(2) - ONE)
             if lhs != rhs:
-                ok, wit = False, f"mixed relation ({i},{j})"
+                yield f"mixed relation ({i},{j})"
+
+
+def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
+    out = []
+    dims = [len(basis_degree(n, k)) for k in range(2 * n + 1)]
+    expect = [comb(2 * n, k) for k in range(2 * n + 1)]
+    out.append(_entry("relations", "dim V^k = C(2n, k) for all k",
+                      dims == expect, detail=f"dims {dims}"))
+
+    wit = next(_generator_relation_failures(n), None)
     out.append(_entry("relations", "defining q-commutation relations on generators",
-                      ok, witness=wit))
+                      wit is None, witness=wit))
 
     rng = random.Random(20240815)
     ok = True
@@ -320,6 +321,40 @@ def _pinned_metric_tables(n, mode, out):
                    "with its own Hodge table and is rejected here."))
 
 
+def _level_coords(n, a, b, j):
+    """Monomial coordinates of L^j of the (a, b) seeds, one column per seed,
+    read off the string basis of (a+j, b+j)."""
+    basis = basis_bidegree(n, a + j, b + j)
+    return ScalarMatrix.from_columns(
+        [to_coords(f, basis) for level, seed, _, f
+         in string_columns(n, a + j, b + j) if level == j and seed == (a, b)],
+        len(basis))
+
+
+def _level_rescaling_failure(n, mode):
+    """The first {bidegree, level} of a seed bidegree (a, b), k = a+b, and a
+    level j where the Gram matrices of the seeds and of their L^j images
+    differ by more than c = [j]_h! [n-k]_h! / [n-j-k]_h!, else None.
+
+    With S_j the coordinates of L^j of the seeds, that is one zero test of
+    S_j^T G_(a+j,b+j) conj(S_j) - c S_0^T G_(a,b) conj(S_0); the only
+    products formed are S_j^T G."""
+    for k in range(n + 1):
+        for b in range(k + 1):
+            a = k - b
+            s0 = _level_coords(n, a, b, 0)
+            g0, s0_bar = s0.transpose() @ gram(n, a, b, mode), s0.conjugate()
+            for j in range(1, n - k + 1):
+                c = qfact(j, mode) * qfact(n - k, mode) / qfact(n - j - k, mode)
+                sj = _level_coords(n, a, b, j)
+                if not _products_vanish([
+                        (sj.transpose() @ gram(n, a + j, b + j, mode),
+                         sj.conjugate()),
+                        (g0, s0_bar.scale(-c))]):
+                    return {"bidegree": [a, b], "level": j}
+    return None
+
+
 def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
 
@@ -352,28 +387,10 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
              for a in range(n + 1) for b in range(n + 1))
     out.append(_entry("metric", "top-degree wedge pairing is nondegenerate", ok))
 
-    ok = True
-    wit = None
-    for k in range(n + 1):
-        for b in range(k + 1):
-            a = k - b
-            seeds = primitive_basis(n, a, b)
-            # homogeneous seeds and lifts: metric is vol(u ^ hodge(star(v)))
-            images = [hodge(s.star(), mode) for s in seeds]
-            for j in range(1, n - k + 1):
-                factor = (qfact(j, mode) * qfact(n - k, mode)
-                          / qfact(n - j - k, mode))
-                lifts = [L_power(s, j) for s in seeds]
-                lift_images = [hodge(f.star(), mode) for f in lifts]
-                for alpha, lift in zip(seeds, lifts):
-                    for w, lift_w in zip(images, lift_images):
-                        lhs = vol(lift.wedge(lift_w))
-                        rhs = factor * vol(alpha.wedge(w))
-                        if lhs != rhs:
-                            ok, wit = False, {"bidegree": [a, b], "level": j}
+    wit = _level_rescaling_failure(n, mode)
     out.append(_entry("metric",
                       "level rescaling <L^j a, L^j b> = [j]_h! [n-k]_h! / [n-j-k]_h! <a,b>",
-                      ok, witness=wit))
+                      wit is None, witness=wit))
     out.append(_entry(
         "metric", "level rescaling constant form", note=True,
         detail="the factorial constant [j]_h![n-k]_h!/[n-j-k]_h! is the one "
@@ -418,42 +435,100 @@ def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 # strings
 # ---------------------------------------------------------------------------
 
+def _seed_failure(n, seeds, killed):
+    """The first seed, by bidegree then index, that Lambda does not kill or
+    whose string L^j(seed) does not end exactly at j = n-k, named with the
+    condition it fails, else None.  `seeds` maps each bidegree to its
+    primitive basis and `killed` to one bool per seed."""
+    for (a, b), ss in seeds.items():
+        for idx, (seed, dead) in enumerate(zip(ss, killed[a, b])):
+            top = L_power(seed, n - a - b)
+            for condition, holds in (
+                    ("killed by the lowering operator", dead),
+                    ("L^(n-k) is nonzero", bool(top)),
+                    ("L^(n-k+1) is zero", not L(top))):
+                if not holds:
+                    return {"bidegree": [a, b], "seed_index": idx,
+                            "condition": condition}
+    return None
+
+
+def _lowering_failure(n, mode, basis):
+    """The first (a, b) where Lambda . S_(a,b) != S_(a-1,b-1) . D, else None.
+
+    S is the string basis matrix (`basis` maps each bidegree to it) and D
+    sends the column of L^j(alpha) to the row of L^(j-1)(alpha) with the
+    factor [j]_h [n-j-k+1]_h, k the degree of alpha; a level-0 column of D
+    is zero, and so is an absent Lambda block."""
+    lam = lambda_operator(n, mode)
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            cols = string_columns(n, a, b)
+            below = {col[:3]: r for r, col
+                     in enumerate(string_columns(n, a - 1, b - 1))}
+            d = [[ZERO] * len(cols) for _ in below]
+            for c, (j, seed, idx, _) in enumerate(cols):
+                if j:
+                    d[below[j - 1, seed, idx]][c] = \
+                        -lambda_string_factor(n, sum(seed), j, mode)
+            products = [(basis[a - 1, b - 1], ScalarMatrix(d, ncols=len(cols)))]
+            blk = lam.blocks.get((a, b))
+            if blk is not None:
+                products.append((blk[1], basis[a, b]))
+            if not _products_vanish(products):
+                return {"bidegree": [a, b]}
+    return None
+
+
+def _lambda_kernel_failure(n, mode, killed):
+    """The first degree k where the primitive forms are not exactly the
+    kernel of Lambda on V^k, else None: every seed is killed (`killed`
+    maps each seed bidegree to one bool per seed) and dim V^k minus the
+    exact rank of the Lambda blocks equals dim P^k."""
+    lam = lambda_operator(n, mode)
+    for k in range(2 * n + 1):
+        bidegrees = [(k - b, b) for b in range(k + 1) if k - b <= n and b <= n]
+        dead = [x for bd in bidegrees for x in killed.get(bd, ())]
+        kernel_dim = sum(len(basis_bidegree(n, *bd)) for bd in bidegrees) \
+            - sum(linalg.rank(lam.blocks[bd][1])
+                  for bd in bidegrees if bd in lam.blocks)
+        if not all(dead) or kernel_dim != len(dead):
+            return {"degree": k}
+    return None
+
+
 def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
-    strings = string_decomposition(n)
-    total = sum(s.length for s in strings)
+    seeds = {(k - b, b): primitive_basis(n, k - b, b)
+             for k in range(n + 1) for b in range(k + 1)}
+    total = sum((n - sum(bd) + 1) * len(ss) for bd, ss in seeds.items())
     out.append(_entry("strings", "string members count the whole fiber",
                       total == 4 ** n, detail=f"{total} of {4 ** n}"))
-    wit = None
-    for s in strings:
-        conditions = (
-            ("killed by the lowering operator", not lambda_apply(s.seed, mode)),
-            ("L^(n-k) is nonzero", bool(s.members[-1])),
-            ("L^(n-k+1) is zero", not L_power(s.seed, s.length)),
-        )
-        failed = next((c for c, holds in conditions if not holds), None)
-        if failed is not None:
-            wit = {"bidegree": list(s.seed_bidegree),
-                   "seed_index": s.seed_index, "condition": failed}
-            break
+
+    killed = {bd: [not lambda_apply(s, mode) for s in ss]
+              for bd, ss in seeds.items()}
+    wit = _seed_failure(n, seeds, killed)
     out.append(_entry("strings",
                       "every seed is killed by the lowering operator and "
                       "lives for exactly n-k+1 steps", wit is None,
-                      detail=f"{len(strings)} strings", witness=wit))
+                      detail=f"{sum(map(len, seeds.values()))} strings",
+                      witness=wit))
 
-    basis_rep = verify_string_basis(n)
-    out.append(_entry("strings", "string members form a basis per bidegree",
-                      basis_rep["all_full_rank"]))
+    basis = {(a, b): string_basis_matrix(n, a, b)
+             for a in range(n + 1) for b in range(n + 1)}
+    ok = all(mat.ncols == len(basis_bidegree(n, *bd)) == linalg.rank(mat)
+             for bd, mat in basis.items())
+    out.append(_entry("strings", "string members form a basis per bidegree", ok))
 
-    low = verify_lowering_factors(n, mode)
+    wit = _lowering_failure(n, mode, basis)
     out.append(_entry("strings",
                       "lowering factor [j]_h [n-j-k+1]_h along every string",
-                      low["all_hold"]))
+                      wit is None, witness=wit))
 
-    ker = verify_primitive_is_lambda_kernel(n, mode)
+    wit = _lambda_kernel_failure(n, mode, killed)
     out.append(_entry("strings",
                       "primitives are exactly the lowering kernel, by rank",
-                      ker["all_match"]))
+                      wit is None, witness=wit))
 
     ok = True
     for k in range(n):

@@ -31,10 +31,7 @@ from qkahler.linalg import ScalarMatrix
 from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, I, ONE, Q, Scalar, i_power, parse_scalar, qfact, qint,
 )
-from qkahler.uqsl2 import (
-    verify_lefschetz_identities, verify_lowering_factors,
-    verify_primitive_is_lambda_kernel,
-)
+from qkahler.uqsl2 import verify_lefschetz_identities
 from qkahler.su2 import (
     A, B, C, D, antipode_u_entry, laplacian0_cp1, projective_coordinate,
     u_entry,
@@ -203,11 +200,14 @@ def test_07_deformed_commutation_identities(capsys):
 
 
 def test_08_lowering_factors_and_kernel(capsys):
+    wanted = ("lowering factor [j]_h [n-j-k+1]_h along every string",
+              "primitives are exactly the lowering kernel, by rank")
+
     def check():
         for n in (1, 2, 3):
-            if not verify_lowering_factors(n, H_EQ_Q)["all_hold"]:
-                return False
-            if not verify_primitive_is_lambda_kernel(n, H_EQ_Q)["all_match"]:
+            entries, _ = run_suites(["strings"], n, H_EQ_Q)
+            status = {e["name"]: e["status"] for e in entries}
+            if any(status.get(name) != "pass" for name in wanted):
                 return False
         return True
     _criterion(capsys, 8, "lowering acts on strings by [j]_h [n-j-k+1]_h and "

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
 
 from qkahler.fiber import FiberForm, basis_bidegree
 from qkahler.hodge import l_operator, lambda_operator
-from qkahler.lefschetz import L_power, primitive_basis
 from qkahler.scalars import H_EQ_ONE, H_EQ_Q, HodgeMode, ONE, qint_signed
 from qkahler.uqsl2 import (
-    deformed_commutator, h_operator, k_operator, string_decomposition,
-    string_inventory, verify_lefschetz_identities, verify_lowering_factors,
-    verify_primitive_is_lambda_kernel, verify_string_basis,
+    deformed_commutator, h_operator, k_operator, verify_lefschetz_identities,
 )
+from qkahler.verify import run_suites
 
 NUMERIC = HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8))
 MODES = (H_EQ_Q, H_EQ_ONE, NUMERIC)
@@ -122,51 +119,24 @@ def test_casimir_style_relation_at_generic_h():
             assert lhs == (k - kinv).scale(ONE / denom)
 
 
-def test_string_inventory_counts():
-    want_lengths = {
-        1: {2: 1, 1: 2},
-        2: {3: 1, 2: 4, 1: 5},
-    }
-    for n, lengths in want_lengths.items():
-        inv = string_inventory(n)
-        assert inv["total_dimension"] == 4 ** n
-        assert inv["spans_fiber"]
-        got: dict = {}
-        for s in inv["strings"]:
-            got[s["length"]] = got.get(s["length"], 0) + 1
-        assert got == lengths
+STRING_ENTRIES = (
+    "string members count the whole fiber",
+    "every seed is killed by the lowering operator",
+    "string members form a basis per bidegree",
+    "lowering factor [j]_h [n-j-k+1]_h along every string",
+    "primitives are exactly the lowering kernel, by rank",
+)
 
 
-def test_string_objects_are_genuine_strings():
-    for n in (1, 2):
-        for s in string_decomposition(n):
-            k = sum(s.seed_bidegree)
-            assert s.length == n - k + 1
-            assert len(s.members) == s.length
-            assert s.seed == s.members[0]
-            seed = primitive_basis(n, *s.seed_bidegree)[s.seed_index]
-            assert s.seed == seed
-            for j, member in enumerate(s.members):
-                assert member == L_power(seed, j)
-            assert not L_power(seed, s.length)
-            summary = s.summary()
-            assert summary["length"] == s.length
-            assert summary["seed_bidegree"] == list(s.seed_bidegree)
-
-
-def test_string_reports():
+def test_strings_suite_passes_for_small_ranks():
+    """The strings suite checks the string model itself: members counted,
+    seeds killed by Lambda with strings of length n-k+1, a basis per
+    bidegree, the lowering factor as a block identity, and the primitive
+    forms as the exact kernel of Lambda."""
     for n in (1, 2, 3):
-        assert verify_string_basis(n)["all_full_rank"]
         for mode in (H_EQ_Q, H_EQ_ONE):
-            assert verify_lowering_factors(n, mode)["all_hold"]
-            rep = verify_primitive_is_lambda_kernel(n, mode)
-            assert rep["all_match"]
-            for row in rep["degrees"]:
-                assert row["match"]
-                assert row["lambda_kernel_dim"] == row["primitive_dim"]
-
-
-def test_strings_are_frozen():
-    s = string_decomposition(1)[0]
-    with pytest.raises(Exception):
-        s.length = 5
+            entries, failures = run_suites(["strings"], n, mode)
+            assert failures == [], failures
+            passed = [e["name"] for e in entries if e["status"] == "pass"]
+            for name in STRING_ENTRIES:
+                assert any(p.startswith(name) for p in passed), name

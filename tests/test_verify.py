@@ -118,7 +118,7 @@ def test_strings_suite_names_a_seed_that_is_not_primitive(monkeypatch, capsys):
         seeds = primitive_basis(n, a, b)
         return (kappa(n),) + seeds[1:] if (a, b) == (1, 1) else seeds
 
-    monkeypatch.setattr(uqsl2, "primitive_basis", with_kappa_first)
+    monkeypatch.setattr(verify, "primitive_basis", with_kappa_first)
     code = cli.main(["verify", "-n", "2", "--suite", "strings", "--json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -191,6 +191,19 @@ def _gram_entry_fault(monkeypatch):
         return linalg.ScalarMatrix(rows)
 
     monkeypatch.setattr(hodge, "gram", faulted)
+    monkeypatch.setattr(verify, "gram", faulted)
+
+
+def _lambda_entry_fault(src):
+    def install(monkeypatch):
+        true = hodge.lambda_operator
+
+        def faulted(n, mode=H_EQ_Q):
+            return _with_block(true(n, mode), src, _times(Q))
+
+        monkeypatch.setattr(hodge, "lambda_operator", faulted)
+        monkeypatch.setattr(verify, "lambda_operator", faulted)
+    return install
 
 
 def _h_eigenvalue_fault(monkeypatch):
@@ -284,6 +297,58 @@ def test_each_identity_entry_fails_under_its_fault(monkeypatch, fault, mode,
             assert e["witness"] == uqsl2._first_difference(*sides[e["name"]])
         elif e["suite"] == "lids":
             assert e["witness"]["bidegree"]
+
+
+KILLED = ("every seed is killed by the lowering operator and lives for "
+          "exactly n-k+1 steps")
+LOWERING = "lowering factor [j]_h [n-j-k+1]_h along every string"
+KERNEL = "primitives are exactly the lowering kernel, by rank"
+RESCALING = ("level rescaling <L^j a, L^j b> = [j]_h! [n-k]_h! / [n-j-k]_h! "
+             "<a,b>")
+
+# The failing strings and metric entries at n = 2, hq, with their witnesses.
+# Lambda's (2,1) block lowers no seed and keeps its rank, so only the block
+# identity of the lowering factor sees it.
+STRING_FAULTS = [
+    (_lambda_entry_fault((2, 1)), {LOWERING: {"bidegree": [2, 1]}}),
+    (_lambda_entry_fault((1, 1)), {
+        KILLED: {"bidegree": [1, 1], "seed_index": 2,
+                 "condition": "killed by the lowering operator"},
+        LOWERING: {"bidegree": [1, 1]},
+        KERNEL: {"degree": 2},
+    }),
+    (_gram_entry_fault, {
+        RESCALING: {"bidegree": [1, 0], "level": 1},
+        "rank-2 value <e+[1],e+[1]> = q^-5": None,
+    }),
+]
+
+
+@pytest.mark.parametrize("fault, failing", STRING_FAULTS,
+                         ids=["lambda-block-2-1", "lambda-block-1-1",
+                              "gram-block-1-0"])
+def test_each_string_and_metric_entry_fails_under_its_fault(monkeypatch, fault,
+                                                            failing):
+    entries, failures = run_suites(["strings", "metric"], 2, H_EQ_Q)
+    assert not failures
+    fault(monkeypatch)
+    entries, failures = run_suites(["strings", "metric"], 2, H_EQ_Q)
+    assert {e["name"]: e.get("witness") for e in failures} == failing
+
+
+def test_generator_relations_name_their_first_failure(monkeypatch):
+    """With e+[i] replaced by e+[i] + e-[i], the square of every generator
+    is nonzero; the entry names the first of the broken relations."""
+    true = verify.e_plus
+    monkeypatch.setattr(verify, "e_plus",
+                        lambda n, i: true(n, i) + verify.e_minus(n, i))
+    broken = list(verify._generator_relation_failures(2))
+    assert broken[0] == "square of index 1 generator nonzero"
+    assert "square of index 2 generator nonzero" in broken
+    entry, = [e for e in verify.suite_relations(2)
+              if e["name"] == "defining q-commutation relations on generators"]
+    assert entry["status"] == "fail"
+    assert entry["witness"] == broken[0]
 
 
 # ---------------------------------------------------------------------------
