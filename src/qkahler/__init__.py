@@ -18,7 +18,7 @@ from .hodge import (
     certify_posdef, serre_pairing, GradedOperator, adjoint_defect,
     hodge_operator, l_operator, lambda_operator,
 )
-from .uqsl2 import h_operator, k_operator, verify_lefschetz_identities
+from .uqsl2 import h_operator, k_operator, sl2_relations
 from .su2 import (
     SU2Element, TensorElement, u_entry, antipode_u_entry, coproduct,
     coproduct2, projective_coordinate, laplacian0_cp1, verify_cp1_laplacian,
@@ -38,7 +38,7 @@ __all__ = [
     "vol", "hodge", "hodge_inverse", "lambda_apply", "metric", "gram",
     "gram_to_json", "certify_posdef", "serre_pairing", "GradedOperator",
     "adjoint_defect", "hodge_operator", "l_operator", "lambda_operator",
-    "h_operator", "k_operator", "verify_lefschetz_identities",
+    "h_operator", "k_operator", "sl2_relations",
     "SU2Element", "TensorElement", "u_entry", "antipode_u_entry",
     "coproduct", "coproduct2", "projective_coordinate", "laplacian0_cp1",
     "verify_cp1_laplacian",

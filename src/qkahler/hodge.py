@@ -20,7 +20,8 @@ Hodge and sl2 relations) are zero tests, not comparisons of canonical
 matrices: each entry of lhs - rhs is one sum of products of structural
 nonzeros, put over a common denominator with no gcd.  Every denominator is
 a product of nonzero denominators, so the entry vanishes exactly when the
-numerator does.
+numerator does.  The same scan names a failing identity's first nonzero
+entry, and only that entry is canonicalised, for the witness.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from types import MappingProxyType
 
 from .scalars import (
     ONE, ZERO, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize, dot,
-    dot_is_zero, refuse_assignment,
+    dot_is_zero, refuse_assignment, render_scalar,
 )
 from .fiber import FiberForm, BasisMonomial, basis_bidegree
 from . import linalg
@@ -233,68 +234,66 @@ class GradedOperator:
             src: (tgt, mat.scale(c)) for src, (tgt, mat) in self.blocks.items()
         })
 
-    def _merge(self, other: "GradedOperator", sign: int) -> "GradedOperator":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        blocks = dict(self.blocks)
-        for src, (tgt, mat) in other.blocks.items():
-            mat = mat if sign > 0 else -mat
-            if src in blocks:
-                t0, m0 = blocks[src]
-                if t0 != tgt:
-                    raise ValueError(f"incompatible targets at {src}: {t0} vs {tgt}")
-                blocks[src] = (t0, m0 + mat)
-            else:
-                blocks[src] = (tgt, mat)
-        return GradedOperator(self.n, blocks)
-
-    def __add__(self, other):
-        return self._merge(other, +1)
-
-    def __sub__(self, other):
-        return self._merge(other, -1)
-
     def __eq__(self, other):
         if not isinstance(other, GradedOperator):
             return NotImplemented
         return self.n == other.n and self.blocks == other.blocks
 
-    def is_zero(self) -> bool:
-        return not self.blocks
-
 
 def adjoint_defect(op: GradedOperator, other: GradedOperator,
                    mode: HodgeMode = H_EQ_Q):
     """None when `other` is the metric adjoint of `op`, g(op(u), v) =
-    g(u, other(v)) for all u, v; otherwise the first source bidegree where
-    that fails.  On coordinates g(u, v) = x^T . G . conj(y), so each block
-    M: src -> tgt of `op` needs a block W: tgt -> src of `other` with
-    M^T . G_tgt = G_src . conj(W), and `other` may have no block that no
-    block of `op` maps into.  No Gram block is inverted, and each identity
-    is one zero test per entry, with no product formed."""
+    g(u, other(v)) for all u, v; otherwise a witness of the first source
+    bidegree where that fails.  On coordinates g(u, v) = x^T . G . conj(y),
+    so each block M: src -> tgt of `op` needs a block W: tgt -> src of
+    `other` with M^T . G_tgt = G_src . conj(W), and `other` may have no
+    block that no block of `op` maps into.  No Gram block is inverted, and
+    each identity is one zero test per entry, with no product formed.
+
+    A missing or mistargeted W, or a block of `other` that nothing maps
+    into, is named {"bidegree": [a, b]}; a failing entry is named as in
+    `combination_defect`, its defect the entry of M^T G_tgt - G_src conj(W)."""
     if op.n != other.n:
         raise ValueError("rank mismatch")
     for src, (tgt, mat) in sorted(op.blocks.items()):
         back, w = other.blocks.get(tgt, (None, None))
-        if back != src or not _products_vanish(
-                [(mat.transpose(), gram(op.n, *tgt, mode)),
-                 (gram(op.n, *src, mode), -w.conjugate())]):
-            return src
+        if back != src:
+            return {"bidegree": list(src)}
+        bad = _first_nonzero([(mat.transpose(), gram(op.n, *tgt, mode)),
+                              (gram(op.n, *src, mode), -w.conjugate())])
+        if bad is not None:
+            return _witness(src, tgt, *bad)
     hit = {tgt for tgt, _ in op.blocks.values()}
-    return min((src for src in other.blocks if src not in hit), default=None)
+    extra = min((src for src in other.blocks if src not in hit), default=None)
+    return None if extra is None else {"bidegree": list(extra)}
 
 
-def _products_vanish(products) -> bool:
-    """Whether the sum of left . right over the (left, right) pairs of
-    matrices is zero: one `dot_is_zero` per entry that has a pair."""
-    return all(dot_is_zero(pairs) for row in linalg.product_pairs(products)
-               for pairs in row.values())
+def _first_nonzero(products):
+    """The first entry of the sum of left . right over the (left, right)
+    pairs of matrices that is not zero, as (row, col, pairs), else None.
+    Rows are scanned in order and the smallest failing column is named;
+    each entry that has a pair is one `dot_is_zero`, so no gcd is taken."""
+    for i, row in enumerate(linalg.product_pairs(products)):
+        j = min((j for j, pairs in row.items() if not dot_is_zero(pairs)),
+                default=None)
+        if j is not None:
+            return i, j, row[j]
+    return None
+
+
+def _witness(src, tgt, row, col, pairs) -> dict:
+    """A failing entry of a block src -> tgt, its value canonicalised once."""
+    return {"bidegree": list(src), "target": list(tgt), "row": row,
+            "col": col, "defect": render_scalar(dot(pairs))}
 
 
 def combination_defect(terms):
     """None when the sum of c . X1 ... Xr over the terms (c, [X1, ..., Xr])
-    of graded operators is zero; otherwise the first source bidegree, in
-    sorted order, where it is not.
+    of graded operators is zero; otherwise a witness of its first nonzero
+    entry, {"bidegree", "target", "row", "col", "defect"}, scanning sources
+    in sorted order, then targets in sorted order, then the entry.  With
+    the terms of lhs - rhs, the defect is lhs - rhs at that entry, and it
+    is the only value canonicalised.
 
     Each term is split as (c . X1 ... X(r-1)) . Xr: the prefix is built as
     one canonical operator (c times the identity when r = 1), and its
@@ -322,8 +321,10 @@ def combination_defect(terms):
             blk = prefix.blocks.get(mid)
             if blk is not None:
                 groups.setdefault(blk[0], []).append((blk[1], right))
-        if not all(_products_vanish(g) for g in groups.values()):
-            return src
+        for tgt in sorted(groups):
+            bad = _first_nonzero(groups[tgt])
+            if bad is not None:
+                return _witness(src, tgt, *bad)
     return None
 
 

@@ -28,9 +28,9 @@ from .linalg import ScalarMatrix
 from .hodge import (
     GradedOperator, hodge, hodge_operator, metric, gram, certify_posdef,
     serre_pairing, adjoint_defect, combination_defect, l_operator,
-    lambda_apply, lambda_operator, star_matrix, vol, _products_vanish,
+    lambda_apply, lambda_operator, star_matrix, vol, _first_nonzero,
 )
-from .uqsl2 import h_operator, k_operator, verify_lefschetz_identities
+from .uqsl2 import h_operator, k_operator, sl2_relations
 from .su2 import verify_cp1_laplacian
 
 DEFAULT_Q_SAMPLES = ("9/10", "1", "11/10")
@@ -49,11 +49,10 @@ def _entry(suite, name, ok=True, detail="", witness=None, note=False):
 
 
 def _adjoint_entry(suite, name, op, other, mode):
-    """Entry for "other is the metric adjoint of op"; a failure names its
-    first failing source bidegree."""
+    """Entry for "other is the metric adjoint of op"; a failure carries the
+    witness of `adjoint_defect`."""
     bad = adjoint_defect(op, other, mode)
-    return _entry(suite, name, bad is None,
-                  witness=None if bad is None else {"bidegree": list(bad)})
+    return _entry(suite, name, bad is None, witness=bad)
 
 
 def _mono_form(n, m):
@@ -241,8 +240,9 @@ def suite_hodge(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     star_op = hodge_operator(n, mode)
 
     sign = GradedOperator.diagonal(n, lambda a, b: ONE if (a + b) % 2 == 0 else -ONE)
-    out.append(_entry("hodge", "square is (-1)^degree", combination_defect(
-        [(ONE, [star_op, star_op]), (-ONE, [sign])]) is None))
+    wit = combination_defect([(ONE, [star_op, star_op]), (-ONE, [sign])])
+    out.append(_entry("hodge", "square is (-1)^degree", wit is None,
+                      witness=wit))
 
     ok = all(tgt == (n - src[1], n - src[0])
              for src, (tgt, _) in star_op.blocks.items())
@@ -254,8 +254,9 @@ def suite_hodge(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
                               for a in range(n + 1) for b in range(n + 1)})
     conj = GradedOperator(n, {src: (tgt, mat.conjugate())
                               for src, (tgt, mat) in star_op.blocks.items()})
-    out.append(_entry("hodge", "commutes with star on the basis", combination_defect(
-        [(ONE, [star_op, star]), (-ONE, [star, conj])]) is None))
+    wit = combination_defect([(ONE, [star_op, star]), (-ONE, [star, conj])])
+    out.append(_entry("hodge", "commutes with star on the basis", wit is None,
+                      witness=wit))
 
     # H^-1 = H . (-1)^k, and H is unitary exactly when H^-1 is its adjoint
     inverse = GradedOperator(n, {src: (tgt, -mat if sum(src) % 2 else mat)
@@ -347,10 +348,10 @@ def _level_rescaling_failure(n, mode):
             for j in range(1, n - k + 1):
                 c = qfact(j, mode) * qfact(n - k, mode) / qfact(n - j - k, mode)
                 sj = _level_coords(n, a, b, j)
-                if not _products_vanish([
+                if _first_nonzero([
                         (sj.transpose() @ gram(n, a + j, b + j, mode),
                          sj.conjugate()),
-                        (g0, s0_bar.scale(-c))]):
+                        (g0, s0_bar.scale(-c))]) is not None:
                     return {"bidegree": [a, b], "level": j}
     return None
 
@@ -410,16 +411,15 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 
 def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
-    rep = verify_lefschetz_identities(n, mode)
-    for c in rep["checks"]:
-        expected = c.get("expected", True)
-        ok = c["holds"] == expected
-        name = c["relation"]
+    relations, notes = sl2_relations(n, mode)
+    for name, terms, expected in relations:
+        wit = combination_defect(terms)
+        ok = (wit is None) == expected
         detail = "" if expected else (
-            "holds only at h=1" if c["holds"] else "differs for h != 1, as derived")
+            "holds only at h=1" if wit is None else "differs for h != 1, as derived")
         out.append(_entry("lids", name, ok, detail=detail,
-                          witness=None if ok else c.get("witness")))
-    for note in rep["notes"]:
+                          witness=None if ok else wit))
+    for note in notes:
         out.append(_entry("lids", "convention", note=True, detail=note))
 
     out.append(_adjoint_entry("lids", "adjoint of L is the dual Lefschetz operator",
@@ -475,7 +475,7 @@ def _lowering_failure(n, mode, basis):
             blk = lam.blocks.get((a, b))
             if blk is not None:
                 products.append((blk[1], basis[a, b]))
-            if not _products_vanish(products):
+            if _first_nonzero(products) is not None:
                 return {"bidegree": [a, b]}
     return None
 

@@ -21,7 +21,7 @@ from qkahler.fiber import (
     FiberForm, basis_bidegree, basis_degree, e_minus, e_plus,
 )
 from qkahler.hodge import (
-    certify_posdef, gram, hodge, hodge_operator, metric,
+    certify_posdef, combination_defect, gram, hodge, hodge_operator, metric,
 )
 from qkahler.lefschetz import (
     L_power, kappa, kappa_power, primitive_basis, to_coords,
@@ -31,7 +31,7 @@ from qkahler.linalg import ScalarMatrix
 from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, I, ONE, Q, Scalar, i_power, parse_scalar, qfact, qint,
 )
-from qkahler.uqsl2 import verify_lefschetz_identities
+from qkahler.uqsl2 import sl2_relations
 from qkahler.su2 import (
     A, B, C, D, antipode_u_entry, laplacian0_cp1, projective_coordinate,
     u_entry,
@@ -184,12 +184,13 @@ def test_07_deformed_commutation_identities(capsys):
     def check():
         for n in (1, 2, 3):
             for mode in (H_EQ_Q, H_EQ_ONE):
-                rep = verify_lefschetz_identities(n, mode)
-                if not rep["all_hold"]:
+                relations, _ = sl2_relations(n, mode)
+                if any((combination_defect(terms) is None) != expected
+                       for _, terms, expected in relations):
                     return False
-                lit = [c for c in rep["checks"]
-                       if c["relation"].startswith("literal")]
-                if len(lit) != 1 or lit[0]["expected"] != (mode is H_EQ_ONE):
+                lit = [expected for name, _, expected in relations
+                       if name.startswith("literal")]
+                if lit != [mode is H_EQ_ONE]:
                     return False
         return True
     _criterion(capsys, 7, "raising/middle/lowering commutation identities "

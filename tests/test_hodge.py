@@ -296,8 +296,9 @@ def test_graded_operator_algebra():
     ident = GradedOperator.diagonal(n, lambda a, b: ONE)
     assert lop @ ident == lop
     assert ident @ lop == lop
-    assert (lop - lop).is_zero()
-    assert lop.scale(Scalar.from_int(3)) - lop - lop - lop == lop.scale(ZERO)
+    assert lop.scale(ZERO) == GradedOperator(n, {})
+    assert combination_defect([(Scalar.from_int(3), [lop]), (-ONE, [lop]),
+                               (-ONE, [lop]), (-ONE, [lop])]) is None
     rng = random.Random(79)
     u = _random_form(rng, n, 1)
     assert lop.apply(u) == kappa(n).wedge(u)
@@ -496,16 +497,20 @@ def test_adjoint_defect_names_the_failing_bidegree():
             assert adjoint_defect(kop, kop, mode) is None
             for op, other in ((lop, lam.scale(-ONE)), (lop, lam.scale(Q)),
                               (lop, lop), (kop, kop.scale(Q))):
-                assert adjoint_defect(op, other, mode) == (0, 0)
+                assert adjoint_defect(op, other, mode)["bidegree"] == [0, 0]
             # a wrong entry in the block of (a, b) fails at (a-1, b-1), the
             # source of the L block that meets it
             for a, b in (min(lam.blocks), max(lam.blocks)):
-                assert adjoint_defect(lop, _with_entry_bumped(lam, (a, b)),
-                                      mode) == (a - 1, b - 1)
-            # a block nothing maps into fails at its own source
+                wit = adjoint_defect(lop, _with_entry_bumped(lam, (a, b)), mode)
+                assert wit["bidegree"] == [a - 1, b - 1]
+                assert wit["target"] == [a, b]
+            # a mistargeted back block, or a block nothing maps into, is
+            # named by its bidegree alone
+            assert adjoint_defect(lop, lop, mode) == {"bidegree": [0, 0]}
             extra = GradedOperator.diagonal(
                 n, lambda a, b: ONE if a == b == 0 else ZERO)
-            assert adjoint_defect(lop, lam + extra, mode) == (0, 0)
+            assert adjoint_defect(lop, GradedOperator(
+                n, {**lam.blocks, **extra.blocks}), mode) == {"bidegree": [0, 0]}
     with pytest.raises(ValueError):
         adjoint_defect(l_operator(1), l_operator(2))
 
@@ -650,9 +655,17 @@ def _sum_of(fracs):
     return acc
 
 
+def _frac_equal(x, y):
+    """Whether two dict fractions are equal, by cross-multiplication."""
+    neg = {0: (Fraction(-1), Fraction(0))}
+    return not dict_add(dict_mul(x[0], y[1]), dict_mul(dict_mul(y[0], x[1]), neg))
+
+
 def _dict_defect(terms):
     """The oracle for combination_defect: every chain multiplied out in the
-    dict fractions of tests/oracles.py, summed per (source, target)."""
+    dict fractions of tests/oracles.py, summed per (source, target).  The
+    first nonzero entry, by source, target, row and column, is returned as
+    ((source, target, row, col), value), else None."""
     groups = {}
     for c, factors in terms:
         for src, (tgt, mat) in factors[-1].blocks.items():
@@ -670,8 +683,21 @@ def _dict_defect(terms):
                 groups[(src, tgt)] = acc if old is None else [
                     [_frac_add(x, y) for x, y in zip(r0, r1)]
                     for r0, r1 in zip(old, acc)]
-    return min((src for (src, _), acc in groups.items()
-                if any(x[0] for r in acc for x in r)), default=None)
+    return min((((src, tgt, i, j), x) for (src, tgt), acc in groups.items()
+                for i, r in enumerate(acc) for j, x in enumerate(r) if x[0]),
+               key=lambda found: found[0], default=None)
+
+
+def _matches_oracle(witness, terms):
+    """Whether a combination_defect witness names the oracle's first
+    nonzero entry, with that entry's value."""
+    want = _dict_defect(terms)
+    if witness is None or want is None:
+        return witness is None and want is None
+    where, value = want
+    return (where == (tuple(witness["bidegree"]), tuple(witness["target"]),
+                      witness["row"], witness["col"])
+            and _frac_equal(_frac(parse_scalar(witness["defect"])), value))
 
 
 def _first_unequal(lhs, rhs):
@@ -682,7 +708,8 @@ def _first_unequal(lhs, rhs):
 def test_combination_defect_matches_canonical_products_and_the_oracle():
     """A B - C D with C = A x and D = B / x, over scrambled sparse blocks of
     Laurent polynomials and rational functions with shared and distinct
-    denominators, then with one entry of D bumped."""
+    denominators, then with one entry of D bumped: the witness names the
+    oracle's first nonzero entry and its value."""
     n = 2
     maps = (lambda a, b: (a, b), lambda a, b: (n - b, n - a),
             lambda a, b: (a + 1, b + 1))
@@ -698,10 +725,11 @@ def test_combination_defect_matches_canonical_products_and_the_oracle():
         for d in (d_op, _bumped(d_op, bump, rng)):
             terms = [(ONE, [a_op, b_op]), (-ONE, [c_op, d])]
             got = combination_defect(terms)
-            assert got == _first_unequal(a_op @ b_op, c_op @ d)
-            assert got == _dict_defect(terms)
-            assert got is None or (d is not d_op and got == bump)
-            found += got == bump
+            where = None if got is None else tuple(got["bidegree"])
+            assert where == _first_unequal(a_op @ b_op, c_op @ d)
+            assert _matches_oracle(got, terms)
+            assert got is None or (d is not d_op and where == bump)
+            found += where == bump
     assert found >= 6
     # three factors, a scalar term, and a prefix scaled by a fraction
     a_op = _scrambled_operator(rng, n, maps[0])
@@ -712,7 +740,9 @@ def test_combination_defect_matches_canonical_products_and_the_oracle():
     assert combination_defect(terms) is None
     assert _dict_defect(terms) is None
     terms[2] = (Q + ONE, [a_op])
-    assert combination_defect(terms) == _dict_defect(terms) == min(a_op.blocks)
+    got = combination_defect(terms)
+    assert got["bidegree"] == list(min(a_op.blocks))
+    assert _matches_oracle(got, terms)
 
 
 def test_combination_defect_groups_terms_by_source_and_target():
@@ -721,7 +751,8 @@ def test_combination_defect_groups_terms_by_source_and_target():
     # a chain that meets an absent block adds nothing at that source
     missing = GradedOperator.diagonal(
         n, lambda a, b: ZERO if (a, b) == (1, 1) else ONE)
-    assert combination_defect([(ONE, [missing, lop]), (-ONE, [lop])]) == (0, 0)
+    assert combination_defect([(ONE, [missing, lop]),
+                               (-ONE, [lop])])["bidegree"] == [0, 0]
     rest = GradedOperator(n, {s: blk for s, blk in lop.blocks.items()
                               if s != (0, 0)})
     assert combination_defect([(ONE, [missing, lop]), (-ONE, [rest])]) is None
@@ -730,9 +761,9 @@ def test_combination_defect_groups_terms_by_source_and_target():
     eye = linalg.ScalarMatrix.identity(2)
     to_self = GradedOperator(n, {(1, 0): ((1, 0), eye)})
     to_swap = GradedOperator(n, {(1, 0): ((0, 1), eye)})
-    assert combination_defect([(ONE, [to_self]), (-ONE, [to_swap])]) == (1, 0)
-    with pytest.raises(ValueError):
-        to_self - to_swap
+    assert combination_defect([(ONE, [to_self]), (-ONE, [to_swap])]) == {
+        "bidegree": [1, 0], "target": [0, 1], "row": 0, "col": 0,
+        "defect": "-1"}
     assert combination_defect([(ONE, [to_self]), (-ONE, [to_self]),
                                (ONE, [to_swap]), (-ONE, [to_swap])]) is None
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -16,7 +17,9 @@ from qkahler import cli, linalg, uqsl2, verify
 from qkahler.fiber import FiberForm
 from qkahler.hodge import GradedOperator
 from qkahler.lefschetz import kappa, primitive_basis
-from qkahler.scalars import H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, qint
+from qkahler.scalars import (
+    H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, qint, render_scalar,
+)
 from qkahler.verify import DEFAULT_Q_SAMPLES, SUITES, run_suites
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10)))
@@ -258,45 +261,105 @@ FAULTS = [
 ]
 
 
-def _canonical_sides(n, mode):
-    """Both sides of every lids relation, built as canonical operators from
-    the operators the suite reads."""
+def _first_entry(blocks):
+    """The witness of the first nonzero entry of {(src, tgt): matrix}, by
+    source, target, row and column, else None."""
+    for (src, tgt), mat in sorted(blocks.items()):
+        for r, row in enumerate(mat.rows):
+            for c, x in enumerate(row):
+                if x:
+                    return {"bidegree": list(src), "target": list(tgt),
+                            "row": r, "col": c, "defect": render_scalar(x)}
+    return None
+
+
+def _canonical_defect(terms):
+    """The first nonzero entry of the sum of c . X1 ... Xr over the terms,
+    every chain multiplied out canonically and summed per (src, tgt)."""
+    blocks = {}
+    for c, factors in terms:
+        op = reduce(GradedOperator.compose, factors).scale(c)
+        for src, (tgt, mat) in op.blocks.items():
+            old = blocks.get((src, tgt))
+            blocks[src, tgt] = mat if old is None else old + mat
+    return _first_entry(blocks)
+
+
+def _canonical_adjoint_defect(op, other, mode):
+    """The first failure of "other is the metric adjoint of op": a back
+    block missing or mistargeted, else the first nonzero entry of
+    M^T . G_tgt - G_src . conj(W), else a block of other that nothing
+    maps into."""
+    for src, (tgt, mat) in sorted(op.blocks.items()):
+        back, w = other.blocks.get(tgt, (None, None))
+        if back != src:
+            return {"bidegree": list(src)}
+        wit = _first_entry({(src, tgt): mat.transpose() @ hodge.gram(
+            op.n, *tgt, mode) - hodge.gram(op.n, *src, mode) @ w.conjugate()})
+        if wit is not None:
+            return wit
+    hit = {tgt for tgt, _ in op.blocks.values()}
+    extra = min((src for src in other.blocks if src not in hit), default=None)
+    return None if extra is None else {"bidegree": list(extra)}
+
+
+def _canonical_witnesses(n, mode):
+    """The witness of every hodge and lids identity entry, from lhs - rhs
+    built as canonical operators out of the operators the suites read."""
     h_op, k_op = uqsl2.h_operator(n, mode), uqsl2.k_operator(n, mode)
     k_inv = uqsl2.k_operator(n, mode, inverse=True)
     l_op, lam = uqsl2.l_operator(n), uqsl2.lambda_operator(n, mode)
     h2, hm2, two = mode.h_power(2), mode.h_power(-2), qint(2, mode)
     hdiff = mode.h_power(1) - mode.h_power(-1)
-    sides = {
-        HL: (h_op @ l_op - (l_op @ h_op).scale(hm2), (l_op @ k_op).scale(two)),
-        LLAM: (l_op @ lam - lam @ l_op, h_op),
-        HLAM: (h_op @ lam - (lam @ h_op).scale(h2), (lam @ k_op).scale(-two)),
-        KK: (k_op @ k_inv, GradedOperator.diagonal(n, lambda a, b: ONE)),
-        KL: (k_op @ l_op @ k_inv, l_op.scale(h2)),
-        KLAM: (k_op @ lam @ k_inv, lam.scale(hm2)),
-        LITERAL: (h_op @ lam - (lam @ h_op).scale(h2),
-                  (k_op @ lam).scale(-qint(2, mode, step=2))),
+    ident = GradedOperator.diagonal(n, lambda a, b: ONE)
+    sign = GradedOperator.diagonal(n, lambda a, b: -ONE if (a + b) % 2 else ONE)
+    star_op = verify.hodge_operator(n, mode)
+    star = GradedOperator(n, {(a, b): ((b, a), verify.star_matrix(n, a, b))
+                              for a in range(n + 1) for b in range(n + 1)})
+    conj = GradedOperator(n, {src: (tgt, mat.conjugate())
+                              for src, (tgt, mat) in star_op.blocks.items()})
+    terms = {
+        SQUARE: [(ONE, [star_op, star_op]), (-ONE, [sign])],
+        STAR: [(ONE, [star_op, star]), (-ONE, [star, conj])],
+        HL: [(ONE, [h_op, l_op]), (-hm2, [l_op, h_op]), (-two, [l_op, k_op])],
+        LLAM: [(ONE, [l_op, lam]), (-ONE, [lam, l_op]), (-ONE, [h_op])],
+        HLAM: [(ONE, [h_op, lam]), (-h2, [lam, h_op]), (two, [lam, k_op])],
+        KK: [(ONE, [k_op, k_inv]), (-ONE, [ident])],
+        KL: [(ONE, [k_op, l_op, k_inv]), (-h2, [l_op])],
+        KLAM: [(ONE, [k_op, lam, k_inv]), (-hm2, [lam])],
+        LITERAL: [(ONE, [h_op, lam]), (-h2, [lam, h_op]),
+                  (qint(2, mode, step=2), [k_op, lam])],
     }
     if hdiff:
-        sides[CASIMIR] = (l_op @ lam - lam @ l_op,
-                          (k_op - k_inv).scale(ONE / hdiff))
-    return sides
+        terms[CASIMIR] = [(ONE, [l_op, lam]), (-ONE, [lam, l_op]),
+                          (-ONE / hdiff, [k_op]), (ONE / hdiff, [k_inv])]
+    out = {name: _canonical_defect(t) for name, t in terms.items()}
+    h_op, k_op = verify.h_operator(n, mode), verify.k_operator(n, mode)
+    for name, op, other in (
+            (UNITARY, star_op, star_op @ sign),
+            (ADJ_L, verify.l_operator(n), verify.lambda_operator(n, mode)),
+            (ADJ_H, h_op, h_op), (ADJ_K, k_op, k_op)):
+        out[name] = _canonical_adjoint_defect(op, other, mode)
+    return out
 
 
 @pytest.mark.parametrize("fault, mode, failing", FAULTS)
 def test_each_identity_entry_fails_under_its_fault(monkeypatch, fault, mode,
                                                    failing):
+    """Under each fault exactly the listed hodge and lids entries fail, and
+    each identity entry names the first nonzero entry of lhs - rhs built
+    canonically; the rank-2 tables carry no witness."""
     n = 2
     entries, failures = run_suites(["hodge", "lids"], n, mode)
     assert not failures
     fault(monkeypatch)
     entries, failures = run_suites(["hodge", "lids"], n, mode)
     assert {e["name"] for e in failures} == failing
-    sides = _canonical_sides(n, mode)
+    witnesses = _canonical_witnesses(n, mode)
     for e in failures:
-        if e["name"] in sides:
-            assert e["witness"] == uqsl2._first_difference(*sides[e["name"]])
-        elif e["suite"] == "lids":
-            assert e["witness"]["bidegree"]
+        want = witnesses.get(e["name"])
+        assert want is not None or e["name"].startswith("rank-2 table")
+        assert e.get("witness") == want, e["name"]
 
 
 KILLED = ("every seed is killed by the lowering operator and lives for "
