@@ -185,6 +185,7 @@ def cmd_verify(args, mode) -> tuple:
 
 
 def cmd_laplacian_cp1(args, mode) -> tuple:
+    _check_rank(args.rank)
     rep = verify_cp1_laplacian()
     failures = [{"suite": "cp1-laplacian", "name": c["name"], "status": "fail"}
                 for c in rep["checks"] if not c["holds"]]

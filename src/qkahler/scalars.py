@@ -10,8 +10,10 @@ is a dictionary comparison.
 
 from __future__ import annotations
 
+import ast
 import functools
 import inspect
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -696,27 +698,23 @@ def qbinom(m: int, r: int, mode: HodgeMode = H_EQ_Q) -> Scalar:
 # Canonical text form
 # ---------------------------------------------------------------------------
 
-def _render_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def _render_gaussian(c: GaussianRational) -> str:
     if not c.im:
-        return _render_fraction(c.re)
+        return str(c.re)
     if not c.re:
         if c.im == 1:
             return "i"
         if c.im == -1:
             return "-i"
-        return f"{_render_fraction(c.im)}*i"
-    s = _render_fraction(c.re)
+        return f"{c.im}*i"
+    s = str(c.re)
     if c.im == 1:
         return f"{s}+i"
     if c.im == -1:
         return f"{s}-i"
     if c.im > 0:
-        return f"{s}+{_render_fraction(c.im)}*i"
-    return f"{s}-{_render_fraction(-c.im)}*i"
+        return f"{s}+{c.im}*i"
+    return f"{s}-{-c.im}*i"
 
 
 def _q_power_str(e: int) -> str:
@@ -731,10 +729,10 @@ def _render_term(c: GaussianRational, e: int, lead: bool) -> str:
     qs = _q_power_str(e)
     if c.is_real() and c.re > 0:
         sign = "" if lead else " + "
-        mag = None if c.re == 1 else _render_fraction(c.re)
+        mag = None if c.re == 1 else str(c.re)
     elif c.is_real():
         sign = "-" if lead else " - "
-        mag = None if c.re == -1 else _render_fraction(-c.re)
+        mag = None if c.re == -1 else str(-c.re)
     else:
         if not qs:
             return _render_gaussian(c) if lead else f" + ({_render_gaussian(c)})"
@@ -803,104 +801,80 @@ def _is_simple(cs: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Parser for the same grammar (plus ordinary +-*/^ arithmetic)
+# Parser: the rendered grammar is Python's with ^ for **, so ast parses it
+# and one walk evaluates the tree over a whitelist.  Nothing is executed.
 # ---------------------------------------------------------------------------
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*/^()":
-                self.toks.append(ch)
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(int(text[i:j]))
-                i = j
-            elif ch in ("q", "i"):
-                self.toks.append(ch)
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in scalar text")
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ValueError("unexpected end of scalar text")
-        self.pos += 1
-        return t
+_SCALAR_CHARS = frozenset("0123456789qi+-*/^()")
+_NAMES = {"q": Q, "i": I}
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub,
+          ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse the canonical rendering (and any +-*/^ expression over q, i)."""
-    tk = _Tokens(text)
-    val = _parse_sum(tk)
-    if tk.peek() is not None:
-        raise ValueError(f"trailing input in scalar text at token {tk.peek()!r}")
-    return val
+    """Parse integers, q and i under unary +-, binary +-*/ and ^ to a signed
+    integer literal.  Malformed text, or a sum too long for ast (a few
+    thousand terms), raises ValueError; division by zero raises
+    ZeroDivisionError."""
+    for ch in text:
+        if ch not in _SCALAR_CHARS and not ch.isspace():
+            raise ValueError(f"unexpected character {ch!r} in scalar text")
+    if "**" in text:
+        raise ValueError("powers in scalar text are written with '^'")
+    try:
+        tree = ast.parse(" ".join(text.split()).replace("^", "**"),
+                         mode="eval")
+    except SyntaxError as e:
+        raise ValueError(f"malformed scalar text: {e.msg}") from None
+    except (RecursionError, MemoryError):
+        # how CPython's parser reports nesting deeper than its stacks
+        raise ValueError("scalar text is nested too deeply") from None
+    return _evaluate(tree.body)
 
 
-def _parse_sum(tk) -> Scalar:
-    acc = _parse_product(tk)
-    while tk.peek() in ("+", "-"):
-        op = tk.next()
-        rhs = _parse_product(tk)
-        acc = acc + rhs if op == "+" else acc - rhs
+def _evaluate(node) -> Scalar:
+    # a loop down the left spine, so a long sum costs no recursion per term
+    spine = []
+    while isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
+        spine.append(node)
+        node = node.left
+    acc = _evaluate_factor(node)
+    for b in reversed(spine):
+        acc = _ARITH[type(b.op)](acc, _evaluate(b.right))
     return acc
 
 
-def _parse_product(tk) -> Scalar:
-    acc = _parse_factor(tk)
-    while tk.peek() in ("*", "/"):
-        op = tk.next()
-        rhs = _parse_factor(tk)
-        acc = acc * rhs if op == "*" else acc / rhs
-    return acc
+def _evaluate_factor(node) -> Scalar:
+    negate, node = _strip_signs(node)
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
+        val = _evaluate(node)
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base = _evaluate(node.left)
+        eneg, e = _strip_signs(node.right)
+        if not _is_int(e):
+            raise ValueError("exponent must be a signed integer literal")
+        val = _scalar_int_pow(base, -e.value if eneg else e.value)
+    elif isinstance(node, ast.Name) and node.id in _NAMES:
+        val = _NAMES[node.id]
+    elif _is_int(node):
+        val = Scalar.from_int(node.value)
+    else:
+        raise ValueError(f"unexpected {type(node).__name__} in scalar text")
+    return -val if negate else val
 
 
-def _parse_factor(tk) -> Scalar:
-    sign = 1
-    while tk.peek() in ("+", "-"):
-        if tk.next() == "-":
-            sign = -sign
-    base = _parse_atom(tk)
-    if tk.peek() == "^":
-        tk.next()
-        esign = 1
-        while tk.peek() in ("+", "-"):
-            if tk.next() == "-":
-                esign = -esign
-        e = tk.next()
-        if not isinstance(e, int):
-            raise ValueError("exponent must be an integer")
-        base = _scalar_int_pow(base, esign * e)
-    return base if sign == 1 else -base
+def _strip_signs(node):
+    """(whether a run of unary + and - negates, the operand under it)."""
+    negate = False
+    while (isinstance(node, ast.UnaryOp)
+           and isinstance(node.op, (ast.UAdd, ast.USub))):
+        negate ^= isinstance(node.op, ast.USub)
+        node = node.operand
+    return negate, node
 
 
-def _parse_atom(tk) -> Scalar:
-    t = tk.next()
-    if t == "(":
-        v = _parse_sum(tk)
-        if tk.next() != ")":
-            raise ValueError("unbalanced parenthesis in scalar text")
-        return v
-    if t == "q":
-        return Q
-    if t == "i":
-        return I
-    if isinstance(t, int):
-        return Scalar.from_int(t)
-    raise ValueError(f"unexpected token {t!r} in scalar text")
+def _is_int(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int
 
 
 def _scalar_int_pow(s: Scalar, e: int) -> Scalar:

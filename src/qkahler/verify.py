@@ -10,7 +10,7 @@ selection and aggregates the failures.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .scalars import (
@@ -566,18 +566,16 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 def suite_posdef(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
     for q0 in q_samples:
-        all_ok = True
         wit = None
-        for a in range(n + 1):
-            for b in range(n + 1):
-                cert = certify_posdef(gram(n, a, b, mode), q0)
-                if not cert.positive_definite:
-                    all_ok = False
-                    wit = {"bidegree": [a, b], "q0": str(q0),
-                           "reason": cert.reason}
+        for a, b in product(range(n + 1), repeat=2):
+            cert = certify_posdef(gram(n, a, b, mode), q0)
+            if not cert.positive_definite:
+                wit = {"bidegree": [a, b], "q0": str(q0),
+                       "reason": cert.reason}
+                break
         out.append(_entry("posdef",
                           f"all Gram blocks positive definite at q0 = {q0}",
-                          all_ok, witness=wit))
+                          wit is None, witness=wit))
     return out
 
 

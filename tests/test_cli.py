@@ -52,9 +52,14 @@ def test_basis_command_text(capsys):
     assert "dimension 20" in out
 
 
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_rejects_a_rank_outside_1_to_6(capsys, command):
+    for n in ("0", "7", "9", "99"):
+        code, out, err = _run(capsys, [command, "-n", n, "--json"])
+        assert code == 2 and "rank" in err and out == ""
+
+
 def test_basis_command_rejects_bad_input(capsys):
-    code, out, err = _run(capsys, ["basis", "-n", "9"])
-    assert code == 2 and "rank" in err
     code, _, err = _run(capsys, ["basis", "-n", "2", "-k", "7"])
     assert code == 2 and "degree" in err
     code, _, err = _run(capsys, ["basis", "-n", "2", "--bidegree", "5,0"])

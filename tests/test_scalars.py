@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -401,6 +402,91 @@ def test_render_parse_round_trip():
         ("1/2*q^3", Scalar.q_power(3) / Scalar.from_int(2)),
     ]:
         assert parse_scalar(text) == want
+
+
+@pytest.mark.parametrize("text", [
+    "", "q q", "2q", "1.5", "x", "q**2", "q^q", "q^1.5", "(q", "q)",
+    "abs(q)", "q.real", "i^2^2", "1_000", "2j", "[q]", "'q'", "1e3",
+    "q // 2", "~q", "lambda: q", "__import__('os')", "007", "0^-1^+3",
+    "2(q)", "()", "qi",
+])
+def test_parse_scalar_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+def test_parse_scalar_spacing_signs_and_division_by_zero():
+    assert parse_scalar(" q\n+\t1 ") == Q + ONE
+    assert parse_scalar("q^(2)") == parse_scalar("q^--2") == Q * Q
+    assert parse_scalar("-q^2") == -(Q * Q)
+    assert parse_scalar("2*-i") == -(I + I)
+    for text in ("1/0", "0^-1", "q/(q - q)", "(1/0)^q"):
+        with pytest.raises(ZeroDivisionError):
+            parse_scalar(text)
+
+
+# Precedence of a printed subexpression, loosest first.
+SUM, PRODUCT, SIGNED, POWER, ATOM = range(5)
+
+
+def _random_expression(rng, depth):
+    """(text, precedence, value) of a random expression tree, printed with
+    the parentheses its precedence needs plus some redundant ones and
+    redundant signs; the value is computed with Scalar arithmetic."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        k = rng.randrange(13)
+        text, prec, value = rng.choice(
+            [("q", ATOM, Q), ("i", ATOM, I), (str(k), ATOM, Scalar.from_int(k))])
+    elif r < 0.75:
+        op = rng.choice("+-*/")
+        left, right = (_random_expression(rng, depth - 1) for _ in range(2))
+        if op == "/" and not right[2]:
+            op = "*"
+        prec = SUM if op in "+-" else PRODUCT
+        lt = _wrap(left, prec)
+        rt = _wrap(right, prec + 1 if op in "+-" else SIGNED)
+        text = f"{lt} {op} {rt}" if rng.random() < 0.5 else f"{lt}{op}{rt}"
+        value = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                 "/": operator.truediv}[op](left[2], right[2])
+    elif r < 0.85:
+        inner = _random_expression(rng, depth - 1)
+        text, prec, value = f"-{_wrap(inner, SIGNED)}", SIGNED, -inner[2]
+    else:
+        base = _random_expression(rng, depth - 1)
+        e = rng.randint(-3, 3) if base[2] else rng.randint(0, 3)
+        power = ONE
+        for _ in range(abs(e)):
+            power = power * base[2]
+        value = power if e >= 0 else ONE / power
+        exponent = rng.choice(["", "+", "--"]) + str(e)
+        text, prec = f"{_wrap(base, ATOM)}^{exponent}", POWER
+    if rng.random() < 0.1:
+        text, prec = f"({text})", ATOM
+    elif rng.random() < 0.1 and prec >= SIGNED:
+        text, prec = rng.choice(["+", "--", "+-+-"]) + text, SIGNED
+    return text, prec, value
+
+
+def _wrap(expr, need):
+    text, prec, _ = expr
+    return text if prec >= need else f"({text})"
+
+
+def test_parse_scalar_matches_scalar_arithmetic_on_random_trees():
+    rng = random.Random(2026)
+    for _ in range(300):
+        text, _, value = _random_expression(rng, rng.randint(1, 4))
+        assert parse_scalar(text) == value, text
+
+
+def test_parse_scalar_edge_sizes():
+    assert parse_scalar(" + ".join(["1"] * 1500)) == Scalar.from_int(1500)
+    assert parse_scalar("*".join(["q"] * 1500)) == Scalar.q_power(1500)
+    with pytest.raises(ValueError):
+        parse_scalar(" + ".join(["1"] * 10000))
+    with pytest.raises(ValueError):
+        parse_scalar("(" * 300 + "q" + ")" * 300)
 
 
 def test_hodge_mode_powers_and_labels():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -101,6 +102,26 @@ def test_posdef_suite_certifies_the_requested_mode(monkeypatch):
         _, failures = run_suites(["posdef"], 2, mode)
         assert not failures
         assert asked == {mode}
+
+
+def test_posdef_witness_names_the_first_failing_block(monkeypatch):
+    real_certify = verify.certify_posdef
+
+    def reject_2x2(block, q0):
+        cert = real_certify(block, q0)
+        if len(block.rows) != 2:
+            return cert
+        return dataclasses.replace(cert, positive_definite=False,
+                                   reason="rejected")
+
+    # At n = 2 the 2x2 blocks are (0,1), (1,0), (1,2) and (2,1).
+    monkeypatch.setattr(verify, "certify_posdef", reject_2x2)
+    entries, failures = run_suites(["posdef"], 2, H_EQ_Q)
+    assert len(failures) == len(entries) == len(DEFAULT_Q_SAMPLES)
+    for entry, q0 in zip(entries, DEFAULT_Q_SAMPLES):
+        assert entry["status"] == "fail"
+        assert entry["witness"] == {"bidegree": [0, 1], "q0": q0,
+                                    "reason": "rejected"}
 
 
 def test_cp1_suite_reports_the_eigenvalue():
