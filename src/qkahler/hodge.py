@@ -37,8 +37,7 @@ from .fiber import FiberForm, BasisMonomial, basis_bidegree
 from . import linalg
 from .linalg import ScalarMatrix, LDLCertificate
 from .lefschetz import (
-    L_power, l_matrix, primitive_basis, string_columns, string_basis_inverse,
-    to_coords, from_coords,
+    l_matrix, string_columns, string_basis_inverse, to_coords, from_coords,
 )
 
 
@@ -65,13 +64,14 @@ def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatri
     if len(cols) != len(src):
         raise ArithmeticError(
             f"string basis of ({a},{b}) has wrong size: {len(cols)} != {len(src)}")
+    members = {(j, seed, idx): form
+               for j, seed, idx, form in string_columns(n, n - b, n - a)}
     images = []
     for j, (ap, bp), idx, _form in cols:
         kp = ap + bp
         sign = -ONE if (kp * (kp + 1) // 2) % 2 else ONE
         coeff = sign * i_power(ap - bp) * qfact(j, mode) / qfact(n - j - kp, mode)
-        seed = primitive_basis(n, ap, bp)[idx]
-        images.append(L_power(seed, n - j - kp).scale(coeff))
+        images.append(members[n - j - kp, (ap, bp), idx].scale(coeff))
     c_mat = ScalarMatrix.from_columns([to_coords(f, tgt) for f in images], len(tgt))
     return c_mat @ string_basis_inverse(n, a, b)
 

@@ -28,7 +28,7 @@ from .linalg import ScalarMatrix
 from .hodge import (
     GradedOperator, hodge, hodge_operator, metric, gram, certify_posdef,
     serre_pairing, adjoint_defect, combination_defect, l_operator,
-    lambda_apply, lambda_operator, star_matrix, vol, _first_nonzero,
+    lambda_operator, star_matrix, vol, _first_nonzero,
 )
 from .uqsl2 import h_operator, k_operator, sl2_relations
 from .su2 import verify_cp1_laplacian
@@ -356,37 +356,43 @@ def _level_rescaling_failure(n, mode):
     return None
 
 
+def _first_bidegree(n, holds):
+    """{"bidegree": [a, b]} of the first (a, b) where holds(a, b) fails."""
+    for a, b in product(range(n + 1), repeat=2):
+        if not holds(a, b):
+            return {"bidegree": [a, b]}
+    return None
+
+
 def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
 
-    ok = True
-    for a in range(n + 1):
-        for b in range(n + 1):
-            g = gram(n, a, b, mode)
-            if g != g.transpose().conjugate():
-                ok = False
-    out.append(_entry("metric", "Gram blocks are conjugate-symmetric", ok))
+    wit = _first_bidegree(n, lambda a, b: gram(n, a, b, mode)
+                          == gram(n, a, b, mode).transpose().conjugate())
+    out.append(_entry("metric", "Gram blocks are conjugate-symmetric",
+                      wit is None, witness=wit))
 
-    # one degree, so metric(u, v) is vol(u ^ hodge(star(v))): one image per v
-    ok = True
-    for k in range(2 * n + 1):
-        mons = basis_degree(n, k)
-        images = [hodge(_mono_form(n, mv).star(), mode) for mv in mons]
-        for mu in mons:
-            u = _mono_form(n, mu)
-            for mv, w in zip(mons, images):
-                if mu.bidegree != mv.bidegree and vol(u.wedge(w)):
-                    ok = False
-    out.append(_entry("metric", "distinct bidegrees are orthogonal", ok))
+    # metric(u, m) = vol(u ^ w), w = hodge(star(m)) in (n-a, n-b) for m in
+    # (a, b).  The wedge is bigraded: a same-degree u in (a', b') != (a, b)
+    # has a' > a or b' > b, so u ^ w lies in (a'+n-a, b'+n-b), where one
+    # index count exceeds n and no monomial exists.  A u of another degree
+    # misses degree 2n, the only one vol reads.  No Gram block is read.
+    images = [(m, hodge(_mono_form(n, m).star(), mode))
+              for k in range(2 * n + 1) for m in basis_degree(n, k)]
+    for name, lands in (
+            ("distinct bidegrees are orthogonal", lambda m, t:
+             t.bidegree == (n - m.bidegree[0], n - m.bidegree[1])),
+            ("distinct degrees pair to zero", lambda m, t:
+             t.degree == 2 * n - m.degree)):
+        bad = next((m for m, w in images
+                    if not all(lands(m, t) for t in w.terms)), None)
+        out.append(_entry("metric", name, bad is None, witness=None
+                          if bad is None else {"monomial": str(bad)}))
 
-    ok = all(not metric(_mono_form(n, mu), _mono_form(n, mv), mode)
-             for k in range(2 * n) for mu in basis_degree(n, k)
-             for mv in basis_degree(n, k + 1))
-    out.append(_entry("metric", "distinct degrees pair to zero", ok))
-
-    ok = all(linalg.rank(serre_pairing(n, a, b)) == len(basis_bidegree(n, a, b))
-             for a in range(n + 1) for b in range(n + 1))
-    out.append(_entry("metric", "top-degree wedge pairing is nondegenerate", ok))
+    wit = _first_bidegree(n, lambda a, b: linalg.rank(serre_pairing(n, a, b))
+                          == len(basis_bidegree(n, a, b)))
+    out.append(_entry("metric", "top-degree wedge pairing is nondegenerate",
+                      wit is None, witness=wit))
 
     wit = _level_rescaling_failure(n, mode)
     out.append(_entry("metric",
@@ -439,12 +445,12 @@ def _seed_failure(n, seeds, killed):
     """The first seed, by bidegree then index, that Lambda does not kill or
     whose string L^j(seed) does not end exactly at j = n-k, named with the
     condition it fails, else None.  `seeds` maps each bidegree to its
-    primitive basis and `killed` to one bool per seed."""
+    primitive basis and `killed` to its first unkilled seed index or None."""
     for (a, b), ss in seeds.items():
-        for idx, (seed, dead) in enumerate(zip(ss, killed[a, b])):
+        for idx, seed in enumerate(ss):
             top = L_power(seed, n - a - b)
             for condition, holds in (
-                    ("killed by the lowering operator", dead),
+                    ("killed by the lowering operator", killed[a, b] != idx),
                     ("L^(n-k) is nonzero", bool(top)),
                     ("L^(n-k+1) is zero", not L(top))):
                 if not holds:
@@ -480,19 +486,20 @@ def _lowering_failure(n, mode, basis):
     return None
 
 
-def _lambda_kernel_failure(n, mode, killed):
+def _lambda_kernel_failure(n, mode, seeds, killed):
     """The first degree k where the primitive forms are not exactly the
-    kernel of Lambda on V^k, else None: every seed is killed (`killed`
-    maps each seed bidegree to one bool per seed) and dim V^k minus the
-    exact rank of the Lambda blocks equals dim P^k."""
+    kernel of Lambda on V^k, else None: every seed is killed (`seeds` and
+    `killed` as in `_seed_failure`) and dim V^k minus the exact rank of the
+    Lambda blocks equals dim P^k."""
     lam = lambda_operator(n, mode)
     for k in range(2 * n + 1):
         bidegrees = [(k - b, b) for b in range(k + 1) if k - b <= n and b <= n]
-        dead = [x for bd in bidegrees for x in killed.get(bd, ())]
+        dead = all(killed.get(bd) is None for bd in bidegrees)
         kernel_dim = sum(len(basis_bidegree(n, *bd)) for bd in bidegrees) \
             - sum(linalg.rank(lam.blocks[bd][1])
                   for bd in bidegrees if bd in lam.blocks)
-        if not all(dead) or kernel_dim != len(dead):
+        if not dead or kernel_dim != sum(len(seeds.get(bd, ()))
+                                         for bd in bidegrees):
             return {"degree": k}
     return None
 
@@ -505,8 +512,15 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out.append(_entry("strings", "string members count the whole fiber",
                       total == 4 ** n, detail=f"{total} of {4 ** n}"))
 
-    killed = {bd: [not lambda_apply(s, mode) for s in ss]
-              for bd, ss in seeds.items()}
+    # seed i is killed when row i of P^T . Lambda_(a,b)^T is zero, P the
+    # seed coordinates; an absent Lambda block kills every seed
+    lam, killed = lambda_operator(n, mode).blocks, {}
+    for bd, ss in seeds.items():
+        basis = basis_bidegree(n, *bd)
+        pt = ScalarMatrix([to_coords(s, basis) for s in ss],
+                          ncols=len(basis))
+        bad = bd in lam and _first_nonzero([(pt, lam[bd][1].transpose())])
+        killed[bd] = bad[0] if bad else None
     wit = _seed_failure(n, seeds, killed)
     out.append(_entry("strings",
                       "every seed is killed by the lowering operator and "
@@ -525,7 +539,7 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
                       "lowering factor [j]_h [n-j-k+1]_h along every string",
                       wit is None, witness=wit))
 
-    wit = _lambda_kernel_failure(n, mode, killed)
+    wit = _lambda_kernel_failure(n, mode, seeds, killed)
     out.append(_entry("strings",
                       "primitives are exactly the lowering kernel, by rank",
                       wit is None, witness=wit))

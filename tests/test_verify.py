@@ -19,7 +19,7 @@ from qkahler.fiber import FiberForm
 from qkahler.hodge import GradedOperator
 from qkahler.lefschetz import kappa, primitive_basis
 from qkahler.scalars import (
-    H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, qint, render_scalar,
+    H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, ZERO, qint, render_scalar,
 )
 from qkahler.verify import DEFAULT_Q_SAMPLES, SUITES, run_suites
 
@@ -418,6 +418,97 @@ def test_each_string_and_metric_entry_fails_under_its_fault(monkeypatch, fault,
     fault(monkeypatch)
     entries, failures = run_suites(["strings", "metric"], 2, H_EQ_Q)
     assert {e["name"]: e.get("witness") for e in failures} == failing
+
+
+BIDEGREES = "distinct bidegrees are orthogonal"
+DEGREES = "distinct degrees pair to zero"
+SYMMETRIC = "Gram blocks are conjugate-symmetric"
+NONDEGENERATE = "top-degree wedge pairing is nondegenerate"
+
+# At n = 2 the image hodge(star(e+[1])) lies in bidegree (1, 2).  A stray
+# term in (2, 1) keeps its degree; one in (1, 1) does not, and `metric`,
+# which reads the Gram blocks, never sees either.
+GRADING_FAULTS = [
+    (FiberForm.monomial(2, [1, 2], [1]), {BIDEGREES}),
+    (FiberForm.monomial(2, [1], [1]), {BIDEGREES, DEGREES}),
+]
+
+
+@pytest.mark.parametrize("stray, failing", GRADING_FAULTS,
+                         ids=["same-degree", "other-degree"])
+def test_grading_entries_name_the_monomial_whose_image_strays(monkeypatch,
+                                                              stray, failing):
+    true, source = verify.hodge, verify.e_plus(2, 1).star()
+
+    def faulted(u, mode=H_EQ_Q):
+        w = true(u, mode)
+        return w + stray if u == source else w
+
+    monkeypatch.setattr(verify, "hodge", faulted)
+    failures = [e for e in verify.suite_metric(2) if e["status"] == "fail"]
+    assert {e["name"]: e.get("witness") for e in failures} == \
+        dict.fromkeys(failing, {"monomial": "e+[1]"})
+
+
+def _gram_off_diagonal_fault(monkeypatch):
+    true = verify.gram
+
+    def faulted(n, a, b, mode=H_EQ_Q):
+        g = true(n, a, b, mode)
+        if (a, b) != (1, 0):
+            return g
+        rows = [list(r) for r in g.rows]
+        rows[0][1] = rows[0][1] + ONE
+        return linalg.ScalarMatrix(rows)
+
+    monkeypatch.setattr(verify, "gram", faulted)
+
+
+def _serre_pairing_fault(monkeypatch):
+    true = verify.serre_pairing
+
+    def faulted(n, a, b):
+        p = true(n, a, b)
+        return p.scale(ZERO) if (a, b) == (1, 0) else p
+
+    monkeypatch.setattr(verify, "serre_pairing", faulted)
+
+
+@pytest.mark.parametrize("fault, name", [
+    (_gram_off_diagonal_fault, SYMMETRIC),
+    (_serre_pairing_fault, NONDEGENERATE),
+], ids=["gram-entry-0-1", "serre-block-1-0"])
+def test_metric_block_entries_name_their_first_failing_block(monkeypatch,
+                                                             fault, name):
+    """At n = 2 the blocks of (0,0) and (0,1) come before (1,0), and pass."""
+    fault(monkeypatch)
+    entry, = [e for e in verify.suite_metric(2) if e["name"] == name]
+    assert entry["status"] == "fail"
+    assert entry["witness"] == {"bidegree": [1, 0]}
+
+
+def test_metric_suite_pairs_no_forms_beyond_the_serre_pairing(monkeypatch):
+    """With every cache warm, the metric suite at n = 3 calls no `metric`,
+    and its only wedges are those of the Serre pairings, sum over (a, b)
+    of dim V^(a,b) . dim V^(3-a,3-b) = 20^2 = 400."""
+    n = 3
+    assert not [e for e in verify.suite_metric(n) if e["status"] == "fail"]
+    calls = {"metric": 0, "wedge": 0}
+    metric, wedge = verify.metric, FiberForm.wedge
+
+    def counting_metric(*args):
+        calls["metric"] += 1
+        return metric(*args)
+
+    def counting_wedge(self, other):
+        calls["wedge"] += 1
+        return wedge(self, other)
+
+    monkeypatch.setattr(verify, "metric", counting_metric)
+    monkeypatch.setattr(FiberForm, "wedge", counting_wedge)
+    assert not [e for e in verify.suite_metric(n) if e["status"] == "fail"]
+    assert calls["metric"] == 0
+    assert calls["wedge"] <= 400
 
 
 def test_generator_relations_name_their_first_failure(monkeypatch):
