@@ -7,8 +7,9 @@ The Hodge map is defined level by level on the string basis: a primitive
 
 extended linearly.  The quantum-integer base h is a mode: the deformation
 parameter itself, 1, or a fixed positive rational.  On each (a, b) component
-the map is assembled as a matrix through the string basis, so applying it to
-arbitrary forms costs one matrix-vector product.
+the map is assembled as a matrix through the string basis, by one
+elimination per block, so applying it to arbitrary forms costs one
+matrix-vector product.
 
 The metric is g(u, v) = vol(u ^ hodge(star(v))).  Different bidegrees are
 orthogonal, so it is stored as one Gram block per bidegree and evaluated on
@@ -37,7 +38,7 @@ from .fiber import FiberForm, BasisMonomial, basis_bidegree
 from . import linalg
 from .linalg import ScalarMatrix, LDLCertificate
 from .lefschetz import (
-    l_matrix, string_columns, string_basis_inverse, to_coords, from_coords,
+    l_matrix, string_columns, string_basis_matrix, to_coords, from_coords,
 )
 
 
@@ -57,7 +58,13 @@ def vol(u: FiberForm) -> Scalar:
 
 @memoize
 def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
-    """Matrix of the Hodge map from the (a, b) to the (n-b, n-a) component."""
+    """Matrix of the Hodge map from the (a, b) to the (n-b, n-a) component.
+
+    The map is known on the string basis: H . S = C, with S the string
+    members of (a, b) in monomial coordinates and C their Hodge images.  H
+    comes from one elimination of S^T . H^T = C^T, with no inverse of S and
+    no block product; exact arithmetic makes it unique.
+    """
     src = basis_bidegree(n, a, b)
     tgt = basis_bidegree(n, n - b, n - a)
     cols = string_columns(n, a, b)
@@ -72,8 +79,8 @@ def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatri
         sign = -ONE if (kp * (kp + 1) // 2) % 2 else ONE
         coeff = sign * i_power(ap - bp) * qfact(j, mode) / qfact(n - j - kp, mode)
         images.append(members[n - j - kp, (ap, bp), idx].scale(coeff))
-    c_mat = ScalarMatrix.from_columns([to_coords(f, tgt) for f in images], len(tgt))
-    return c_mat @ string_basis_inverse(n, a, b)
+    c_t = ScalarMatrix([to_coords(f, tgt) for f in images], ncols=len(tgt))
+    return linalg.solve(string_basis_matrix(n, a, b).transpose(), c_t).transpose()
 
 
 def hodge(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
@@ -156,8 +163,10 @@ def certify_posdef(block: ScalarMatrix, q0) -> LDLCertificate:
     return linalg.hermitian_ldl(entries, q0)
 
 
+@memoize
 def serre_pairing(n: int, a: int, b: int) -> ScalarMatrix:
-    """Wedge-to-volume pairing of the (a, b) and (n-a, n-b) components."""
+    """Wedge-to-volume pairing of the (a, b) and (n-a, n-b) components,
+    cached per (n, a, b): `gram` and the metric suite share one block."""
     left = basis_bidegree(n, a, b)
     right = basis_bidegree(n, n - a, n - b)
     rows = []

@@ -6,8 +6,9 @@ raises (a, b) to (a+1, b+1).  Primitive elements of degree k are those
 killed by the (n-k+1)-st power; each degree-k primitive seed generates a
 string L^0, L^1, ..., L^(n-k) and the strings of all seeds form a basis of
 the whole algebra.  Its change of basis to monomial coordinates, S, is
-inverted once per bidegree in `string_basis_inverse`; the Hodge blocks of
-every mode and lefschetz_decompose all read that one inverse.
+inverted once per bidegree in `string_basis_inverse`, for
+lefschetz_decompose alone: each Hodge block is one elimination of
+H . S = C in `hodge.hodge_block`, with no inverse of S.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ def string_basis_matrix(n: int, a: int, b: int) -> ScalarMatrix:
 def string_basis_inverse(n: int, a: int, b: int) -> ScalarMatrix:
     """Inverse of the string basis matrix: monomial coordinates of the (a, b)
     component to string coordinates.  No Hodge parameter enters, so one
-    inverse per (n, a, b) serves every mode."""
+    inverse per (n, a, b) serves every mode.  Only `lefschetz_decompose`
+    reads it; the Hodge blocks solve H . S = C instead."""
     return linalg.inverse(string_basis_matrix(n, a, b))
 
 

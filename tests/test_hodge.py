@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -23,7 +24,7 @@ from qkahler.hodge import (
 )
 from qkahler.lefschetz import (
     L_power, from_coords, kappa, kappa_power, l_matrix, primitive_basis,
-    string_columns, to_coords,
+    string_basis_matrix, string_columns, to_coords,
 )
 from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, PoleError, Q, Scalar, ZERO,
@@ -31,7 +32,10 @@ from qkahler.scalars import (
 )
 from qkahler.uqsl2 import h_operator, k_operator
 
-from oracles import dict_add, dict_mul, form_metric
+from oracles import (
+    C_ONE, C_ZERO, c_add, c_mul, dict_add, dict_mul, eval_matrix, eval_scalar,
+    form_metric, gauss_inverse, naive_qfact,
+)
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)))
 
@@ -330,6 +334,50 @@ def test_hodge_inverse_matches_elimination():
                     engine = linalg.ScalarMatrix.from_columns(cols, len(src))
                     assert engine == linalg.inverse(hodge_block(n, a, b, mode)), \
                         (n, mode, a, b)
+
+
+def _hodge_block_at(n, a, b, h0, q0):
+    """Oracle for hodge_block at q = q0: C(q0) . S(q0)^-1 over the complex
+    rationals, with S the string members of (a, b) and C their Hodge images
+    (a real sign, a power of i and a ratio of quantum factorials at base
+    h0, times a string member of (n-b, n-a))."""
+    tgt = basis_bidegree(n, n - b, n - a)
+    members = {(j, seed, idx): form
+               for j, seed, idx, form in string_columns(n, n - b, n - a)}
+    units = [C_ONE, (Fraction(0), Fraction(1)),
+             (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))]
+    c_cols = []
+    for j, (ap, bp), idx, _form in string_columns(n, a, b):
+        kp = ap + bp
+        unit = units[((ap - bp) + 2 * (kp * (kp + 1) // 2)) % 4]
+        ratio = naive_qfact(j, h0) / naive_qfact(n - j - kp, h0)
+        coeff = c_mul(unit, (ratio, Fraction(0)))
+        image = members[n - j - kp, (ap, bp), idx]
+        c_cols.append([c_mul(coeff, eval_scalar(x, q0))
+                       for x in to_coords(image, tgt)])
+    s_inv = gauss_inverse(eval_matrix(string_basis_matrix(n, a, b), q0))
+    return [[reduce(c_add, (c_mul(c_col[r], s_row[col])
+                            for c_col, s_row in zip(c_cols, s_inv)
+                            if c_col[r] != C_ZERO), C_ZERO)
+             for col in range(len(s_inv))]
+            for r in range(len(tgt))]
+
+
+Q0 = Fraction(17, 13)
+
+
+@pytest.mark.parametrize("mode, h0", [(H_EQ_Q, Q0), (H_EQ_ONE, Fraction(1))],
+                         ids=["hq", "h1"])
+def test_hodge_blocks_match_inverted_string_basis_at_a_point(mode, h0):
+    """At n = 4 and q0 = 17/13, every Hodge block evaluated entry by entry
+    equals C(q0) . S(q0)^-1, built by textbook elimination over the complex
+    rationals.  Agreement at one point is a necessary check, not a proof:
+    two rational functions can meet at q0 and differ elsewhere."""
+    n = 4
+    for a in range(n + 1):
+        for b in range(n + 1):
+            want = _hodge_block_at(n, a, b, h0, Q0)
+            assert eval_matrix(hodge_block(n, a, b, mode), Q0) == want, (a, b)
 
 
 def test_lambda_operator_is_conjugated_raising():
