@@ -15,8 +15,8 @@ from .lefschetz import (
 )
 from .hodge import (
     vol, hodge, hodge_inverse, lambda_apply, metric, gram, gram_to_json,
-    certify_posdef, serre_pairing, GradedOperator, adjoint_defect,
-    hodge_operator, l_operator, lambda_operator,
+    certify_posdef, serre_pairing, GradedOperator, hodge_operator,
+    l_operator, lambda_operator,
 )
 from .uqsl2 import h_operator, k_operator, sl2_relations
 from .su2 import (
@@ -37,7 +37,7 @@ __all__ = [
     "lambda_string_factor",
     "vol", "hodge", "hodge_inverse", "lambda_apply", "metric", "gram",
     "gram_to_json", "certify_posdef", "serre_pairing", "GradedOperator",
-    "adjoint_defect", "hodge_operator", "l_operator", "lambda_operator",
+    "hodge_operator", "l_operator", "lambda_operator",
     "h_operator", "k_operator", "sl2_relations",
     "SU2Element", "TensorElement", "u_entry", "antipode_u_entry",
     "coproduct", "coproduct2", "projective_coordinate", "laplacian0_cp1",

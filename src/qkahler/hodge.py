@@ -16,13 +16,14 @@ orthogonal, so it is stored as one Gram block per bidegree and evaluated on
 coordinates from those blocks; the blocks are certified positive definite at
 rational points by exact LDL* pivots.
 
-Operator identities (adjointness, and through `combination_defect` the
-Hodge and sl2 relations) are zero tests, not comparisons of canonical
-matrices: each entry of lhs - rhs is one sum of products of structural
-nonzeros, put over a common denominator with no gcd.  Every denominator is
-a product of nonzero denominators, so the entry vanishes exactly when the
-numerator does.  The same scan names a failing identity's first nonzero
-entry, and only that entry is canonicalised, for the witness.
+Operator identities (through `combination_defect` the Hodge and sl2
+relations, and the block identities the verify suites derive adjointness
+from) are zero tests, not comparisons of canonical matrices: each entry of
+lhs - rhs is one sum of products of structural nonzeros, put over a common
+denominator with no gcd.  Every denominator is a product of nonzero
+denominators, so the entry vanishes exactly when the numerator does.  The
+same scan names a failing identity's first nonzero entry, and only that
+entry is canonicalised, for the witness.
 """
 
 from __future__ import annotations
@@ -131,7 +132,10 @@ def gram(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
     Entry (r, c) is vol(m_r ^ H(star(m_c))), assembled as P . H . S: S is
     `star_matrix(n, a, b)`, H the (b, a) Hodge block and P the Serre
     pairing of (a, b) with (n-a, n-b).  Blocks are cached per
-    (n, a, b, mode) and never inverted: see `adjoint_defect`.
+    (n, a, b, mode) and never inverted.  The verify suites take this
+    construction as given: unitarity of H and the adjointness of L and
+    Lambda follow from sparse identities between H, L, P and S, checked
+    without reading any Gram block.
     """
     return (serre_pairing(n, a, b) @ hodge_block(n, b, a, mode)
             @ star_matrix(n, a, b))
@@ -177,7 +181,7 @@ def serre_pairing(n: int, a: int, b: int) -> ScalarMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Graded operators and metric adjointness
+# Graded operators and block identities
 # ---------------------------------------------------------------------------
 
 class GradedOperator:
@@ -247,34 +251,6 @@ class GradedOperator:
         if not isinstance(other, GradedOperator):
             return NotImplemented
         return self.n == other.n and self.blocks == other.blocks
-
-
-def adjoint_defect(op: GradedOperator, other: GradedOperator,
-                   mode: HodgeMode = H_EQ_Q):
-    """None when `other` is the metric adjoint of `op`, g(op(u), v) =
-    g(u, other(v)) for all u, v; otherwise a witness of the first source
-    bidegree where that fails.  On coordinates g(u, v) = x^T . G . conj(y),
-    so each block M: src -> tgt of `op` needs a block W: tgt -> src of
-    `other` with M^T . G_tgt = G_src . conj(W), and `other` may have no
-    block that no block of `op` maps into.  No Gram block is inverted, and
-    each identity is one zero test per entry, with no product formed.
-
-    A missing or mistargeted W, or a block of `other` that nothing maps
-    into, is named {"bidegree": [a, b]}; a failing entry is named as in
-    `combination_defect`, its defect the entry of M^T G_tgt - G_src conj(W)."""
-    if op.n != other.n:
-        raise ValueError("rank mismatch")
-    for src, (tgt, mat) in sorted(op.blocks.items()):
-        back, w = other.blocks.get(tgt, (None, None))
-        if back != src:
-            return {"bidegree": list(src)}
-        bad = _first_nonzero([(mat.transpose(), gram(op.n, *tgt, mode)),
-                              (gram(op.n, *src, mode), -w.conjugate())])
-        if bad is not None:
-            return _witness(src, tgt, *bad)
-    hit = {tgt for tgt, _ in op.blocks.values()}
-    extra = min((src for src in other.blocks if src not in hit), default=None)
-    return None if extra is None else {"bidegree": list(extra)}
 
 
 def _first_nonzero(products):
@@ -359,7 +335,10 @@ def lambda_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
     """Lowering operator as blocks H^-1 . L . H: the Hodge block of (a, b),
     the raising matrix on its (n-b, n-a) image, and the Hodge block of
     (n-b+1, n-a+1) back to (a-1, b-1), which is the inverse Hodge block up
-    to the sign (-1)^(a+b).  Built once per (n, mode)."""
+    to the sign (-1)^(a+b).  Built once per (n, mode).  The lids suite
+    takes this construction as given: Lambda is the metric adjoint of L
+    because H and L satisfy sparse identities with the star matrices and
+    the Serre pairing, and its adjoint entry does not read Lambda."""
     blocks = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):

@@ -25,7 +25,9 @@ def memoize(fn):
     arguments filled in, so f(x) and f(x, default) share one entry.  A call
     that raises stores nothing.  Every caller gets the same object, so a
     public fn returns immutable values; a private one may return a dict
-    that its callers only read.
+    that its callers only read.  `cache_clear()` empties the cache, as for
+    `functools.lru_cache`, so a test that patches what fn reads sees fn
+    run again.
     """
     cache = {}
     sig = inspect.signature(fn)
@@ -46,6 +48,7 @@ def memoize(fn):
     # perfbench's tracer marks its own wrappers with __wrapped__ and checks
     # that none is left behind after it uninstalls.
     del wrapper.__wrapped__
+    wrapper.cache_clear = cache.clear
     return wrapper
 
 

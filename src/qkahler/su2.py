@@ -11,10 +11,12 @@ a^al b^be c^ga and b^be c^ga d^de: the determinant relation removes any
 monomial containing both a and d.  Monomials are stored as exponent
 4-tuples (al, be, ga, de) with al*de = 0.
 
-The Hopf structure (coproduct, counit, antipode) is carried far enough to
-run the zero-form Dolbeault Laplacian computation on the quantum projective
-line: the Laplacian acts on the projective coordinates z_ij = u^i_1 S(u^1_j)
-by the scalar q[2]_q.
+The Hopf structure (coproduct, counit, antipode) is implemented, but the
+zero-form Dolbeault Laplacian computation on the quantum projective line
+uses only the antipode: it contracts the hand-entered `XY_TABLE` against
+the generators and their antipodes, and never applies the coproduct or the
+counit.  The Laplacian acts on the projective coordinates
+z_ij = u^i_1 S(u^1_j) by the scalar q[2]_q.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ checked exactly and reported uniformly.
 Each suite returns a list of entries {suite, name, status, detail, witness?}
 with status "pass", "fail", or "note" (notes carry flags and conventions and
 never fail a run).  Suites are keyed by name in SUITES; run_suites drives a
-selection and aggregates the failures.
+selection and aggregates the failures.  The metric adjoint entries of the
+hodge and lids suites are derived from block identities on H, L, the star
+matrices and the Serre pairing, checked once per rank and mode and shared
+by both suites; a derived entry that fails names its first failing premise.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import combinations, product
 from math import comb
 
 from .scalars import (
-    H_EQ_Q, ONE, ZERO, I, Scalar, qfact, render_scalar, parse_scalar,
+    H_EQ_Q, ONE, ZERO, I, Scalar, qfact, memoize, render_scalar, parse_scalar,
 )
 from .fiber import (
     FiberForm, basis_bidegree, basis_degree, weight, e_plus, e_minus,
@@ -27,8 +30,8 @@ from . import linalg
 from .linalg import ScalarMatrix
 from .hodge import (
     GradedOperator, hodge, hodge_operator, metric, gram, certify_posdef,
-    serre_pairing, adjoint_defect, combination_defect, l_operator,
-    lambda_operator, star_matrix, vol, _first_nonzero,
+    serre_pairing, combination_defect, l_operator, lambda_operator,
+    star_matrix, vol, _first_nonzero, _witness,
 )
 from .uqsl2 import h_operator, k_operator, sl2_relations
 from .su2 import verify_cp1_laplacian
@@ -46,13 +49,6 @@ def _entry(suite, name, ok=True, detail="", witness=None, note=False):
     if witness is not None:
         e["witness"] = witness
     return e
-
-
-def _adjoint_entry(suite, name, op, other, mode):
-    """Entry for "other is the metric adjoint of op"; a failure carries the
-    witness of `adjoint_defect`."""
-    bad = adjoint_defect(op, other, mode)
-    return _entry(suite, name, bad is None, witness=bad)
 
 
 def _mono_form(n, m):
@@ -202,6 +198,129 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 
 
 # ---------------------------------------------------------------------------
+# premises: the block identities the adjoint entries are derived from
+# ---------------------------------------------------------------------------
+
+SQUARE = "square is (-1)^degree"
+STAR_COMMUTES = "commutes with star on the basis"
+H_SERRE = "H is (-1)^k-symmetric for the Serre pairing"
+L_SERRE = "L is symmetric for the Serre pairing"
+L_STAR = "L commutes with star"
+
+
+def _star_operator(n):
+    """Star as a graded operator, the star matrix of each (a, b) into (b, a).
+    Star is conjugate-linear, so star(u) has coordinates S . conj(x)."""
+    return GradedOperator(n, {(a, b): ((b, a), star_matrix(n, a, b))
+                              for a, b in product(range(n + 1), repeat=2)})
+
+
+def _conjugate(op):
+    return GradedOperator(op.n, {src: (tgt, mat.conjugate())
+                                 for src, (tgt, mat) in op.blocks.items()})
+
+
+def _first_block_failure(blocks):
+    """The witness of the first (src, tgt, products) whose sum of left .
+    right over its (left, right) products is not zero, as `_witness`
+    names it, else None: one `_first_nonzero` per block."""
+    for src, tgt, products in blocks:
+        bad = _first_nonzero(products)
+        if bad is not None:
+            return _witness(src, tgt, *bad)
+    return None
+
+
+@memoize
+def _hodge_premises(n, mode):
+    """The (name, witness) of each Hodge premise, the witness None when the
+    premise holds, checked once per (n, mode) for the hodge and lids suites.
+
+    - H^2 = (-1)^k on k-forms;
+    - H commutes with star: H_(b,a) . S_(a,b) = S_(n-b,n-a) . conj(H_(a,b)),
+      S the star matrices;
+    - H is (-1)^k-symmetric for the Serre pairing P:
+      H_(a,b)^T . P_(n-b,n-a) = (-1)^(a+b) P_(a,b) . H_(b,a).
+
+    `gram` builds G_(a,b) = P_(a,b) . H_(b,a) . S_(a,b), and with that
+    construction taken as given the three premises give
+    H_(a,b)^T . G_(n-b,n-a) . conj(H_(a,b)) = G_(a,b): substitute the Serre
+    symmetry, then star commutation, then the square.  That is unitarity
+    of H for the metric, with no Gram block read."""
+    star_op = hodge_operator(n, mode)
+    sign = GradedOperator.diagonal(n, lambda a, b: -ONE if (a + b) % 2 else ONE)
+    star = _star_operator(n)
+
+    def products(src, tgt, mat):
+        p = serre_pairing(n, *src)
+        return [(mat.transpose(), serre_pairing(n, *tgt)),
+                (p if sum(src) % 2 else p.scale(-ONE),
+                 star_op.blocks[src[::-1]][1])]
+
+    return (
+        (SQUARE, combination_defect([(ONE, [star_op, star_op]),
+                                     (-ONE, [sign])])),
+        (STAR_COMMUTES, combination_defect([(ONE, [star_op, star]),
+                                            (-ONE, [star, _conjugate(star_op)])])),
+        (H_SERRE, _first_block_failure(
+            (src, tgt, products(src, tgt, mat))
+            for src, (tgt, mat) in sorted(star_op.blocks.items()))),
+    )
+
+
+@memoize
+def _l_premises(n):
+    """The (name, witness) of each premise on L, as `_hodge_premises`,
+    checked once per n:
+
+    - L is symmetric for the Serre pairing P:
+      L_(a,b)^T . P_(a+1,b+1) = P_(a,b) . L_(n-a-1,n-b-1);
+    - L commutes with star: S_(a+1,b+1) . conj(L_(a,b)) = L_(b,a) . S_(a,b).
+
+    `lambda_operator` builds Lambda as H^-1 . L . H, and with that
+    construction and G = P . H . S taken as given, these two and the Hodge
+    premises give L_(a,b)^T . G_(a+1,b+1) = G_(a,b) . conj(Lambda_(a+1,b+1)):
+    Lambda is the metric adjoint of L."""
+    l_op, star = l_operator(n), _star_operator(n)
+
+    def products(a, b):
+        return [(l_op.blocks[a, b][1].transpose(),
+                 serre_pairing(n, a + 1, b + 1)),
+                (serre_pairing(n, a, b).scale(-ONE),
+                 l_op.blocks[n - a - 1, n - b - 1][1])]
+
+    return (
+        (L_SERRE, _first_block_failure(((a, b), (a + 1, b + 1), products(a, b))
+                                       for a, b in product(range(n), repeat=2))),
+        (L_STAR, combination_defect([(ONE, [star, _conjugate(l_op)]),
+                                     (-ONE, [l_op, star])])),
+    )
+
+
+def _premise_failure(premises):
+    """{"premise": name} with the witness of the first of the (name,
+    witness) premises that fails, else None."""
+    for name, wit in premises:
+        if wit is not None:
+            return {"premise": name, **wit}
+    return None
+
+
+def _real_scalar_failure(op):
+    """{"bidegree": [a, b]} of the first block of op that is not lam . I on
+    its own bidegree with lam = conj(lam), else None.  The Gram blocks are
+    per bidegree, so such an op is self-adjoint for the metric: on (a, b)
+    both sides of M^T . G = G . conj(M) are lam . G."""
+    for src, (tgt, mat) in sorted(op.blocks.items()):
+        lam = mat.rows[0][0]
+        if tgt != src or lam != lam.conjugate() or not all(
+                row[i] == lam and not any(row[:i]) and not any(row[i + 1:])
+                for i, row in enumerate(mat.rows)):
+            return {"bidegree": list(src)}
+    return None
+
+
+# ---------------------------------------------------------------------------
 # hodge
 # ---------------------------------------------------------------------------
 
@@ -237,32 +356,19 @@ def _pinned_hodge_tables(n, mode, out):
 
 def suite_hodge(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
-    star_op = hodge_operator(n, mode)
-
-    sign = GradedOperator.diagonal(n, lambda a, b: ONE if (a + b) % 2 == 0 else -ONE)
-    wit = combination_defect([(ONE, [star_op, star_op]), (-ONE, [sign])])
-    out.append(_entry("hodge", "square is (-1)^degree", wit is None,
-                      witness=wit))
+    premises = _hodge_premises(n, mode)
+    (_, square), (_, commutes), _ = premises
+    out.append(_entry("hodge", SQUARE, square is None, witness=square))
 
     ok = all(tgt == (n - src[1], n - src[0])
-             for src, (tgt, _) in star_op.blocks.items())
+             for src, (tgt, _) in hodge_operator(n, mode).blocks.items())
     out.append(_entry("hodge", "component map (a,b) -> (n-b,n-a)", ok))
+    out.append(_entry("hodge", STAR_COMMUTES, commutes is None,
+                      witness=commutes))
 
-    # star is conjugate-linear, so on the basis H(star(u)) = star(H(u)) is
-    # the block identity H_(b,a) . S_(a,b) = S_(n-b,n-a) . conj(H_(a,b))
-    star = GradedOperator(n, {(a, b): ((b, a), star_matrix(n, a, b))
-                              for a in range(n + 1) for b in range(n + 1)})
-    conj = GradedOperator(n, {src: (tgt, mat.conjugate())
-                              for src, (tgt, mat) in star_op.blocks.items()})
-    wit = combination_defect([(ONE, [star_op, star]), (-ONE, [star, conj])])
-    out.append(_entry("hodge", "commutes with star on the basis", wit is None,
-                      witness=wit))
-
-    # H^-1 = H . (-1)^k, and H is unitary exactly when H^-1 is its adjoint
-    inverse = GradedOperator(n, {src: (tgt, -mat if sum(src) % 2 else mat)
-                                 for src, (tgt, mat) in star_op.blocks.items()})
-    out.append(_adjoint_entry("hodge", "unitary for the fiber metric, blockwise",
-                              star_op, inverse, mode))
+    wit = _premise_failure(premises)
+    out.append(_entry("hodge", "unitary for the fiber metric, blockwise",
+                      wit is None, witness=wit))
     _pinned_hodge_tables(n, mode, out)
     return out
 
@@ -428,12 +534,13 @@ def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     for note in notes:
         out.append(_entry("lids", "convention", note=True, detail=note))
 
-    out.append(_adjoint_entry("lids", "adjoint of L is the dual Lefschetz operator",
-                              l_operator(n), lambda_operator(n, mode), mode))
-    H = h_operator(n, mode)
-    K = k_operator(n, mode)
-    out.append(_adjoint_entry("lids", "H is self-adjoint", H, H, mode))
-    out.append(_adjoint_entry("lids", "K is self-adjoint", K, K, mode))
+    wit = _premise_failure(_hodge_premises(n, mode) + _l_premises(n))
+    out.append(_entry("lids", "adjoint of L is the dual Lefschetz operator",
+                      wit is None, witness=wit))
+    for name, op in (("H is self-adjoint", h_operator(n, mode)),
+                     ("K is self-adjoint", k_operator(n, mode))):
+        wit = _real_scalar_failure(op)
+        out.append(_entry("lids", name, wit is None, witness=wit))
     return out
 
 

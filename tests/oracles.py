@@ -6,17 +6,20 @@ numbers, Sylvester minors for positivity, and rewrite reducers that walk
 words from the right instead of the left.  Slow but transparently correct,
 which is what an oracle is for.  Nothing here imports the linear algebra,
 rewrite, or Hodge code under test; only the scalar type is shared, and the
-scalar type has its own dict-arithmetic oracle below.  The one exception is
-the form-level metric at the end: it wedges forms through the engine's
-Hodge map, so it checks the Gram-block path of `metric` and nothing else.
+scalar type has its own dict-arithmetic oracle below.  Two exceptions sit
+at the end.  The form-level metric wedges forms through the engine's Hodge
+map, so it checks the Gram-block path of `metric` and nothing else.  The
+direct adjointness check reads the engine's Gram blocks and zero test: it
+is the block check that the verify suites' derived adjoint entries stand in
+for, kept here so that tests can hold the two against each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from qkahler.hodge import hodge, vol
-from qkahler.scalars import Scalar, ONE, ZERO
+from qkahler.hodge import _first_nonzero, _witness, gram, hodge, vol
+from qkahler.scalars import H_EQ_Q, Scalar, ONE, ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +61,21 @@ def eval_scalar(s: Scalar, q0) -> tuple:
 def eval_matrix(matrix, q0) -> list:
     return [[eval_scalar(matrix.rows[i][j], q0) for j in range(matrix.ncols)]
             for i in range(matrix.nrows)]
+
+
+def c_matmul(x, y) -> list:
+    """Product of two complex-rational matrices given as lists of rows,
+    y with at least one column; products with a zero factor are skipped."""
+    out = []
+    for row in x:
+        acc = [C_ZERO] * len(y[0])
+        for k, a in enumerate(row):
+            if a != C_ZERO:
+                for j, b in enumerate(y[k]):
+                    if b != C_ZERO:
+                        acc[j] = c_add(acc[j], c_mul(a, b))
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +354,34 @@ def form_metric(u, v, mode):
         if vk is not None:
             acc = acc + vol(uk.wedge(hodge(vk.star(), mode)))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# direct metric adjointness
+# ---------------------------------------------------------------------------
+
+def adjoint_defect(op, other, mode=H_EQ_Q):
+    """None when `other` is the metric adjoint of `op`, g(op(u), v) =
+    g(u, other(v)) for all u, v; otherwise a witness of the first source
+    bidegree where that fails.  On coordinates g(u, v) = x^T . G . conj(y),
+    so each block M: src -> tgt of `op` needs a block W: tgt -> src of
+    `other` with M^T . G_tgt = G_src . conj(W), and `other` may have no
+    block that no block of `op` maps into.  No Gram block is inverted, and
+    each identity is one zero test per entry, with no product formed.
+
+    A missing or mistargeted W, or a block of `other` that nothing maps
+    into, is named {"bidegree": [a, b]}; a failing entry is named as in
+    `combination_defect`, its defect the entry of M^T G_tgt - G_src conj(W)."""
+    if op.n != other.n:
+        raise ValueError("rank mismatch")
+    for src, (tgt, mat) in sorted(op.blocks.items()):
+        back, w = other.blocks.get(tgt, (None, None))
+        if back != src:
+            return {"bidegree": list(src)}
+        bad = _first_nonzero([(mat.transpose(), gram(op.n, *tgt, mode)),
+                              (gram(op.n, *src, mode), -w.conjugate())])
+        if bad is not None:
+            return _witness(src, tgt, *bad)
+    hit = {tgt for tgt, _ in op.blocks.values()}
+    extra = min((src for src in other.blocks if src not in hit), default=None)
+    return None if extra is None else {"bidegree": list(extra)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
 import random
 import subprocess
@@ -17,10 +18,9 @@ import qkahler
 from qkahler import linalg
 from qkahler.fiber import FiberForm, basis_bidegree, basis_degree, e_minus, e_plus
 from qkahler.hodge import (
-    GradedOperator, adjoint_defect, certify_posdef, combination_defect, gram,
-    gram_to_json, hodge,
-    hodge_block, hodge_inverse, hodge_operator, l_operator, lambda_apply,
-    lambda_operator, metric, serre_pairing, vol,
+    GradedOperator, certify_posdef, combination_defect, gram, gram_to_json,
+    hodge, hodge_block, hodge_inverse, hodge_operator, l_operator, lambda_apply,
+    lambda_operator, metric, serre_pairing, star_matrix, vol,
 )
 from qkahler.lefschetz import (
     L_power, from_coords, kappa, kappa_power, l_matrix, primitive_basis,
@@ -33,11 +33,13 @@ from qkahler.scalars import (
 from qkahler.uqsl2 import h_operator, k_operator
 
 from oracles import (
-    C_ONE, C_ZERO, c_add, c_mul, dict_add, dict_mul, eval_matrix, eval_scalar,
-    form_metric, gauss_inverse, naive_qfact,
+    C_ONE, C_ZERO, adjoint_defect, c_add, c_matmul, c_mul, dict_add,
+    dict_mul, eval_matrix, eval_scalar, form_metric, gauss_inverse,
+    naive_qfact,
 )
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)))
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def _random_form(rng, n, k):
@@ -380,6 +382,43 @@ def test_hodge_blocks_match_inverted_string_basis_at_a_point(mode, h0):
             assert eval_matrix(hodge_block(n, a, b, mode), Q0) == want, (a, b)
 
 
+@pytest.mark.parametrize("mode", [H_EQ_Q, H_EQ_ONE], ids=["hq", "h1"])
+def test_gram_blocks_match_the_evaluated_product(mode):
+    """At n = 4 and q0 = 17/13, every Gram block evaluated entry by entry
+    equals P(q0) . H(q0) . S(q0) multiplied out over the complex rationals:
+    P the Serre pairing, H the (b, a) Hodge block, S the star matrix.  The
+    verify suites take G = P . H . S as given.  Agreement at one point is a
+    necessary check, not a proof."""
+    n = 4
+    for a in range(n + 1):
+        for b in range(n + 1):
+            want = c_matmul(c_matmul(eval_matrix(serre_pairing(n, a, b), Q0),
+                                     eval_matrix(hodge_block(n, b, a, mode), Q0)),
+                            eval_matrix(star_matrix(n, a, b), Q0))
+            assert eval_matrix(gram(n, a, b, mode), Q0) == want, (a, b)
+
+
+@pytest.mark.parametrize("mode", [H_EQ_Q, H_EQ_ONE], ids=["hq", "h1"])
+def test_lambda_blocks_match_conjugated_raising_at_a_point(mode):
+    """At n = 4 and q0 = 17/13, the Lambda block of each (a, b), evaluated,
+    satisfies H_(a-1,b-1)(q0) . Lambda(q0) = L_(n-b,n-a)(q0) . H_(a,b)(q0),
+    both sides multiplied out over the complex rationals.  The Hodge block
+    H_(a-1,b-1) is invertible (its square is +-1), so this is
+    Lambda = H^-1 . L . H at q0, the construction the verify suites take as
+    given.  Agreement at one point is a necessary check, not a proof."""
+    n = 4
+    lam = lambda_operator(n, mode)
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            tgt, mat = lam.blocks[a, b]
+            assert tgt == (a - 1, b - 1)
+            got = c_matmul(eval_matrix(hodge_block(n, a - 1, b - 1, mode), Q0),
+                           eval_matrix(mat, Q0))
+            want = c_matmul(eval_matrix(l_matrix(n, n - b, n - a), Q0),
+                            eval_matrix(hodge_block(n, a, b, mode), Q0))
+            assert got == want, (a, b)
+
+
 def test_lambda_operator_is_conjugated_raising():
     for n in (1, 2, 3):
         for mode in (H_EQ_Q, H_EQ_ONE):
@@ -564,14 +603,13 @@ def test_adjoint_defect_names_the_failing_bidegree():
 
 
 def test_adjoint_defect_takes_no_gcd():
-    """With the Gram blocks warm, the unitarity check of the Hodge map at
-    n = 3 is one zero test per entry and canonicalises nothing.  A fresh
-    interpreter starts with empty caches."""
-    script = textwrap.dedent("""
+    """With the Gram blocks warm, the oracle's direct unitarity check of the
+    Hodge map at n = 3 is one zero test per entry and canonicalises
+    nothing.  A fresh interpreter starts with empty caches."""
+    script = f"import sys; sys.path.insert(0, {TESTS_DIR!r})" + textwrap.dedent("""
+        from oracles import adjoint_defect
         from qkahler import scalars
-        from qkahler.hodge import (
-            GradedOperator, adjoint_defect, gram, hodge_operator,
-        )
+        from qkahler.hodge import GradedOperator, gram, hodge_operator
         from qkahler.scalars import H_EQ_Q, ONE
 
         star = hodge_operator(3, H_EQ_Q)

@@ -11,6 +11,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 
@@ -22,6 +23,8 @@ from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, ZERO, qint, render_scalar,
 )
 from qkahler.verify import DEFAULT_Q_SAMPLES, SUITES, run_suites
+
+from oracles import adjoint_defect
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10)))
 
@@ -226,8 +229,40 @@ def _lambda_entry_fault(src):
             return _with_block(true(n, mode), src, _times(Q))
 
         monkeypatch.setattr(hodge, "lambda_operator", faulted)
+        monkeypatch.setattr(uqsl2, "lambda_operator", faulted)
         monkeypatch.setattr(verify, "lambda_operator", faulted)
     return install
+
+
+def _bump_first_nonzero(mat):
+    """mat with its first nonzero entry, by row then column, plus one."""
+    rows = [list(r) for r in mat.rows]
+    i, j = next((i, j) for i, r in enumerate(rows)
+                for j, x in enumerate(r) if x)
+    rows[i][j] = rows[i][j] + ONE
+    return linalg.ScalarMatrix(rows)
+
+
+def _serre_entry_fault(monkeypatch):
+    true = hodge.serre_pairing
+
+    def faulted(n, a, b):
+        p = true(n, a, b)
+        return _bump_first_nonzero(p) if (a, b) == (1, 0) else p
+
+    monkeypatch.setattr(hodge, "serre_pairing", faulted)
+    monkeypatch.setattr(verify, "serre_pairing", faulted)
+
+
+def _star_entry_fault(monkeypatch):
+    true = hodge.star_matrix
+
+    def faulted(n, a, b):
+        s = true(n, a, b)
+        return _bump_first_nonzero(s) if (a, b) == (1, 0) else s
+
+    monkeypatch.setattr(hodge, "star_matrix", faulted)
+    monkeypatch.setattr(verify, "star_matrix", faulted)
 
 
 def _h_eigenvalue_fault(monkeypatch):
@@ -265,20 +300,45 @@ CASIMIR = "[L,Lambda] = (K - K^-1)/(h - h^-1)"
 ADJ_L = "adjoint of L is the dual Lefschetz operator"
 ADJ_H = "H is self-adjoint"
 ADJ_K = "K is self-adjoint"
+# premises that appear only in the witnesses of the derived entries
+H_SERRE = "H is (-1)^k-symmetric for the Serre pairing"
+L_SERRE = "L is symmetric for the Serre pairing"
+L_STAR = "L commutes with star"
+
+
+@pytest.fixture
+def clear_premises():
+    """A call that empties the premise caches, made again after the test: a
+    fault installed after a clean run is then checked, and its premise
+    results are not kept for later tests."""
+    def clear():
+        verify._hodge_premises.cache_clear()
+        verify._l_premises.cache_clear()
+    yield clear
+    clear()
+
 
 # The relations [H,L], [H,Lambda], K K^-1, K L K^-1 and K Lambda K^-1 hold
 # for any L and Lambda that move the degree by 2, so only a fault in H or K
-# breaks them.
+# breaks them.  UNITARY and ADJ_L are derived from premises on H, L, the
+# Serre pairing and the star matrices, and read neither Gram blocks nor
+# Lambda: a fault in one of those four fails them, a fault in `gram` or in
+# Lambda does not.
 FAULTS = [
     (_hodge_sign_fault, H_EQ_Q,
-     {SQUARE, STAR, UNITARY, "rank-2 table: *(e+[1])",
+     {SQUARE, STAR, UNITARY, ADJ_L, "rank-2 table: *(e+[1])",
       "rank-2 table: *(e+[2])"}),
     (_l_entry_fault, H_EQ_Q, {LLAM, CASIMIR, ADJ_L}),
-    (_gram_entry_fault, H_EQ_Q, {UNITARY, ADJ_L}),
+    (_gram_entry_fault, H_EQ_Q, set()),
     (_h_eigenvalue_fault, H_EQ_Q, {HL, LLAM, HLAM, ADJ_H}),
     (_h_eigenvalue_fault, H_EQ_ONE, {HL, LLAM, HLAM, LITERAL, ADJ_H}),
     (_k_eigenvalue_fault, H_EQ_Q,
      {HL, HLAM, KK, KL, KLAM, CASIMIR, ADJ_K}),
+    (_serre_entry_fault, H_EQ_Q, {UNITARY, ADJ_L}),
+    (_serre_entry_fault, H_EQ_ONE, {UNITARY, ADJ_L}),
+    (_star_entry_fault, H_EQ_Q, {STAR, UNITARY, ADJ_L}),
+    (_l_entry_fault, H_EQ_ONE, {LLAM, ADJ_L}),
+    (_lambda_entry_fault((1, 1)), H_EQ_Q, {LLAM, CASIMIR}),
 ]
 
 
@@ -306,22 +366,20 @@ def _canonical_defect(terms):
     return _first_entry(blocks)
 
 
-def _canonical_adjoint_defect(op, other, mode):
-    """The first failure of "other is the metric adjoint of op": a back
-    block missing or mistargeted, else the first nonzero entry of
-    M^T . G_tgt - G_src . conj(W), else a block of other that nothing
-    maps into."""
+def _canonical_premise_failure(premises):
+    """{"premise": name} with the witness of the first failing premise."""
+    return next(({"premise": name, **wit} for name, wit in premises
+                 if wit is not None), None)
+
+
+def _canonical_real_scalar_failure(op):
+    """The first bidegree whose block is not lam . I with lam real."""
     for src, (tgt, mat) in sorted(op.blocks.items()):
-        back, w = other.blocks.get(tgt, (None, None))
-        if back != src:
+        lam = mat.rows[0][0]
+        if tgt != src or lam != lam.conjugate() or \
+                mat != linalg.ScalarMatrix.identity(mat.nrows).scale(lam):
             return {"bidegree": list(src)}
-        wit = _first_entry({(src, tgt): mat.transpose() @ hodge.gram(
-            op.n, *tgt, mode) - hodge.gram(op.n, *src, mode) @ w.conjugate()})
-        if wit is not None:
-            return wit
-    hit = {tgt for tgt, _ in op.blocks.values()}
-    extra = min((src for src in other.blocks if src not in hit), default=None)
-    return None if extra is None else {"bidegree": list(extra)}
+    return None
 
 
 def _canonical_witnesses(n, mode):
@@ -354,26 +412,44 @@ def _canonical_witnesses(n, mode):
     if hdiff:
         terms[CASIMIR] = [(ONE, [l_op, lam]), (-ONE, [lam, l_op]),
                           (-ONE / hdiff, [k_op]), (ONE / hdiff, [k_inv])]
+    l_star = verify.l_operator(n)
+    conj_l = GradedOperator(n, {src: (tgt, mat.conjugate())
+                                for src, (tgt, mat) in l_star.blocks.items()})
+    terms[L_STAR] = [(ONE, [star, conj_l]), (-ONE, [l_star, star])]
     out = {name: _canonical_defect(t) for name, t in terms.items()}
-    h_op, k_op = verify.h_operator(n, mode), verify.k_operator(n, mode)
-    for name, op, other in (
-            (UNITARY, star_op, star_op @ sign),
-            (ADJ_L, verify.l_operator(n), verify.lambda_operator(n, mode)),
-            (ADJ_H, h_op, h_op), (ADJ_K, k_op, k_op)):
-        out[name] = _canonical_adjoint_defect(op, other, mode)
+    p = verify.serre_pairing
+    out[H_SERRE] = _first_entry({
+        (src, tgt): mat.transpose() @ p(n, *tgt)
+        - p(n, *src).scale(sign.blocks[src][1].rows[0][0])
+        @ star_op.blocks[src[::-1]][1]
+        for src, (tgt, mat) in star_op.blocks.items()})
+    lower = {src: mat for src, (_, mat) in l_star.blocks.items()}
+    out[L_SERRE] = _first_entry({
+        ((a, b), (a + 1, b + 1)): lower[a, b].transpose() @ p(n, a + 1, b + 1)
+        - p(n, a, b) @ lower[n - a - 1, n - b - 1]
+        for a, b in product(range(n), repeat=2)})
+    hodge_premises = [(name, out[name]) for name in (SQUARE, STAR, H_SERRE)]
+    out[UNITARY] = _canonical_premise_failure(hodge_premises)
+    out[ADJ_L] = _canonical_premise_failure(
+        hodge_premises + [(name, out[name]) for name in (L_SERRE, L_STAR)])
+    for name, op in ((ADJ_H, verify.h_operator(n, mode)),
+                     (ADJ_K, verify.k_operator(n, mode))):
+        out[name] = _canonical_real_scalar_failure(op)
     return out
 
 
 @pytest.mark.parametrize("fault, mode, failing", FAULTS)
-def test_each_identity_entry_fails_under_its_fault(monkeypatch, fault, mode,
-                                                   failing):
+def test_each_identity_entry_fails_under_its_fault(monkeypatch, clear_premises,
+                                                   fault, mode, failing):
     """Under each fault exactly the listed hodge and lids entries fail, and
     each identity entry names the first nonzero entry of lhs - rhs built
-    canonically; the rank-2 tables carry no witness."""
+    canonically, a derived entry with its first failing premise; the
+    rank-2 tables carry no witness."""
     n = 2
     entries, failures = run_suites(["hodge", "lids"], n, mode)
     assert not failures
     fault(monkeypatch)
+    clear_premises()
     entries, failures = run_suites(["hodge", "lids"], n, mode)
     assert {e["name"] for e in failures} == failing
     witnesses = _canonical_witnesses(n, mode)
@@ -381,6 +457,112 @@ def test_each_identity_entry_fails_under_its_fault(monkeypatch, fault, mode,
         want = witnesses.get(e["name"])
         assert want is not None or e["name"].startswith("rank-2 table")
         assert e.get("witness") == want, e["name"]
+
+
+# Each fault bumps one entry of one block that the premises read.  The
+# derived entries name the first premise it breaks, in the order square,
+# star commutation, the Serre symmetry of H, then the two premises on L;
+# the last column is the first premise on L that fails.
+PREMISE_FAULTS = [
+    (_serre_entry_fault, {UNITARY: H_SERRE, ADJ_L: H_SERRE}, L_SERRE),
+    (_l_entry_fault, {ADJ_L: L_SERRE}, L_SERRE),
+    (_star_entry_fault, {UNITARY: STAR, ADJ_L: STAR}, L_STAR),
+]
+
+
+@pytest.mark.parametrize("fault, derived, l_premise", PREMISE_FAULTS,
+                         ids=["serre-block-1-0", "l-block-0-0",
+                              "star-block-1-0"])
+def test_derived_entries_name_the_premise_a_fault_breaks(
+        monkeypatch, clear_premises, fault, derived, l_premise):
+    n = 2
+    fault(monkeypatch)
+    clear_premises()
+    _, failures = run_suites(["hodge", "lids"], n, H_EQ_Q)
+    assert {e["name"]: e["witness"]["premise"] for e in failures
+            if e["name"] in (UNITARY, ADJ_L)} == derived
+    assert next(name for name, wit in verify._l_premises(n)
+                if wit is not None) == l_premise
+
+
+def _adjoint_claims(n, mode):
+    """The (entry, op, other) of each entry that claims `other` is the
+    metric adjoint of `op`, read through the names the suites read."""
+    star_op = verify.hodge_operator(n, mode)
+    sign = GradedOperator.diagonal(n, lambda a, b: -ONE if (a + b) % 2 else ONE)
+    h_op, k_op = verify.h_operator(n, mode), verify.k_operator(n, mode)
+    return [(UNITARY, star_op, star_op @ sign),
+            (ADJ_L, verify.l_operator(n), verify.lambda_operator(n, mode)),
+            (ADJ_H, h_op, h_op), (ADJ_K, k_op, k_op)]
+
+
+@pytest.mark.parametrize("mode", [H_EQ_Q, H_EQ_ONE], ids=["hq", "h1"])
+def test_direct_adjoint_check_accepts_where_the_derived_entries_pass(
+        monkeypatch, mode):
+    """At n <= 4 the direct block check M^T . G_tgt = G_src . conj(W) of
+    tests/oracles.py accepts each adjoint claim, and each derived entry
+    passes.  This is necessary for the derivation, not a proof of it: the
+    derivation also rests on G = P . H . S and Lambda = H^-1 . L . H,
+    which test_hodge checks at one point only.  The sl2 relations are
+    left out of the lids suite here; other tests run them."""
+    monkeypatch.setattr(verify, "sl2_relations", lambda n, mode: ([], []))
+    for n in range(1, 5):
+        status = {e["name"]: e["status"]
+                  for e in run_suites(["hodge", "lids"], n, mode)[0]}
+        for name, op, other in _adjoint_claims(n, mode):
+            assert adjoint_defect(op, other, mode) is None, (n, name)
+            assert status[name] == "pass", (n, name)
+
+
+@pytest.mark.parametrize("fault, name", [
+    (_hodge_sign_fault, UNITARY), (_l_entry_fault, ADJ_L),
+    (_h_eigenvalue_fault, ADJ_H), (_k_eigenvalue_fault, ADJ_K),
+], ids=["hodge", "l", "h", "k"])
+def test_direct_adjoint_check_rejects_where_a_fault_fails_the_derived_entry(
+        monkeypatch, clear_premises, fault, name):
+    """At n = 2, under a fault in the operator a claim is about, the direct
+    block check rejects the claim and the derived entry fails.  A necessary
+    check, not a proof: one fault per claim, at one rank."""
+    n = 2
+    fault(monkeypatch)
+    clear_premises()
+    (_, op, other), = [c for c in _adjoint_claims(n, H_EQ_Q) if c[0] == name]
+    assert adjoint_defect(op, other, H_EQ_Q) is not None
+    entry, = [e for e in run_suites(["hodge", "lids"], n, H_EQ_Q)[0]
+              if e["name"] == name]
+    assert entry["status"] == "fail"
+
+
+@pytest.mark.parametrize("mode", ["hq", "h1"])
+def test_hodge_and_lids_suites_read_no_gram_block(mode):
+    """In a fresh interpreter, with `gram` patched to raise, `--suite lids`
+    alone and then the hodge and lids suites pass at n = 3; with `gram`
+    restored, `--suite all` reports the same lids entries."""
+    script = textwrap.dedent(f"""
+        import json
+        import sys
+        from qkahler import verify
+        from qkahler.cli import parse_mode
+
+        hodge = sys.modules["qkahler.hodge"]
+        mode = parse_mode({mode!r})
+        real = hodge.gram
+
+        def refuse(*args):
+            raise AssertionError("gram was called")
+
+        hodge.gram = verify.gram = refuse
+        alone, alone_failures = verify.run_suites(["lids"], 3, mode)
+        _, failures = verify.run_suites(["hodge", "lids"], 3, mode)
+        hodge.gram = verify.gram = real
+        every = [e for e in verify.run_suites("all", 3, mode)[0]
+                 if e["suite"] == "lids"]
+        print(json.dumps([alone_failures + failures, alone == every]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], True]
 
 
 KILLED = ("every seed is killed by the lowering operator and lives for "
