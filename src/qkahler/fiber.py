@@ -42,8 +42,8 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .scalars import (
-    ZERO, ONE, Q, Scalar, GaussianRational, memoize, parse_scalar,
-    _signed_q_power, refuse_assignment, render_scalar, render_terms,
+    ZERO, ONE, Q, Scalar, GaussianRational, memoize, _signed_q_power,
+    refuse_assignment, render_terms,
 )
 
 _NEG_Q = -Q
@@ -321,23 +321,11 @@ class FiberForm:
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 
-    def degree(self) -> int:
-        degs = self.degrees()
-        if len(degs) != 1:
-            raise ValueError("form is not homogeneous")
-        return degs[0]
-
     def bidegree_split(self) -> dict:
         out: dict = {}
         for m, c in self.terms.items():
             out.setdefault(m.bidegree, {})[m] = c
         return {bd: FiberForm(self.n, t) for bd, t in sorted(out.items())}
-
-    def degree_split(self) -> dict:
-        out: dict = {}
-        for m, c in self.terms.items():
-            out.setdefault(m.degree, {})[m] = c
-        return {k: FiberForm(self.n, t) for k, t in sorted(out.items())}
 
     def coefficient(self, mono: BasisMonomial) -> Scalar:
         return self.terms.get(mono, ZERO)
@@ -349,21 +337,6 @@ class FiberForm:
         return render_terms((c, str(m)) for m, c in self.sorted_terms())
 
     __repr__ = __str__
-
-    def to_json_terms(self) -> list:
-        out = []
-        for m, c in self.sorted_terms():
-            out.append({"I": list(m.plus), "J": list(m.minus),
-                        "coeff": render_scalar(c)})
-        return out
-
-    @staticmethod
-    def from_json_terms(n: int, terms) -> "FiberForm":
-        acc = FiberForm(n)
-        for t in terms:
-            acc = acc + FiberForm.monomial(n, t["I"], t["J"],
-                                           parse_scalar(t["coeff"]))
-        return acc
 
 
 # the slots' own setters, cheaper than object.__setattr__ on the wedge path

@@ -266,10 +266,19 @@ def _first_nonzero(products):
     return None
 
 
-def _witness(src, tgt, row, col, pairs) -> dict:
-    """A failing entry of a block src -> tgt, its value canonicalised once."""
-    return {"bidegree": list(src), "target": list(tgt), "row": row,
-            "col": col, "defect": render_scalar(dot(pairs))}
+def _first_block_failure(blocks):
+    """The witness of the first (src, tgt, products) whose sum of left .
+    right over its (left, right) products is not zero, else None: one
+    `_first_nonzero` per block.  The witness names the block src -> tgt
+    and its first failing entry, {"bidegree", "target", "row", "col",
+    "defect"}, and the defect is the only value canonicalised."""
+    for src, tgt, products in blocks:
+        bad = _first_nonzero(products)
+        if bad is not None:
+            row, col, pairs = bad
+            return {"bidegree": list(src), "target": list(tgt), "row": row,
+                    "col": col, "defect": render_scalar(dot(pairs))}
+    return None
 
 
 def combination_defect(terms):
@@ -299,18 +308,19 @@ def combination_defect(terms):
         else:
             prefix = GradedOperator.diagonal(n, lambda a, b: c)
         split.append((prefix, last))
-    for src in sorted({s for _, last in split for s in last.blocks}):
-        groups = {}
-        for prefix, last in split:
-            mid, right = last.blocks.get(src, (None, None))
-            blk = prefix.blocks.get(mid)
-            if blk is not None:
-                groups.setdefault(blk[0], []).append((blk[1], right))
-        for tgt in sorted(groups):
-            bad = _first_nonzero(groups[tgt])
-            if bad is not None:
-                return _witness(src, tgt, *bad)
-    return None
+
+    def blocks():
+        for src in sorted({s for _, last in split for s in last.blocks}):
+            groups = {}
+            for prefix, last in split:
+                mid, right = last.blocks.get(src, (None, None))
+                blk = prefix.blocks.get(mid)
+                if blk is not None:
+                    groups.setdefault(blk[0], []).append((blk[1], right))
+            for tgt in sorted(groups):
+                yield src, tgt, groups[tgt]
+
+    return _first_block_failure(blocks())
 
 
 @memoize

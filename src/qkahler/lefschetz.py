@@ -90,19 +90,6 @@ def primitive_basis(n: int, a: int, b: int) -> tuple:
     return tuple(from_coords(n, v, src) for v in linalg.kernel_basis(mat))
 
 
-def primitive_basis_degree(n: int, k: int) -> list:
-    out = []
-    for b in range(k + 1):
-        a = k - b
-        if a <= n and b <= n:
-            out.extend(primitive_basis(n, a, b))
-    return out
-
-
-def primitive_dimension(n: int, a: int, b: int) -> int:
-    return len(primitive_basis(n, a, b))
-
-
 def bidegree_levels(n: int, a: int, b: int) -> list:
     """Lefschetz levels j contributing to the (a, b) component, with the
     bidegree of the primitive seeds at each level.

@@ -77,23 +77,10 @@ class ScalarMatrix:
     def ncols(self) -> int:
         return self._ncols
 
-    def column(self, j: int) -> list:
-        return [r[j] for r in self.rows]
-
     def __eq__(self, other):
         if not isinstance(other, ScalarMatrix):
             return NotImplemented
         return self._ncols == other._ncols and self.rows == other.rows
-
-    def __add__(self, other):
-        return ScalarMatrix([[a + b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.rows, other.rows)],
-                            ncols=self._ncols)
-
-    def __sub__(self, other):
-        return ScalarMatrix([[a - b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.rows, other.rows)],
-                            ncols=self._ncols)
 
     def __neg__(self):
         return ScalarMatrix([[-a for a in r] for r in self.rows],

@@ -524,9 +524,6 @@ class Scalar:
             raise PoleError(f"pole at q = {q0}")
         return self.num.evaluate(q0) / d
 
-    def is_polynomial(self) -> bool:
-        return self.den is _LP_ONE
-
     def __str__(self):
         return render_scalar(self)
 
@@ -688,13 +685,6 @@ def qfact(m: int, mode: HodgeMode = H_EQ_Q) -> Scalar:
     for t in range(1, m + 1):
         acc = acc * qint(t, mode)
     return acc
-
-
-def qbinom(m: int, r: int, mode: HodgeMode = H_EQ_Q) -> Scalar:
-    """Gaussian binomial [m]! / ([r]! [m-r]!)."""
-    if r < 0 or r > m:
-        raise ValueError(f"binomial out of range: ({m}, {r})")
-    return qfact(m, mode) / (qfact(r, mode) * qfact(m - r, mode))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ a^al b^be c^ga and b^be c^ga d^de: the determinant relation removes any
 monomial containing both a and d.  Monomials are stored as exponent
 4-tuples (al, be, ga, de) with al*de = 0.
 
-The Hopf structure (coproduct, counit, antipode) is implemented, but the
-zero-form Dolbeault Laplacian computation on the quantum projective line
-uses only the antipode: it contracts the hand-entered `XY_TABLE` against
-the generators and their antipodes, and never applies the coproduct or the
-counit.  The Laplacian acts on the projective coordinates
-z_ij = u^i_1 S(u^1_j) by the scalar q[2]_q.
+Of the Hopf structure only the antipode is implemented: the zero-form
+Dolbeault Laplacian on the quantum projective line contracts the
+hand-entered `XY_TABLE` against the generators and their antipodes, and
+needs neither the coproduct nor the counit.  The Laplacian acts on the
+projective coordinates z_ij = u^i_1 S(u^1_j) by the scalar q[2]_q.
 """
 
 from __future__ import annotations
@@ -73,10 +72,6 @@ def _mul_monomials(m1: tuple, m2: tuple) -> dict:
         for _ in range(count):
             out = _times_generator(out, gen)
     return out
-
-
-def _mono_degree(m: tuple) -> int:
-    return sum(m)
 
 
 def _mono_str(m: tuple) -> str:
@@ -160,14 +155,6 @@ class SU2Element:
 
     __rmul__ = scale
 
-    def counit(self) -> Scalar:
-        """epsilon: a, d -> 1 and b, c -> 0, extended multiplicatively."""
-        acc = ZERO
-        for (al, be, ga, de), c in self.terms.items():
-            if be == 0 and ga == 0:
-                acc = acc + c
-        return acc
-
     def antipode(self) -> "SU2Element":
         """Anti-multiplicative extension of a <-> d, b -> -q^-1 b, c -> -q c.
 
@@ -181,19 +168,11 @@ class SU2Element:
             out[(de, be, ga, al)] = c * sgn * _Q(ga - be)
         return SU2Element(out)
 
-    def degrees(self) -> set:
-        return {_mono_degree(m) for m in self.terms}
-
     def __str__(self) -> str:
-        keys = sorted(self.terms, key=lambda m: (_mono_degree(m), m))
+        keys = sorted(self.terms, key=lambda m: (sum(m), m))
         return render_terms((self.terms[m], _mono_str(m)) for m in keys)
 
     __repr__ = __str__
-
-    def to_json(self) -> list:
-        keys = sorted(self.terms, key=lambda m: (_mono_degree(m), m))
-        return [{"monomial": list(m), "coeff": render_scalar(self.terms[m])}
-                for m in keys]
 
 
 E_ONE = SU2Element.one()
@@ -212,122 +191,6 @@ def u_entry(i: int, j: int) -> SU2Element:
 
 def antipode_u_entry(i: int, j: int) -> SU2Element:
     return u_entry(i, j).antipode()
-
-
-class TensorElement:
-    """Sum of two-leg tensors over the scalar field, legs in normal form."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def of(x: SU2Element, y: SU2Element) -> "TensorElement":
-        out: dict = {}
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                _acc(out, (m1, m2), c1 * c2)
-        return TensorElement(out)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(out, k, c)
-        return TensorElement(out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(out, k, -c)
-        return TensorElement(out)
-
-    def scale(self, s) -> "TensorElement":
-        return TensorElement({k: c * s for k, c in self.terms.items()})
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        out: dict = {}
-        for (m1, m2), c1 in self.terms.items():
-            for (p1, p2), c2 in other.terms.items():
-                c = c1 * c2
-                for l1, f1 in _mul_monomials(m1, p1).items():
-                    cf = c * f1
-                    for l2, f2 in _mul_monomials(m2, p2).items():
-                        _acc(out, (l1, l2), cf * f2)
-        return TensorElement(out)
-
-    def contract(self, combine) -> SU2Element:
-        """Collapse each tensor term with combine(left, right) -> SU2Element."""
-        acc = SU2Element.zero()
-        for (m1, m2), c in self.terms.items():
-            acc = acc + combine(SU2Element({m1: ONE}),
-                                SU2Element({m2: ONE})).scale(c)
-        return acc
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms,
-                      key=lambda k: (_mono_degree(k[0]), _mono_degree(k[1]), k))
-        return " + ".join(
-            f"({render_scalar(self.terms[k])})*{_mono_str(k[0])} (x) {_mono_str(k[1])}"
-            for k in keys)
-
-    __repr__ = __str__
-
-
-_COPRODUCT_GEN = {
-    "a": TensorElement({((1, 0, 0, 0), (1, 0, 0, 0)): ONE,
-                        ((0, 1, 0, 0), (0, 0, 1, 0)): ONE}),
-    "b": TensorElement({((1, 0, 0, 0), (0, 1, 0, 0)): ONE,
-                        ((0, 1, 0, 0), (0, 0, 0, 1)): ONE}),
-    "c": TensorElement({((0, 0, 1, 0), (1, 0, 0, 0)): ONE,
-                        ((0, 0, 0, 1), (0, 0, 1, 0)): ONE}),
-    "d": TensorElement({((0, 0, 1, 0), (0, 1, 0, 0)): ONE,
-                        ((0, 0, 0, 1), (0, 0, 0, 1)): ONE}),
-}
-
-@memoize
-def _coproduct_monomial(m: tuple) -> TensorElement:
-    out = TensorElement.of(E_ONE, E_ONE)
-    for gen, count in zip("abcd", m):
-        for _ in range(count):
-            out = out * _COPRODUCT_GEN[gen]
-    return out
-
-
-def coproduct(x: SU2Element) -> TensorElement:
-    """Matrix coproduct Delta(u^i_j) = sum_k u^i_k (x) u^k_j, extended as an
-    algebra map."""
-    acc = TensorElement()
-    for m, c in x.terms.items():
-        acc = acc + _coproduct_monomial(m).scale(c)
-    return acc
-
-
-def coproduct2(x: SU2Element, side: str = "left") -> dict:
-    """Iterated coproduct as a three-leg term dict.
-
-    side "left" applies Delta to the first leg, side "right" to the second;
-    coassociativity says the two agree.
-    """
-    out: dict = {}
-    for (m1, m2), c in coproduct(x).terms.items():
-        if side == "left":
-            for (p1, p2), f in _coproduct_monomial(m1).terms.items():
-                _acc(out, (p1, p2, m2), c * f)
-        else:
-            for (p1, p2), f in _coproduct_monomial(m2).terms.items():
-                _acc(out, (m1, p1, p2), c * f)
-    return out
 
 
 def projective_coordinate(i: int, j: int) -> SU2Element:

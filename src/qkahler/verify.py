@@ -31,7 +31,7 @@ from .linalg import ScalarMatrix
 from .hodge import (
     GradedOperator, hodge, hodge_operator, metric, gram, certify_posdef,
     serre_pairing, combination_defect, l_operator, lambda_operator,
-    star_matrix, vol, _first_nonzero, _witness,
+    star_matrix, vol, _first_block_failure, _first_nonzero,
 )
 from .uqsl2 import h_operator, k_operator, sl2_relations
 from .su2 import verify_cp1_laplacian
@@ -218,17 +218,6 @@ def _star_operator(n):
 def _conjugate(op):
     return GradedOperator(op.n, {src: (tgt, mat.conjugate())
                                  for src, (tgt, mat) in op.blocks.items()})
-
-
-def _first_block_failure(blocks):
-    """The witness of the first (src, tgt, products) whose sum of left .
-    right over its (left, right) products is not zero, as `_witness`
-    names it, else None: one `_first_nonzero` per block."""
-    for src, tgt, products in blocks:
-        bad = _first_nonzero(products)
-        if bad is not None:
-            return _witness(src, tgt, *bad)
-    return None
 
 
 @memoize

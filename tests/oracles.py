@@ -6,20 +6,26 @@ numbers, Sylvester minors for positivity, and rewrite reducers that walk
 words from the right instead of the left.  Slow but transparently correct,
 which is what an oracle is for.  Nothing here imports the linear algebra,
 rewrite, or Hodge code under test; only the scalar type is shared, and the
-scalar type has its own dict-arithmetic oracle below.  Two exceptions sit
+scalar type has its own dict-arithmetic oracle below.  Three exceptions sit
 at the end.  The form-level metric wedges forms through the engine's Hodge
 map, so it checks the Gram-block path of `metric` and nothing else.  The
 direct adjointness check reads the engine's Gram blocks and zero test: it
 is the block check that the verify suites' derived adjoint entries stand in
-for, kept here so that tests can hold the two against each other.
+for, kept here so that tests can hold the two against each other.  The Hopf
+half of quantum SU(2), coproduct and counit, multiplies tensor legs through
+the engine's `SU2Element` product: it is the reference the antipode's
+convolution axiom is checked against, not an oracle for the ring, which the
+rightmost-first SU(2) reducer above checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
-from qkahler.hodge import _first_nonzero, _witness, gram, hodge, vol
+from qkahler.hodge import _first_block_failure, gram, hodge, vol
 from qkahler.scalars import H_EQ_Q, Scalar, ONE, ZERO
+from qkahler.su2 import SU2Element
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +350,19 @@ def su2_reduce_word(word: str) -> dict:
 # form-level metric
 # ---------------------------------------------------------------------------
 
+def _degree_parts(u) -> dict:
+    parts: dict = {}
+    for m, c in u.terms.items():
+        parts.setdefault(m.degree, {})[m] = c
+    return {k: type(u)(u.n, t) for k, t in parts.items()}
+
+
 def form_metric(u, v, mode):
     """g(u, v) = sum_k vol(u_k ^ hodge(star(v_k))) over the degrees k: one
     wedge, star and Hodge image per degree, no Gram block."""
-    dv = v.degree_split()
+    dv = _degree_parts(v)
     acc = ZERO
-    for k, uk in u.degree_split().items():
+    for k, uk in _degree_parts(u).items():
         vk = dv.get(k)
         if vk is not None:
             acc = acc + vol(uk.wedge(hodge(vk.star(), mode)))
@@ -374,14 +387,151 @@ def adjoint_defect(op, other, mode=H_EQ_Q):
     `combination_defect`, its defect the entry of M^T G_tgt - G_src conj(W)."""
     if op.n != other.n:
         raise ValueError("rank mismatch")
-    for src, (tgt, mat) in sorted(op.blocks.items()):
-        back, w = other.blocks.get(tgt, (None, None))
-        if back != src:
-            return {"bidegree": list(src)}
-        bad = _first_nonzero([(mat.transpose(), gram(op.n, *tgt, mode)),
-                              (gram(op.n, *src, mode), -w.conjugate())])
-        if bad is not None:
-            return _witness(src, tgt, *bad)
+    missing = []  # the first source without its W, which ends the scan
+
+    def blocks():
+        for src, (tgt, mat) in sorted(op.blocks.items()):
+            back, w = other.blocks.get(tgt, (None, None))
+            if back != src:
+                missing.append(src)
+                return
+            yield src, tgt, [(mat.transpose(), gram(op.n, *tgt, mode)),
+                             (gram(op.n, *src, mode), -w.conjugate())]
+
+    wit = _first_block_failure(blocks())
+    if wit is not None:
+        return wit
+    if missing:
+        return {"bidegree": list(missing[0])}
     hit = {tgt for tgt, _ in op.blocks.values()}
     extra = min((src for src in other.blocks if src not in hit), default=None)
     return None if extra is None else {"bidegree": list(extra)}
+
+
+# ---------------------------------------------------------------------------
+# the Hopf half of quantum SU(2): coproduct and counit
+# ---------------------------------------------------------------------------
+
+def _acc(table: dict, key, value) -> None:
+    s = table.get(key, ZERO) + value
+    if s:
+        table[key] = s
+    else:
+        table.pop(key, None)
+
+
+def _leg(m: tuple) -> SU2Element:
+    return SU2Element({m: ONE})
+
+
+class TensorElement:
+    """Sum of two-leg tensors over the scalar field, legs in normal form,
+    stored as {(left monomial, right monomial): Scalar}."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def of(x: SU2Element, y: SU2Element) -> "TensorElement":
+        out: dict = {}
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                _acc(out, (m1, m2), c1 * c2)
+        return TensorElement(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other: "TensorElement") -> "TensorElement":
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _acc(out, k, c)
+        return TensorElement(out)
+
+    def scale(self, s) -> "TensorElement":
+        return TensorElement({k: c * s for k, c in self.terms.items()})
+
+    def __mul__(self, other: "TensorElement") -> "TensorElement":
+        """Legwise product, each leg multiplied by the engine's product."""
+        out: dict = {}
+        for (m1, m2), c1 in self.terms.items():
+            for (p1, p2), c2 in other.terms.items():
+                c = c1 * c2
+                left = (_leg(m1) * _leg(p1)).terms
+                right = (_leg(m2) * _leg(p2)).terms
+                for l1, f1 in left.items():
+                    cf = c * f1
+                    for l2, f2 in right.items():
+                        _acc(out, (l1, l2), cf * f2)
+        return TensorElement(out)
+
+    def contract(self, combine) -> SU2Element:
+        """Collapse each tensor term with combine(left, right) -> SU2Element."""
+        acc = SU2Element.zero()
+        for (m1, m2), c in self.terms.items():
+            acc = acc + combine(_leg(m1), _leg(m2)).scale(c)
+        return acc
+
+    def __repr__(self):
+        return f"TensorElement({self.terms!r})"
+
+
+_COPRODUCT_GEN = {
+    "a": TensorElement({((1, 0, 0, 0), (1, 0, 0, 0)): ONE,
+                        ((0, 1, 0, 0), (0, 0, 1, 0)): ONE}),
+    "b": TensorElement({((1, 0, 0, 0), (0, 1, 0, 0)): ONE,
+                        ((0, 1, 0, 0), (0, 0, 0, 1)): ONE}),
+    "c": TensorElement({((0, 0, 1, 0), (1, 0, 0, 0)): ONE,
+                        ((0, 0, 0, 1), (0, 0, 1, 0)): ONE}),
+    "d": TensorElement({((0, 0, 1, 0), (0, 1, 0, 0)): ONE,
+                        ((0, 0, 0, 1), (0, 0, 0, 1)): ONE}),
+}
+
+
+@cache
+def _coproduct_monomial(m: tuple) -> TensorElement:
+    one = SU2Element.one()
+    out = TensorElement.of(one, one)
+    for gen, count in zip("abcd", m):
+        for _ in range(count):
+            out = out * _COPRODUCT_GEN[gen]
+    return out
+
+
+def coproduct(x: SU2Element) -> TensorElement:
+    """Matrix coproduct Delta(u^i_j) = sum_k u^i_k (x) u^k_j, extended as an
+    algebra map."""
+    acc = TensorElement()
+    for m, c in x.terms.items():
+        acc = acc + _coproduct_monomial(m).scale(c)
+    return acc
+
+
+def coproduct2(x: SU2Element, side: str = "left") -> dict:
+    """Iterated coproduct as a three-leg term dict.
+
+    side "left" applies Delta to the first leg, side "right" to the second;
+    coassociativity says the two agree.
+    """
+    out: dict = {}
+    for (m1, m2), c in coproduct(x).terms.items():
+        if side == "left":
+            for (p1, p2), f in _coproduct_monomial(m1).terms.items():
+                _acc(out, (p1, p2, m2), c * f)
+        else:
+            for (p1, p2), f in _coproduct_monomial(m2).terms.items():
+                _acc(out, (m1, p1, p2), c * f)
+    return out
+
+
+def counit(x: SU2Element) -> Scalar:
+    """epsilon: a, d -> 1 and b, c -> 0, extended multiplicatively."""
+    acc = ZERO
+    for (al, be, ga, de), c in x.terms.items():
+        if be == 0 and ga == 0:
+            acc = acc + c
+    return acc

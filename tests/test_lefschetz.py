@@ -18,13 +18,15 @@ from qkahler.hodge import lambda_apply
 from qkahler.lefschetz import (
     L, L_power, bidegree_levels, from_coords, kappa, kappa_power,
     l_matrix, l_power_matrix, lambda_string_factor, lefschetz_decompose,
-    primitive_basis, primitive_basis_degree, primitive_dimension,
+    primitive_basis,
     string_basis_matrix, string_columns, to_coords, verify_lefschetz_iso,
 )
 from qkahler.linalg import ScalarMatrix
 from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, Scalar, qfact, qint,
 )
+
+from oracles import C_ZERO, c_matmul, eval_matrix, gauss_rank
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)))
 
@@ -78,7 +80,7 @@ def test_l_matrix_realises_the_wedge():
                 assert (mat.nrows, mat.ncols) == (len(tgt), len(src))
                 for jdx, m in enumerate(src):
                     want = to_coords(L(FiberForm(n, {m: ONE})), tgt)
-                    assert mat.column(jdx) == want
+                    assert [r[jdx] for r in mat.rows] == want
 
 
 def test_l_power_matrix_composes():
@@ -100,7 +102,7 @@ def test_coordinate_round_trip():
 def test_primitive_dimensions():
     for n in (1, 2, 3):
         for k in range(n + 1):
-            got = len(primitive_basis_degree(n, k))
+            got = sum(len(primitive_basis(n, k - b, b)) for b in range(k + 1))
             below = comb(2 * n, k - 2) if k >= 2 else 0
             assert got == comb(2 * n, k) - below
         for a in range(n + 1):
@@ -109,9 +111,9 @@ def test_primitive_dimensions():
                     lower = comb(n, a - 1) * comb(n, b - 1) \
                         if min(a, b) >= 1 else 0
                     want = comb(n, a) * comb(n, b) - lower
-                    assert primitive_dimension(n, a, b) == want
+                    assert len(primitive_basis(n, a, b)) == want
                 else:
-                    assert primitive_dimension(n, a, b) == 0
+                    assert len(primitive_basis(n, a, b)) == 0
 
 
 def test_primitive_forms_are_killed_by_the_right_power():
@@ -124,6 +126,27 @@ def test_primitive_forms_are_killed_by_the_right_power():
                     if k < n:
                         assert L_power(p, n - k)
                     assert not lambda_apply(p)
+
+
+def test_primitive_bases_span_the_kernels_at_a_point():
+    """At n = 4 and q0 = 17/13, for each (a, b) with k = a + b <= n, the
+    evaluated power L^(n-k+1) out of (a, b) kills every evaluated vector of
+    `primitive_basis(n, a, b)`, and those vectors are independent and as
+    many as dim V^(a,b) minus the rank of the evaluated power, so they span
+    its kernel at q0.  Evaluation is a ring map, so the exact identities
+    hold at q0 too: this is a necessary check, not a proof."""
+    n, q0 = 4, Fraction(17, 13)
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            power = eval_matrix(l_power_matrix(n, a, b, n - a - b + 1), q0)
+            src = basis_bidegree(n, a, b)
+            seeds = eval_matrix(ScalarMatrix(
+                [to_coords(p, src) for p in primitive_basis(n, a, b)],
+                ncols=len(src)), q0)
+            images = c_matmul(power, [list(col) for col in zip(*seeds)])
+            assert all(x == C_ZERO for row in images for x in row), (a, b)
+            assert gauss_rank(seeds) == len(seeds) \
+                == len(src) - gauss_rank(power), (a, b)
 
 
 def _span_matrix(n, forms, basis):
@@ -143,9 +166,7 @@ def test_rank2_middle_primitive_span():
     ]
     a = _span_matrix(n, computed, basis)
     b = _span_matrix(n, stated, basis)
-    joint = ScalarMatrix.from_columns(
-        [a.column(j) for j in range(a.ncols)]
-        + [b.column(j) for j in range(b.ncols)], len(basis))
+    joint = _span_matrix(n, [*computed, *stated], basis)
     assert linalg.rank(a) == linalg.rank(b) == linalg.rank(joint) == 3
 
 
@@ -159,7 +180,7 @@ def test_bidegree_levels_bookkeeping():
                     list(range(max(0, k - n), min(a, b) + 1))
                 for j, (ap, bp) in levels:
                     assert (ap + j, bp + j) == (a, b)
-                total = sum(primitive_dimension(n, ap, bp)
+                total = sum(len(primitive_basis(n, ap, bp))
                             for _, (ap, bp) in levels)
                 assert total == len(basis_bidegree(n, a, b))
 
@@ -242,7 +263,7 @@ def _decompose_by_lowering(u, mode):
     lowering operator, whose j-fold action on L^j(alpha) with alpha
     primitive of degree k' multiplies by prod_t [t]_h [n-t-k'+1]_h, subtract
     its string, and peel the levels top down."""
-    n, k = u.n, u.degree()
+    n, (k,) = u.n, u.degrees()
     out = []
     rem = u
     for m in range(k // 2, 0, -1):

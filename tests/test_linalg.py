@@ -45,7 +45,8 @@ def test_matrix_ring_axioms():
         c = _random_matrix(rng, 2, 3)
         assert (a @ b) @ c == a @ (b @ c)
         assert a @ ScalarMatrix.identity(4) == a
-        assert (a + a).scale(Scalar.from_int(1) / Scalar.from_int(2)) == a
+        assert a.scale(Scalar.from_int(2)).scale(
+            Scalar.from_int(1) / Scalar.from_int(2)) == a
         assert (a @ b).transpose() == b.transpose() @ a.transpose()
         assert (a @ b).conjugate() == a.conjugate() @ b.conjugate()
 

@@ -354,6 +354,13 @@ def _first_entry(blocks):
     return None
 
 
+def _sum(x, y):
+    """Entrywise sum of two matrices of one shape."""
+    return linalg.ScalarMatrix([[a + b for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(x.rows, y.rows)],
+                               ncols=x.ncols)
+
+
 def _canonical_defect(terms):
     """The first nonzero entry of the sum of c . X1 ... Xr over the terms,
     every chain multiplied out canonically and summed per (src, tgt)."""
@@ -362,7 +369,7 @@ def _canonical_defect(terms):
         op = reduce(GradedOperator.compose, factors).scale(c)
         for src, (tgt, mat) in op.blocks.items():
             old = blocks.get((src, tgt))
-            blocks[src, tgt] = mat if old is None else old + mat
+            blocks[src, tgt] = mat if old is None else _sum(old, mat)
     return _first_entry(blocks)
 
 
@@ -419,14 +426,15 @@ def _canonical_witnesses(n, mode):
     out = {name: _canonical_defect(t) for name, t in terms.items()}
     p = verify.serre_pairing
     out[H_SERRE] = _first_entry({
-        (src, tgt): mat.transpose() @ p(n, *tgt)
-        - p(n, *src).scale(sign.blocks[src][1].rows[0][0])
-        @ star_op.blocks[src[::-1]][1]
+        (src, tgt): _sum(mat.transpose() @ p(n, *tgt),
+                         -p(n, *src).scale(sign.blocks[src][1].rows[0][0])
+                         @ star_op.blocks[src[::-1]][1])
         for src, (tgt, mat) in star_op.blocks.items()})
     lower = {src: mat for src, (_, mat) in l_star.blocks.items()}
     out[L_SERRE] = _first_entry({
-        ((a, b), (a + 1, b + 1)): lower[a, b].transpose() @ p(n, a + 1, b + 1)
-        - p(n, a, b) @ lower[n - a - 1, n - b - 1]
+        ((a, b), (a + 1, b + 1)): _sum(
+            lower[a, b].transpose() @ p(n, a + 1, b + 1),
+            -p(n, a, b) @ lower[n - a - 1, n - b - 1])
         for a, b in product(range(n), repeat=2)})
     hodge_premises = [(name, out[name]) for name in (SQUARE, STAR, H_SERRE)]
     out[UNITARY] = _canonical_premise_failure(hodge_premises)
