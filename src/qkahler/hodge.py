@@ -189,8 +189,7 @@ class GradedOperator:
 
     blocks: read-only {source_bidegree: (target_bidegree, matrix)}, and
     neither attribute can be rebound, so cached operators can be shared;
-    blocks that are identically zero are dropped, making equality of maps
-    a dict compare.
+    blocks that are identically zero are dropped.
     """
 
     __slots__ = ("n", "blocks")
@@ -246,11 +245,6 @@ class GradedOperator:
         return GradedOperator(self.n, {
             src: (tgt, mat.scale(c)) for src, (tgt, mat) in self.blocks.items()
         })
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedOperator):
-            return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
 
 
 def _first_nonzero(products):

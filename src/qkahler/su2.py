@@ -120,9 +120,6 @@ class SU2Element:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "SU2Element") -> "SU2Element":
         out = dict(self.terms)
         for m, c in other.terms.items():

@@ -7,7 +7,10 @@ never fail a run).  Suites are keyed by name in SUITES; run_suites drives a
 selection and aggregates the failures.  The metric adjoint entries of the
 hodge and lids suites are derived from block identities on H, L, the star
 matrices and the Serre pairing, checked once per rank and mode and shared
-by both suites; a derived entry that fails names its first failing premise.
+by both suites.  The strings entry "primitives are exactly the lowering
+kernel, by rank" is derived from the string basis, the lowering identity
+and nonzero lowering factors, with no rank of Lambda.  A derived entry
+that fails names its first failing premise.
 """
 
 from __future__ import annotations
@@ -537,16 +540,24 @@ def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 # strings
 # ---------------------------------------------------------------------------
 
-def _seed_failure(n, seeds, killed):
+def _seed_failure(n, mode, seeds):
     """The first seed, by bidegree then index, that Lambda does not kill or
     whose string L^j(seed) does not end exactly at j = n-k, named with the
-    condition it fails, else None.  `seeds` maps each bidegree to its
-    primitive basis and `killed` to its first unkilled seed index or None."""
+    condition it fails, else None; `seeds` maps each bidegree to its
+    primitive basis.  Seed i is killed when row i of P^T . Lambda_(a,b)^T
+    is zero, P the seed coordinates; an absent Lambda block kills every
+    seed."""
+    lam = lambda_operator(n, mode).blocks
     for (a, b), ss in seeds.items():
+        basis = basis_bidegree(n, a, b)
+        pt = ScalarMatrix([to_coords(s, basis) for s in ss], ncols=len(basis))
+        bad = (a, b) in lam and _first_nonzero(
+            [(pt, lam[a, b][1].transpose())])
         for idx, seed in enumerate(ss):
             top = L_power(seed, n - a - b)
             for condition, holds in (
-                    ("killed by the lowering operator", killed[a, b] != idx),
+                    ("killed by the lowering operator",
+                     not bad or bad[0] != idx),
                     ("L^(n-k) is nonzero", bool(top)),
                     ("L^(n-k+1) is zero", not L(top))):
                 if not holds:
@@ -582,21 +593,22 @@ def _lowering_failure(n, mode, basis):
     return None
 
 
-def _lambda_kernel_failure(n, mode, seeds, killed):
-    """The first degree k where the primitive forms are not exactly the
-    kernel of Lambda on V^k, else None: every seed is killed (`seeds` and
-    `killed` as in `_seed_failure`) and dim V^k minus the exact rank of the
-    Lambda blocks equals dim P^k."""
-    lam = lambda_operator(n, mode)
-    for k in range(2 * n + 1):
-        bidegrees = [(k - b, b) for b in range(k + 1) if k - b <= n and b <= n]
-        dead = all(killed.get(bd) is None for bd in bidegrees)
-        kernel_dim = sum(len(basis_bidegree(n, *bd)) for bd in bidegrees) \
-            - sum(linalg.rank(lam.blocks[bd][1])
-                  for bd in bidegrees if bd in lam.blocks)
-        if not dead or kernel_dim != sum(len(seeds.get(bd, ()))
-                                         for bd in bidegrees):
-            return {"degree": k}
+def _zero_factor_failure(n, mode):
+    """{"degree": k, "level": j} of the first zero lowering factor
+    [j]_h [n-j-k+1]_h, 0 <= k <= n and 1 <= j <= n-k, else None.
+
+    With the basis and lowering entries this decides "primitives are
+    exactly the lowering kernel, by rank", and no rank of Lambda is taken.
+    Lambda_(a,b) . S = S' . D with S and S' invertible, so
+    Lambda_(a,b) = S' . D . S^-1 and rank Lambda_(a,b) = rank D.  That is
+    the number of members above level 0, since each such column of D holds
+    its one nonzero factor in a row of its own.  And ker Lambda_(a,b) =
+    S . ker D, the span of the level-0 members: the seeds.  A bidegree with
+    a = 0 or b = 0 has no Lambda block and only level-0 members."""
+    for k in range(n + 1):
+        for j in range(1, n - k + 1):
+            if not lambda_string_factor(n, k, j, mode):
+                return {"degree": k, "level": j}
     return None
 
 
@@ -608,16 +620,7 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out.append(_entry("strings", "string members count the whole fiber",
                       total == 4 ** n, detail=f"{total} of {4 ** n}"))
 
-    # seed i is killed when row i of P^T . Lambda_(a,b)^T is zero, P the
-    # seed coordinates; an absent Lambda block kills every seed
-    lam, killed = lambda_operator(n, mode).blocks, {}
-    for bd, ss in seeds.items():
-        basis = basis_bidegree(n, *bd)
-        pt = ScalarMatrix([to_coords(s, basis) for s in ss],
-                          ncols=len(basis))
-        bad = bd in lam and _first_nonzero([(pt, lam[bd][1].transpose())])
-        killed[bd] = bad[0] if bad else None
-    wit = _seed_failure(n, seeds, killed)
+    wit = _seed_failure(n, mode, seeds)
     out.append(_entry("strings",
                       "every seed is killed by the lowering operator and "
                       "lives for exactly n-k+1 steps", wit is None,
@@ -626,16 +629,18 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 
     basis = {(a, b): string_basis_matrix(n, a, b)
              for a in range(n + 1) for b in range(n + 1)}
-    ok = all(mat.ncols == len(basis_bidegree(n, *bd)) == linalg.rank(mat)
-             for bd, mat in basis.items())
-    out.append(_entry("strings", "string members form a basis per bidegree", ok))
-
-    wit = _lowering_failure(n, mode, basis)
-    out.append(_entry("strings",
-                      "lowering factor [j]_h [n-j-k+1]_h along every string",
-                      wit is None, witness=wit))
-
-    wit = _lambda_kernel_failure(n, mode, seeds, killed)
+    premises = (
+        ("string members form a basis per bidegree",
+         _first_bidegree(n, lambda a, b: basis[a, b].ncols
+                         == len(basis_bidegree(n, a, b))
+                         == linalg.rank(basis[a, b]))),
+        ("lowering factor [j]_h [n-j-k+1]_h along every string",
+         _lowering_failure(n, mode, basis)),
+        ("lowering factors are nonzero", _zero_factor_failure(n, mode)),
+    )
+    for name, wit in premises[:2]:
+        out.append(_entry("strings", name, wit is None, witness=wit))
+    wit = _premise_failure(premises)
     out.append(_entry("strings",
                       "primitives are exactly the lowering kernel, by rank",
                       wit is None, witness=wit))

@@ -5,8 +5,8 @@ A fresh interpreter imports the package under `sys.setprofile`, so that
 import-time calls count and every cache starts empty.  In that one process
 it runs every CLI command at n = 1 and 2 in the hq, h1 and numeric modes,
 and calls at n = 2 the Python API that `perfbench/queries.py` calls.  Every
-named function and method defined in src/qkahler/*.py, dunders aside, must
-have been entered.
+named function and method defined in src/qkahler/*.py, dunders included,
+must have been entered, or be listed with its reason in ALLOWED_UNREACHED.
 """
 
 from __future__ import annotations
@@ -25,7 +25,19 @@ import qkahler
 PACKAGE = os.path.dirname(os.path.realpath(qkahler.__file__))
 
 # qualified name -> the reason no command, suite or query reaches it
-ALLOWED_UNREACHED: dict = {}
+ALLOWED_UNREACHED: dict = {
+    "fiber.FiberForm.__rmul__": "reflected arithmetic: scalar * form",
+    "linalg.ScalarMatrix.__str__": "str and repr for debugging",
+    "scalars.GaussianRational.__rsub__": "reflected arithmetic",
+    "scalars.GaussianRational.__rtruediv__": "reflected arithmetic",
+    "scalars.GaussianRational.__str__": "str and repr for debugging",
+    "scalars.LaurentPoly.__str__": "str and repr for debugging",
+    "scalars.LaurentPoly.__sub__": "completes the ring operations",
+    "scalars.Scalar.__rsub__": "reflected arithmetic",
+    "scalars.Scalar.__rtruediv__": "reflected arithmetic",
+    "su2.SU2Element.__bool__": "truthiness",
+    "su2.SU2Element.__neg__": "completes the ring operations",
+}
 
 _RUN = textwrap.dedent("""
     import contextlib, io, json, sys
@@ -75,7 +87,7 @@ _RUN = textwrap.dedent("""
 
 def _defined_functions() -> dict:
     """(file, first line, name) -> qualified name of every function and
-    method in the package sources, dunders and anonymous code aside."""
+    method in the package sources, dunders included, anonymous code aside."""
     out = {}
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         with open(path) as fh:
@@ -87,10 +99,9 @@ def _defined_functions() -> dict:
                     continue
                 name = const.co_name
                 stack.append((const, f"{prefix}{name}."))
-                dunder = name.startswith("__") and name.endswith("__")
                 # class bodies run once at import and have no new locals
                 if (const.co_flags & inspect.CO_NEWLOCALS
-                        and not name.startswith("<") and not dunder):
+                        and not name.startswith("<")):
                     out[path, const.co_firstlineno, name] = \
                         f"{os.path.basename(path)[:-3]}.{prefix}{name}"
     return out

@@ -575,21 +575,58 @@ def test_hodge_and_lids_suites_read_no_gram_block(mode):
 
 KILLED = ("every seed is killed by the lowering operator and lives for "
           "exactly n-k+1 steps")
+BASIS = "string members form a basis per bidegree"
 LOWERING = "lowering factor [j]_h [n-j-k+1]_h along every string"
 KERNEL = "primitives are exactly the lowering kernel, by rank"
 RESCALING = ("level rescaling <L^j a, L^j b> = [j]_h! [n-k]_h! / [n-j-k]_h! "
              "<a,b>")
 
+
+def _zero_lowering_fault(monkeypatch):
+    monkeypatch.setattr(verify, "lambda_operator",
+                        lambda n, mode=H_EQ_Q: GradedOperator(n, {}))
+    monkeypatch.setattr(verify, "lambda_string_factor",
+                        lambda n, k, j, mode=H_EQ_Q: ZERO)
+
+
+def _string_basis_fault(monkeypatch):
+    true = verify.string_basis_matrix
+
+    def faulted(n, a, b):
+        mat = true(n, a, b)
+        if (a, b) != (1, 1):
+            return mat
+        return linalg.ScalarMatrix([[ZERO, *r[1:]] for r in mat.rows])
+
+    monkeypatch.setattr(verify, "string_basis_matrix", faulted)
+
+
 # The failing strings and metric entries at n = 2, hq, with their witnesses.
-# Lambda's (2,1) block lowers no seed and keeps its rank, so only the block
-# identity of the lowering factor sees it.
+# Lambda's (2,1) block lowers no seed, so only the block identity of the
+# lowering factor sees it, and the kernel entry names that identity as its
+# first failing premise.  A zero Lambda with zero lowering factors kills
+# every seed and meets the lowering identity; only the kernel entry's
+# premise that the factors are nonzero sees it.  Zeroing the string member
+# of seed 0 in the (1,1) basis breaks the basis, and the lowering identity
+# still holds, since Lambda kills that seed.
 STRING_FAULTS = [
-    (_lambda_entry_fault((2, 1)), {LOWERING: {"bidegree": [2, 1]}}),
+    (_lambda_entry_fault((2, 1)), {
+        LOWERING: {"bidegree": [2, 1]},
+        KERNEL: {"premise": LOWERING, "bidegree": [2, 1]},
+    }),
     (_lambda_entry_fault((1, 1)), {
         KILLED: {"bidegree": [1, 1], "seed_index": 2,
                  "condition": "killed by the lowering operator"},
         LOWERING: {"bidegree": [1, 1]},
-        KERNEL: {"degree": 2},
+        KERNEL: {"premise": LOWERING, "bidegree": [1, 1]},
+    }),
+    (_zero_lowering_fault, {
+        KERNEL: {"premise": "lowering factors are nonzero",
+                 "degree": 0, "level": 1},
+    }),
+    (_string_basis_fault, {
+        BASIS: {"bidegree": [1, 1]},
+        KERNEL: {"premise": BASIS, "bidegree": [1, 1]},
     }),
     (_gram_entry_fault, {
         RESCALING: {"bidegree": [1, 0], "level": 1},
@@ -600,6 +637,7 @@ STRING_FAULTS = [
 
 @pytest.mark.parametrize("fault, failing", STRING_FAULTS,
                          ids=["lambda-block-2-1", "lambda-block-1-1",
+                              "zero-lowering", "string-basis-1-1",
                               "gram-block-1-0"])
 def test_each_string_and_metric_entry_fails_under_its_fault(monkeypatch, fault,
                                                             failing):
@@ -608,6 +646,24 @@ def test_each_string_and_metric_entry_fails_under_its_fault(monkeypatch, fault,
     fault(monkeypatch)
     entries, failures = run_suites(["strings", "metric"], 2, H_EQ_Q)
     assert {e["name"]: e.get("witness") for e in failures} == failing
+
+
+def test_strings_suite_takes_no_rank_of_a_lambda_block(monkeypatch):
+    """The kernel entry is derived from the basis and lowering entries, so
+    no Lambda block reaches `linalg.rank`."""
+    true, ranked = linalg.rank, []
+
+    def recording(matrix):
+        ranked.append(matrix)
+        return true(matrix)
+
+    monkeypatch.setattr(linalg, "rank", recording)
+    assert not [e for e in verify.suite_strings(3, H_EQ_ONE)
+                if e["status"] == "fail"]
+    blocks = [mat for _, mat
+              in verify.lambda_operator(3, H_EQ_ONE).blocks.values()]
+    assert ranked
+    assert not any(m == blk for m in ranked for blk in blocks)
 
 
 BIDEGREES = "distinct bidegrees are orthogonal"
