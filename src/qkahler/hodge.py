@@ -39,7 +39,8 @@ from .fiber import FiberForm, BasisMonomial, basis_bidegree
 from . import linalg
 from .linalg import ScalarMatrix, LDLCertificate
 from .lefschetz import (
-    l_matrix, string_columns, string_basis_matrix, to_coords, from_coords,
+    l_matrix, string_columns, string_basis_matrix, string_images, to_coords,
+    from_coords,
 )
 
 
@@ -62,26 +63,25 @@ def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatri
     """Matrix of the Hodge map from the (a, b) to the (n-b, n-a) component.
 
     The map is known on the string basis: H . S = C, with S the string
-    members of (a, b) in monomial coordinates and C their Hodge images.  H
-    comes from one elimination of S^T . H^T = C^T, with no inverse of S and
-    no block product; exact arithmetic makes it unique.
+    members of (a, b) in monomial coordinates and C their Hodge images, the
+    `string_images` of the level map j -> n-j-k'.  H comes from one
+    elimination of S^T . H^T = C^T, with no inverse of S and no block
+    product; exact arithmetic makes it unique.
     """
-    src = basis_bidegree(n, a, b)
-    tgt = basis_bidegree(n, n - b, n - a)
-    cols = string_columns(n, a, b)
+    src, cols = basis_bidegree(n, a, b), string_columns(n, a, b)
     if len(cols) != len(src):
         raise ArithmeticError(
             f"string basis of ({a},{b}) has wrong size: {len(cols)} != {len(src)}")
-    members = {(j, seed, idx): form
-               for j, seed, idx, form in string_columns(n, n - b, n - a)}
-    images = []
-    for j, (ap, bp), idx, _form in cols:
-        kp = ap + bp
+
+    def rule(j, seed):
+        kp = sum(seed)
         sign = -ONE if (kp * (kp + 1) // 2) % 2 else ONE
-        coeff = sign * i_power(ap - bp) * qfact(j, mode) / qfact(n - j - kp, mode)
-        images.append(members[n - j - kp, (ap, bp), idx].scale(coeff))
-    c_t = ScalarMatrix([to_coords(f, tgt) for f in images], ncols=len(tgt))
-    return linalg.solve(string_basis_matrix(n, a, b).transpose(), c_t).transpose()
+        return n - j - kp, (sign * i_power(seed[0] - seed[1]) * qfact(j, mode)
+                            / qfact(n - j - kp, mode))
+
+    c = string_images(n, a, b, (n - b, n - a), rule)
+    return linalg.solve(string_basis_matrix(n, a, b).transpose(),
+                        c.transpose()).transpose()
 
 
 def hodge(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:

@@ -8,7 +8,8 @@ string L^0, L^1, ..., L^(n-k) and the strings of all seeds form a basis of
 the whole algebra.  Its change of basis to monomial coordinates, S, is
 inverted once per bidegree in `string_basis_inverse`, for
 lefschetz_decompose alone: each Hodge block is one elimination of
-H . S = C in `hodge.hodge_block`, with no inverse of S.
+H . S = C in `hodge.hodge_block`, with no inverse of S.  `string_images`
+maps members to multiples of members, for H, Lambda and L alike.
 """
 
 from __future__ import annotations
@@ -121,6 +122,21 @@ def string_columns(n: int, a: int, b: int) -> tuple:
 def string_basis_matrix(n: int, a: int, b: int) -> ScalarMatrix:
     basis = basis_bidegree(n, a, b)
     cols = [to_coords(f, basis) for _, _, _, f in string_columns(n, a, b)]
+    return ScalarMatrix.from_columns(cols, len(basis))
+
+
+def string_images(n: int, a: int, b: int, tgt: tuple, rule) -> ScalarMatrix:
+    """Per (a, b) member L^j(alpha), in `string_columns` order, the column
+    of c . L^j'(alpha) in tgt's monomial coordinates, (j', c) = rule(j,
+    seed bidegree); 0 where tgt has no level-j' member of alpha's string."""
+    basis = basis_bidegree(n, *tgt)
+    members = {col[:3]: col[3] for col in string_columns(n, *tgt)}
+    cols = []
+    for j, seed, idx, _ in string_columns(n, a, b):
+        jp, c = rule(j, seed)
+        form = members.get((jp, seed, idx))
+        cols.append([ZERO] * len(basis) if form is None
+                    else to_coords(form.scale(c), basis))
     return ScalarMatrix.from_columns(cols, len(basis))
 
 

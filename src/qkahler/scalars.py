@@ -658,16 +658,13 @@ H_EQ_ONE = HodgeMode("one")
 
 
 @memoize
-def qint(m: int, mode: HodgeMode = H_EQ_Q, step: int = 1) -> Scalar:
-    """Symmetric quantum integer [m] = h^(m-1) + h^(m-3) + ... + h^(1-m).
-
-    step scales the exponents, giving quantum integers in base h^step.
-    """
+def qint(m: int, mode: HodgeMode = H_EQ_Q) -> Scalar:
+    """Symmetric quantum integer [m] = h^(m-1) + h^(m-3) + ... + h^(1-m)."""
     if m < 0:
         raise ValueError(f"quantum integer needs m >= 0, got {m}")
     acc = ZERO
     for e in range(m - 1, -m, -2):
-        acc = acc + mode.h_power(e * step)
+        acc = acc + mode.h_power(e)
     return acc
 
 

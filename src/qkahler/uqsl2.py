@@ -73,7 +73,7 @@ def sl2_relations(n: int, mode: HodgeMode = H_EQ_Q):
         ("K Lambda K^-1 = h^-2 Lambda", [(ONE, [K, Lam, Kinv]), (-hm2, [Lam])],
          True),
         ("literal form -[2]_{h^2} K Lambda (expected to differ for h != 1)",
-         _commutator(H, Lam, h2) + [(qint(2, mode, step=2), [K, Lam])],
+         _commutator(H, Lam, h2) + [(h2 + hm2, [K, Lam])],
          mode.h_power(4) == ONE),
     ]
 

@@ -7,10 +7,11 @@ never fail a run).  Suites are keyed by name in SUITES; run_suites drives a
 selection and aggregates the failures.  The metric adjoint entries of the
 hodge and lids suites are derived from block identities on H, L, the star
 matrices and the Serre pairing, checked once per rank and mode and shared
-by both suites.  The strings entry "primitives are exactly the lowering
-kernel, by rank" is derived from the string basis, the lowering identity
-and nonzero lowering factors, with no rank of Lambda.  A derived entry
-that fails names its first failing premise.
+by both suites.  The strings suite checks that the string members form a
+basis and that Lambda and L move them as `lefschetz.string_images` says,
+and derives its seed, kernel and level-orthogonality entries from those
+identities, with no rank of Lambda and no Hodge image of a form.  A derived
+entry that fails names its first failing premise.
 """
 
 from __future__ import annotations
@@ -20,21 +21,22 @@ from itertools import combinations, product
 from math import comb
 
 from .scalars import (
-    H_EQ_Q, ONE, ZERO, I, Scalar, qfact, memoize, render_scalar, parse_scalar,
+    H_EQ_Q, ONE, I, Scalar, qfact, memoize, render_scalar, parse_scalar,
 )
 from .fiber import (
     FiberForm, basis_bidegree, basis_degree, weight, e_plus, e_minus,
 )
 from .lefschetz import (
-    kappa, kappa_power, L, L_power, lambda_string_factor, primitive_basis,
-    string_basis_matrix, string_columns, to_coords, verify_lefschetz_iso,
+    kappa, kappa_power, lambda_string_factor, primitive_basis,
+    string_basis_matrix, string_columns, string_images, to_coords,
+    verify_lefschetz_iso,
 )
 from . import linalg
 from .linalg import ScalarMatrix
 from .hodge import (
     GradedOperator, hodge, hodge_operator, metric, gram, certify_posdef,
     serre_pairing, combination_defect, l_operator, lambda_operator,
-    star_matrix, vol, _first_block_failure, _first_nonzero,
+    star_matrix, _first_block_failure, _first_nonzero,
 )
 from .uqsl2 import h_operator, k_operator, sl2_relations
 from .su2 import verify_cp1_laplacian
@@ -540,56 +542,20 @@ def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 # strings
 # ---------------------------------------------------------------------------
 
-def _seed_failure(n, mode, seeds):
-    """The first seed, by bidegree then index, that Lambda does not kill or
-    whose string L^j(seed) does not end exactly at j = n-k, named with the
-    condition it fails, else None; `seeds` maps each bidegree to its
-    primitive basis.  Seed i is killed when row i of P^T . Lambda_(a,b)^T
-    is zero, P the seed coordinates; an absent Lambda block kills every
-    seed."""
-    lam = lambda_operator(n, mode).blocks
-    for (a, b), ss in seeds.items():
-        basis = basis_bidegree(n, a, b)
-        pt = ScalarMatrix([to_coords(s, basis) for s in ss], ncols=len(basis))
-        bad = (a, b) in lam and _first_nonzero(
-            [(pt, lam[a, b][1].transpose())])
-        for idx, seed in enumerate(ss):
-            top = L_power(seed, n - a - b)
-            for condition, holds in (
-                    ("killed by the lowering operator",
-                     not bad or bad[0] != idx),
-                    ("L^(n-k) is nonzero", bool(top)),
-                    ("L^(n-k+1) is zero", not L(top))):
-                if not holds:
-                    return {"bidegree": [a, b], "seed_index": idx,
-                            "condition": condition}
-    return None
-
-
-def _lowering_failure(n, mode, basis):
-    """The first (a, b) where Lambda . S_(a,b) != S_(a-1,b-1) . D, else None.
-
-    S is the string basis matrix (`basis` maps each bidegree to it) and D
-    sends the column of L^j(alpha) to the row of L^(j-1)(alpha) with the
-    factor [j]_h [n-j-k+1]_h, k the degree of alpha; a level-0 column of D
-    is zero, and so is an absent Lambda block."""
-    lam = lambda_operator(n, mode)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            cols = string_columns(n, a, b)
-            below = {col[:3]: r for r, col
-                     in enumerate(string_columns(n, a - 1, b - 1))}
-            d = [[ZERO] * len(cols) for _ in below]
-            for c, (j, seed, idx, _) in enumerate(cols):
-                if j:
-                    d[below[j - 1, seed, idx]][c] = \
-                        -lambda_string_factor(n, sum(seed), j, mode)
-            products = [(basis[a - 1, b - 1], ScalarMatrix(d, ncols=len(cols)))]
-            blk = lam.blocks.get((a, b))
-            if blk is not None:
-                products.append((blk[1], basis[a, b]))
-            if _first_nonzero(products) is not None:
-                return {"bidegree": [a, b]}
+def _string_map_failure(n, op, step, factor, basis):
+    """{"bidegree": [a, b]} of the first (a, b) where op . S_(a,b) is not
+    `string_images` one level up (step 1) or down (step -1), with factor
+    factor(j, k) on a member L^j(alpha) of a degree-k seed alpha, else None.
+    S is the string basis matrix (`basis` maps each bidegree to it), and an
+    absent op block is zero."""
+    for a, b in product(range(max(0, -step), n + 1 - max(0, step)), repeat=2):
+        images = string_images(n, a, b, (a + step, b + step),
+                               lambda j, seed: (j + step, -factor(j, sum(seed))))
+        products = [(ScalarMatrix.identity(images.nrows), images)]
+        if (a, b) in op.blocks:
+            products.append((op.blocks[a, b][1], basis[a, b]))
+        if _first_nonzero(products) is not None:
+            return {"bidegree": [a, b]}
     return None
 
 
@@ -597,14 +563,11 @@ def _zero_factor_failure(n, mode):
     """{"degree": k, "level": j} of the first zero lowering factor
     [j]_h [n-j-k+1]_h, 0 <= k <= n and 1 <= j <= n-k, else None.
 
-    With the basis and lowering entries this decides "primitives are
-    exactly the lowering kernel, by rank", and no rank of Lambda is taken.
-    Lambda_(a,b) . S = S' . D with S and S' invertible, so
-    Lambda_(a,b) = S' . D . S^-1 and rank Lambda_(a,b) = rank D.  That is
-    the number of members above level 0, since each such column of D holds
-    its one nonzero factor in a row of its own.  And ker Lambda_(a,b) =
-    S . ker D, the span of the level-0 members: the seeds.  A bidegree with
-    a = 0 or b = 0 has no Lambda block and only level-0 members."""
+    With the basis and lowering identities this decides "primitives are
+    exactly the lowering kernel, by rank", with no rank of Lambda: in
+    string coordinates Lambda_(a,b) sends each member above level 0 to a
+    nonzero multiple of a member of its own, and each seed to 0, so its
+    kernel is the span of the seeds."""
     for k in range(n + 1):
         for j in range(1, n - k + 1):
             if not lambda_string_factor(n, k, j, mode):
@@ -612,7 +575,30 @@ def _zero_factor_failure(n, mode):
     return None
 
 
+RAISING = "L raises every string by one level"
+
+
 def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
+    """Three entries are derived from the checked basis and lowering
+    identities, the raising identity (named only in witnesses) and the
+    premises on L, and a failing one names its first failing premise.
+
+    - Seeds (basis, lowering, raising): a seed is a level-0 member, so
+      Lambda kills it; L^(n-k) of it is its top member, a column of an
+      invertible S, and L sends that member to 0.
+    - Kernel (basis, lowering, nonzero factors): `_zero_factor_failure`.
+    - Levels (basis, raising, `_l_premises`): take members L^i(alpha) and
+      L^j(beta) of one degree-k bidegree, i != j.  By raising, the power of
+      L that kills a bidegree's seeds sends its other members to distinct
+      columns of an invertible S, so the seeds span the primitives.  Star
+      and H keep a string's seed: star commutes with L, and H . S = C of
+      `hodge_block`, taken as given, makes H(star(L^j(beta))) =
+      L^(n-k+j)(gamma), gamma primitive.  L^i moves across the Serre
+      pairing, so the metric is vol(alpha ^ L^(n-k+i+j)(gamma)) =
+      vol(L^(n-k+i+j)(alpha) ^ gamma).  gamma's string ends at level
+      n-k+2j and alpha's at n-k+2i, so the first is 0 for i > j and the
+      second for i < j.  No Gram block is read.
+    """
     out = []
     seeds = {(k - b, b): primitive_basis(n, k - b, b)
              for k in range(n + 1) for b in range(k + 1)}
@@ -620,51 +606,41 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out.append(_entry("strings", "string members count the whole fiber",
                       total == 4 ** n, detail=f"{total} of {4 ** n}"))
 
-    wit = _seed_failure(n, mode, seeds)
-    out.append(_entry("strings",
-                      "every seed is killed by the lowering operator and "
-                      "lives for exactly n-k+1 steps", wit is None,
-                      detail=f"{sum(map(len, seeds.values()))} strings",
-                      witness=wit))
-
     basis = {(a, b): string_basis_matrix(n, a, b)
              for a in range(n + 1) for b in range(n + 1)}
-    premises = (
+    checked = (
         ("string members form a basis per bidegree",
          _first_bidegree(n, lambda a, b: basis[a, b].ncols
                          == len(basis_bidegree(n, a, b))
                          == linalg.rank(basis[a, b]))),
         ("lowering factor [j]_h [n-j-k+1]_h along every string",
-         _lowering_failure(n, mode, basis)),
-        ("lowering factors are nonzero", _zero_factor_failure(n, mode)),
+         _string_map_failure(n, lambda_operator(n, mode), -1, lambda j, k:
+                             lambda_string_factor(n, k, j, mode), basis)),
     )
-    for name, wit in premises[:2]:
+    raising = ((RAISING, _string_map_failure(n, l_operator(n), 1,
+                                             lambda j, k: ONE, basis)),)
+    wit = _premise_failure(checked + raising)
+    out.append(_entry("strings",
+                      "every seed is killed by the lowering operator and "
+                      "lives for exactly n-k+1 steps", wit is None,
+                      detail=f"{sum(map(len, seeds.values()))} strings",
+                      witness=wit))
+    for name, wit in checked:
         out.append(_entry("strings", name, wit is None, witness=wit))
-    wit = _premise_failure(premises)
+    wit = _premise_failure(checked + (
+        ("lowering factors are nonzero", _zero_factor_failure(n, mode)),))
     out.append(_entry("strings",
                       "primitives are exactly the lowering kernel, by rank",
                       wit is None, witness=wit))
 
-    ok = True
-    for k in range(n):
-        rep = verify_lefschetz_iso(n, k)
-        if not rep["full_rank"]:
-            ok = False
+    ok = all(verify_lefschetz_iso(n, k)["full_rank"] for k in range(n))
     out.append(_entry("strings",
                       "L^(n-k) is an isomorphism from degree k to 2n-k", ok))
 
-    ok = True
-    for a in range(n + 1):
-        for b in range(n + 1):
-            cols = string_columns(n, a, b)
-            # one bidegree, so metric(f1, f2) is vol(f1 ^ hodge(star(f2)))
-            images = [hodge(f.star(), mode) for _, _, _, f in cols]
-            for j1, _, _, f1 in cols:
-                for (j2, _, _, _), w in zip(cols, images):
-                    if j1 != j2 and vol(f1.wedge(w)):
-                        ok = False
+    wit = _premise_failure(checked[:1] + raising + _l_premises(n))
     out.append(_entry("strings",
-                      "members over different levels are metric-orthogonal", ok))
+                      "members over different levels are metric-orthogonal",
+                      wit is None, witness=wit))
     out.append(_entry(
         "strings", "same-level orthogonality", note=True,
         detail="within one level the pairing of two strings reduces to the "

@@ -117,15 +117,19 @@ def test_primitive_dimensions():
 
 
 def test_primitive_forms_are_killed_by_the_right_power():
-    for n in (1, 2, 3):
+    """At n <= 4, on forms, in hq and h1: every seed p of degree k has
+    L^(n-k)(p) != 0 and L^(n-k+1)(p) = 0, and Lambda kills it.  The strings
+    suite derives its seed entry from the basis, lowering and raising
+    identities instead."""
+    for n in range(1, 5):
         for a in range(n + 1):
             for b in range(n + 1 - a):
                 k = a + b
                 for p in primitive_basis(n, a, b):
-                    assert not L_power(p, n - k + 1)
-                    if k < n:
-                        assert L_power(p, n - k)
-                    assert not lambda_apply(p)
+                    top = L_power(p, n - k)
+                    assert top and not L(top), (n, a, b)
+                    for mode in (H_EQ_Q, H_EQ_ONE):
+                        assert not lambda_apply(p, mode), (n, a, b, mode)
 
 
 def test_primitive_bases_span_the_kernels_at_a_point():

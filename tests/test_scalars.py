@@ -358,16 +358,6 @@ def test_qint_addition_identity():
                 assert lhs == rhs
 
 
-def test_qint_step_doubles_the_exponent():
-    # the step-2 quantum integer is [m] with h replaced by h^2 = [2m]/[2]
-    for m in range(1, 6):
-        want = ZERO
-        for j in range(m):
-            want = want + Scalar.q_power(2 * (m - 1 - 2 * j))
-        assert qint(m, H_EQ_Q, step=2) == want
-        assert qint(m, H_EQ_Q, step=2) == qint(2 * m) / qint(2)
-
-
 def test_qint_signed_is_odd():
     for m in range(-6, 7):
         assert qint_signed(m) == (qint(m) if m >= 0 else -qint(-m))

@@ -15,10 +15,9 @@ from itertools import product
 
 import pytest
 
-from qkahler import cli, linalg, uqsl2, verify
+from qkahler import cli, lefschetz, linalg, uqsl2, verify
 from qkahler.fiber import FiberForm
 from qkahler.hodge import GradedOperator
-from qkahler.lefschetz import kappa, primitive_basis
 from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, ZERO, qint, render_scalar,
 )
@@ -140,20 +139,38 @@ def test_strings_suite_cross_level_orthogonality():
     assert any("level" in s for s in names)
 
 
-def test_strings_suite_names_a_seed_that_is_not_primitive(monkeypatch, capsys):
-    def with_kappa_first(n, a, b):
-        seeds = primitive_basis(n, a, b)
-        return (kappa(n),) + seeds[1:] if (a, b) == (1, 1) else seeds
+def test_strings_suite_names_a_seed_that_is_not_primitive():
+    """In a fresh interpreter, before any cache is built, the first (1,1)
+    seed at n = 2 is replaced by seed + kappa, which keeps the string basis
+    a basis.  The string basis, the Hodge blocks and Lambda are then built
+    from that seed, Lambda does not kill it, and the seed entry names the
+    lowering identity at (1,1)."""
+    script = textwrap.dedent("""
+        from qkahler import cli, lefschetz, verify
+        from qkahler.lefschetz import kappa
 
-    monkeypatch.setattr(verify, "primitive_basis", with_kappa_first)
-    code = cli.main(["verify", "-n", "2", "--suite", "strings", "--json"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 1
+        true = lefschetz.primitive_basis
+
+        def with_kappa_added(n, a, b):
+            seeds = true(n, a, b)
+            if (a, b) != (1, 1):
+                return seeds
+            return (seeds[0] + kappa(n),) + seeds[1:]
+
+        lefschetz.primitive_basis = verify.primitive_basis = with_kappa_added
+        raise SystemExit(cli.main(["verify", "-n", "2", "--suite", "strings",
+                                   "--json"]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(proc.stdout)
     entry, = [e for e in doc["results"]["results"]
               if e["name"].startswith("every seed is killed")]
     assert entry["status"] == "fail"
-    assert entry["witness"] == {"bidegree": [1, 1], "seed_index": 0,
-                                "condition": "killed by the lowering operator"}
+    assert entry["witness"] == {
+        "premise": "lowering factor [j]_h [n-j-k+1]_h along every string",
+        "bidegree": [1, 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +431,7 @@ def _canonical_witnesses(n, mode):
         KL: [(ONE, [k_op, l_op, k_inv]), (-h2, [l_op])],
         KLAM: [(ONE, [k_op, lam, k_inv]), (-hm2, [lam])],
         LITERAL: [(ONE, [h_op, lam]), (-h2, [lam, h_op]),
-                  (qint(2, mode, step=2), [k_op, lam])],
+                  (h2 + hm2, [k_op, lam])],
     }
     if hdiff:
         terms[CASIMIR] = [(ONE, [l_op, lam]), (-ONE, [lam, l_op]),
@@ -544,8 +561,11 @@ def test_direct_adjoint_check_rejects_where_a_fault_fails_the_derived_entry(
 @pytest.mark.parametrize("mode", ["hq", "h1"])
 def test_hodge_and_lids_suites_read_no_gram_block(mode):
     """In a fresh interpreter, with `gram` patched to raise, `--suite lids`
-    alone and then the hodge and lids suites pass at n = 3; with `gram`
-    restored, `--suite all` reports the same lids entries."""
+    alone and then the hodge and lids suites pass at n = 3.  The strings
+    suite then passes too with `verify.hodge` and `hodge.vol` also patched
+    to raise: it takes no Hodge image of a form and no volume beyond the
+    Serre blocks the lids suite built.  With all three restored, `--suite
+    all` reports the same lids entries."""
     script = textwrap.dedent(f"""
         import json
         import sys
@@ -557,15 +577,20 @@ def test_hodge_and_lids_suites_read_no_gram_block(mode):
         real = hodge.gram
 
         def refuse(*args):
-            raise AssertionError("gram was called")
+            raise AssertionError("a refused function was called")
 
         hodge.gram = verify.gram = refuse
         alone, alone_failures = verify.run_suites(["lids"], 3, mode)
         _, failures = verify.run_suites(["hodge", "lids"], 3, mode)
+        image, vol = verify.hodge, hodge.vol
+        verify.hodge = hodge.vol = refuse
+        _, strings_failures = verify.run_suites(["strings"], 3, mode)
         hodge.gram = verify.gram = real
+        verify.hodge, hodge.vol = image, vol
         every = [e for e in verify.run_suites("all", 3, mode)[0]
                  if e["suite"] == "lids"]
-        print(json.dumps([alone_failures + failures, alone == every]))
+        print(json.dumps([alone_failures + failures + strings_failures,
+                          alone == every]))
     """)
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=300)
@@ -578,8 +603,12 @@ KILLED = ("every seed is killed by the lowering operator and lives for "
 BASIS = "string members form a basis per bidegree"
 LOWERING = "lowering factor [j]_h [n-j-k+1]_h along every string"
 KERNEL = "primitives are exactly the lowering kernel, by rank"
+ISO = "L^(n-k) is an isomorphism from degree k to 2n-k"
+LEVELS = "members over different levels are metric-orthogonal"
 RESCALING = ("level rescaling <L^j a, L^j b> = [j]_h! [n-k]_h! / [n-j-k]_h! "
              "<a,b>")
+# a premise that appears only in the witnesses of the derived strings entries
+RAISING = "L raises every string by one level"
 
 
 def _zero_lowering_fault(monkeypatch):
@@ -601,22 +630,40 @@ def _string_basis_fault(monkeypatch):
     monkeypatch.setattr(verify, "string_basis_matrix", faulted)
 
 
+def _lefschetz_power_fault(monkeypatch):
+    """The matrix of L^2 out of the (0,0) component at n = 2 is zero; no
+    other power or component changes."""
+    true = lefschetz.l_power_matrix
+
+    def faulted(n, a, b, j):
+        mat = true(n, a, b, j)
+        return mat.scale(ZERO) if (n, a, b, j) == (2, 0, 0, 2) else mat
+
+    monkeypatch.setattr(lefschetz, "l_power_matrix", faulted)
+
+
 # The failing strings and metric entries at n = 2, hq, with their witnesses.
-# Lambda's (2,1) block lowers no seed, so only the block identity of the
-# lowering factor sees it, and the kernel entry names that identity as its
-# first failing premise.  A zero Lambda with zero lowering factors kills
-# every seed and meets the lowering identity; only the kernel entry's
-# premise that the factors are nonzero sees it.  Zeroing the string member
-# of seed 0 in the (1,1) basis breaks the basis, and the lowering identity
-# still holds, since Lambda kills that seed.
+# The seed entry is derived from the basis, lowering and raising
+# identities, the kernel entry from the basis and lowering identities and
+# nonzero lowering factors, and the level entry from the basis and raising
+# identities and the premises on L; each names its first failing premise.
+# Lambda's (2,1) block lowers no seed, yet it breaks the lowering identity,
+# a premise of the seed entry.  A zero Lambda with zero lowering factors
+# meets the lowering identity; only the kernel entry's premise that the
+# factors are nonzero sees it.  Zeroing the string member of seed 0 in the
+# (1,1) basis breaks the basis, and the lowering and raising identities
+# still hold, since Lambda and L kill that seed.  L's (0,0) block scaled by
+# q breaks raising; the Serre and star faults break the premises on L,
+# which the level entry alone reads.  The isomorphism entry stays a direct
+# rank check.
 STRING_FAULTS = [
     (_lambda_entry_fault((2, 1)), {
+        KILLED: {"premise": LOWERING, "bidegree": [2, 1]},
         LOWERING: {"bidegree": [2, 1]},
         KERNEL: {"premise": LOWERING, "bidegree": [2, 1]},
     }),
     (_lambda_entry_fault((1, 1)), {
-        KILLED: {"bidegree": [1, 1], "seed_index": 2,
-                 "condition": "killed by the lowering operator"},
+        KILLED: {"premise": LOWERING, "bidegree": [1, 1]},
         LOWERING: {"bidegree": [1, 1]},
         KERNEL: {"premise": LOWERING, "bidegree": [1, 1]},
     }),
@@ -625,25 +672,43 @@ STRING_FAULTS = [
                  "degree": 0, "level": 1},
     }),
     (_string_basis_fault, {
+        KILLED: {"premise": BASIS, "bidegree": [1, 1]},
         BASIS: {"bidegree": [1, 1]},
         KERNEL: {"premise": BASIS, "bidegree": [1, 1]},
+        LEVELS: {"premise": BASIS, "bidegree": [1, 1]},
     }),
     (_gram_entry_fault, {
         RESCALING: {"bidegree": [1, 0], "level": 1},
         "rank-2 value <e+[1],e+[1]> = q^-5": None,
     }),
+    (_l_entry_fault, {
+        KILLED: {"premise": RAISING, "bidegree": [0, 0]},
+        LEVELS: {"premise": RAISING, "bidegree": [0, 0]},
+    }),
+    (_serre_entry_fault, {
+        LEVELS: {"premise": L_SERRE, "bidegree": [1, 0], "target": [2, 1],
+                 "row": 0, "col": 0, "defect": "(i)*q^-1"},
+    }),
+    (_star_entry_fault, {
+        LEVELS: {"premise": L_STAR, "bidegree": [1, 0], "target": [1, 2],
+                 "row": 1, "col": 0, "defect": "(i)*q^-1"},
+    }),
+    (_lefschetz_power_fault, {ISO: None}),
 ]
 
 
 @pytest.mark.parametrize("fault, failing", STRING_FAULTS,
                          ids=["lambda-block-2-1", "lambda-block-1-1",
                               "zero-lowering", "string-basis-1-1",
-                              "gram-block-1-0"])
-def test_each_string_and_metric_entry_fails_under_its_fault(monkeypatch, fault,
-                                                            failing):
+                              "gram-block-1-0", "l-block-0-0",
+                              "serre-block-1-0", "star-block-1-0",
+                              "l-power-0-0"])
+def test_each_string_and_metric_entry_fails_under_its_fault(
+        monkeypatch, clear_premises, fault, failing):
     entries, failures = run_suites(["strings", "metric"], 2, H_EQ_Q)
     assert not failures
     fault(monkeypatch)
+    clear_premises()
     entries, failures = run_suites(["strings", "metric"], 2, H_EQ_Q)
     assert {e["name"]: e.get("witness") for e in failures} == failing
 
