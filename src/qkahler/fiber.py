@@ -4,7 +4,8 @@ calculus.
 Basis monomials are ordered wedge words e+[i1] ^ ... ^ e+[ia] ^ e-[j1] ^ ...
 ^ e-[jb] with ascending distinct indices drawn from {1..n}: every plus
 generator precedes every minus generator.  Products of arbitrary words are
-brought to this normal form with the rewrite rules
+brought to this normal form by `_reduce` with the rewrite rules of the one
+table `rewrite_rules(n)`
 
     e-_i e+_j  ->  -q e+_j e-_i                     (i != j)
     e-_i e+_i  ->  -q^2 e+_i e-_i - (q^2-1) * sum_{a>i} e+_a e-_a
@@ -12,8 +13,25 @@ brought to this normal form with the rewrite rules
     e+_i e+_h  ->  -q e+_h e+_i                     (h < i)
     e+_i e+_i  =   e-_i e-_i  =  0
 
-applied leftmost first.  The mixed rule with matching indices is the only
-branching rule; all coefficients live in Q(i)(q).
+applied leftmost first.  Their left-hand sides are exactly the adjacent
+letter pairs of a non-normal word, so the irreducible words are the normal
+ones.  The mixed rule with matching indices is the only branching rule;
+all coefficients live in Q(i)(q).
+
+A rule keeps a word's length and its multiset of signs, or gives 0.  Among
+words of one length and sign multiset, one word is below another when it
+has fewer minus-before-plus pairs (positions p < r, a minus letter at p and
+a plus letter at r), or, for words of the same letters, as many such pairs
+and fewer same-sign index inversions (same-sign positions p < r, the larger
+index at p).  A mixed rule removes one minus-before-plus pair from each of
+its words, and a swap keeps the letters and removes one inversion.  The
+order is compatible with concatenation and each of its classes is finite,
+so every reduction terminates: this is the order Bergman's diamond lemma
+needs.  By the lemma, when every overlap x y z of two left-hand sides
+(`overlaps`, C(2n+2, 3) of them) reduces to one normal form whether x y or
+y z is rewritten first (`overlap_resolves`), the normal words are a basis
+of the algebra the relations present, and the wedge, by construction the
+normal form of the concatenated word, is its associative product.
 
 In the wedge of two basis monomials e+_P1 e-_M1 and e+_P2 e-_M2 only the
 middle word e-_M1 e+_P2 meets the mixed rules; its normal form is cached per
@@ -99,24 +117,39 @@ def _check_indices(idx, n: int, label: str):
         prev = i
 
 
-def _reduce_word(n: int, word: tuple) -> dict:
-    """Normal form of a wedge word as {BasisMonomial: Scalar}."""
+@memoize
+def rewrite_rules(n: int):
+    """The rewrite rules of the rank-n fiber as a read-only table: the
+    letter pair (x, y), letters (sign, index), maps to the ((word, c), ...)
+    of its right-hand side sum c * word over two-letter words, () for a
+    square.  Its keys are exactly the adjacent pairs of a non-normal word."""
+    rules = {}
+    for i in range(1, n + 1):
+        rules[(+1, i), (+1, i)] = rules[(-1, i), (-1, i)] = ()
+        for h in range(1, i):
+            rules[(+1, i), (+1, h)] = ((((+1, h), (+1, i)), _NEG_Q),)
+            rules[(-1, i), (-1, h)] = ((((-1, h), (-1, i)), _NEG_QINV),)
+        for j in range(1, n + 1):
+            if j != i:
+                rules[(-1, i), (+1, j)] = ((((+1, j), (-1, i)), _NEG_Q),)
+        rules[(-1, i), (+1, i)] = ((((+1, i), (-1, i)), _NEG_Q2),) + tuple(
+            (((+1, a), (-1, a)), _ONE_MINUS_Q2) for a in range(i + 1, n + 1))
+    return MappingProxyType(rules)
+
+
+def _reduce(n: int, terms) -> dict:
+    """Normal form of the sum c * word over the (word, c) of terms, as
+    {BasisMonomial: Scalar}."""
+    rules = rewrite_rules(n)
     out: dict = {}
-    stack = [(word, ONE)]
+    stack = list(terms)
     while stack:
         w, c = stack.pop()
-        pos = -1
         for p in range(len(w) - 1):
-            s1, i1 = w[p]
-            s2, i2 = w[p + 1]
-            if s1 == s2:
-                if i1 >= i2:
-                    pos = p
-                    break
-            elif s1 == -1:
-                pos = p
+            rhs = rules.get(w[p:p + 2])
+            if rhs is not None:
                 break
-        if pos < 0:
+        else:
             mono = BasisMonomial(
                 tuple(i for s, i in w if s == +1),
                 tuple(i for s, i in w if s == -1),
@@ -124,28 +157,34 @@ def _reduce_word(n: int, word: tuple) -> dict:
             acc = out.get(mono)
             out[mono] = c if acc is None else acc + c
             continue
-        head, tail = w[:pos], w[pos + 2:]
-        s1, i1 = w[pos]
-        s2, i2 = w[pos + 1]
-        if s1 == s2:
-            if i1 == i2:
-                continue  # square of a generator
-            f = _NEG_Q if s1 == +1 else _NEG_QINV
-            stack.append((head + ((s1, i2), (s1, i1)) + tail, c * f))
-        elif i1 != i2:
-            stack.append((head + ((+1, i2), (-1, i1)) + tail, c * _NEG_Q))
-        else:
-            stack.append((head + ((+1, i1), (-1, i1)) + tail, c * _NEG_Q2))
-            for a in range(i1 + 1, n + 1):
-                stack.append((head + ((+1, a), (-1, a)) + tail, c * _ONE_MINUS_Q2))
+        head, tail = w[:p], w[p + 2:]
+        for pair, f in rhs:
+            stack.append((head + pair + tail, c * f))
     return {m: s for m, s in out.items() if s}
+
+
+def overlaps(n: int) -> list:
+    """The overlap ambiguities of the rewrite rules: the words x y z with
+    both x y and y z a left-hand side, C(2n+2, 3) of them."""
+    rules = rewrite_rules(n)
+    return [(x, y, z) for x, y in rules for y2, z in rules if y2 == y]
+
+
+def overlap_resolves(n: int, word: tuple) -> bool:
+    """Whether the overlap x y z rewritten at x y and at y z reduces to one
+    normal form."""
+    x, y, z = word
+    rules = rewrite_rules(n)
+    return (_reduce(n, [(w + (z,), c) for w, c in rules[x, y]])
+            == _reduce(n, [((x,) + w, c) for w, c in rules[y, z]]))
 
 
 @memoize
 def _middle(n: int, minus: tuple, plus: tuple) -> tuple:
     """Normal form of the word e-_minus e+_plus as (plus', minus', c) triples."""
     word = tuple((-1, j) for j in minus) + tuple((+1, i) for i in plus)
-    return tuple((m.plus, m.minus, c) for m, c in _reduce_word(n, word).items())
+    return tuple((m.plus, m.minus, c)
+                 for m, c in _reduce(n, [(word, ONE)]).items())
 
 
 @memoize
@@ -185,7 +224,7 @@ def _star_monomial(n: int, m: BasisMonomial) -> tuple:
         g, c = _star_generator(s, a)
         img.append(g)
         coeff = coeff * c
-    reduced = _reduce_word(n, tuple(img))
+    reduced = _reduce(n, [(tuple(img), ONE)])
     if len(reduced) == 1:
         (mono, c), = reduced.items()
         u = _signed_q_power(coeff * c)

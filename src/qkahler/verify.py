@@ -10,8 +10,11 @@ matrices and the Serre pairing, checked once per rank and mode and shared
 by both suites.  The strings suite checks that the string members form a
 basis and that Lambda and L move them as `lefschetz.string_images` says,
 and derives its seed, kernel and level-orthogonality entries from those
-identities, with no rank of Lambda and no Hodge image of a form.  A derived
-entry that fails names its first failing premise.
+identities, with no rank of Lambda and no Hodge image of a form.  The
+relations entries "star reverses products" and "fundamental form is
+central" are derived from premises on the rewrite rules and on the 2n
+generators, with no pair of basis monomials wedged.  A derived entry that
+fails names its first failing premise.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .scalars import (
 )
 from .fiber import (
     FiberForm, basis_bidegree, basis_degree, weight, e_plus, e_minus,
+    overlap_resolves, overlaps, rewrite_rules,
 )
 from .lefschetz import (
     kappa, kappa_power, lambda_string_factor, primitive_basis,
@@ -73,47 +77,67 @@ def _random_form(rng, n, k, nterms=3):
 # relations
 # ---------------------------------------------------------------------------
 
-def _star_reversal_failures(forms, stars):
-    """Yield the ordered pairs (u, v) of basis monomials, of degrees k and
-    l, with star(u ^ v) != (-1)^(kl) star(v) ^ star(u); forms and stars map
-    each monomial m to the forms m and star(m).
+OVERLAPS = "every overlap of the rewrite rules resolves"
+STAR_GENERATORS = "star is the graded reversal of its generator images"
+STAR_RULES = ("the anti-automorphism of star's generator images keeps every "
+              "rewrite rule")
+KAPPA_GENERATORS = "fundamental form commutes with every generator"
 
-    Star sends m to s_m m* for one monomial m* and a unit s_m = +-q^j, real,
-    so the pair (u, v) and its partner (v*, u*) are decided by the same two
-    wedges: W = u ^ v from the basis forms and R = star(v) ^ star(u) from
-    the star forms, which is s_u s_v (v* ^ u*) by bilinearity.  (u, v)
-    holds when star(W) = (-1)^(kl) R.  When star is an involution on the
-    monomials of u and v, star(u*) ^ star(v*) = s_u* s_v* W, so the
-    partner's claim, multiplied by s_u s_v, reads star((-1)^(kl) R) =
-    s_u s_v s_u* s_v* W.  Each orbit thus costs two wedges and nothing is
-    stored; R comes from the star forms, so a wedge that mishandles
-    coefficients other than 1 still shows in the partner's check.
-    """
-    mons = list(forms)
-    order = {m: r for r, m in enumerate(mons)}
-    image = [next(iter(stars[m].terms.items())) for m in mons]
-    img = [order[m] for m, _ in image]
-    unit = [s for _, s in image]
-    paired = [img[img[r]] == r for r in range(len(mons))]
-    odd = [m.degree % 2 for m in mons]
-    # s_m s_m*, which is 1 when star is an involution on m
-    twice = [unit[r] * unit[img[r]] for r in range(len(mons))]
-    for i, u in enumerate(mons):
-        fu, su = forms[u], stars[u]
-        for j, v in enumerate(mons):
-            both = paired[i] and paired[j]
-            if both and (img[j], img[i]) < (i, j):
-                continue  # checked with its partner
-            w = fu * forms[v]
-            rev = stars[v] * su
-            if odd[i] and odd[j]:
-                rev = -rev
-            if w.star() != rev:
-                yield u, v
-            if both and (img[j], img[i]) != (i, j):
-                t = twice[i] * twice[j]
-                if rev.star() != (w if t == ONE else w.scale(t)):
-                    yield mons[img[j]], mons[img[i]]
+
+def _generators(n):
+    """{letter: generator form}, letters (sign, index), plus before minus."""
+    return {**{(+1, i): e_plus(n, i) for i in range(1, n + 1)},
+            **{(-1, i): e_minus(n, i) for i in range(1, n + 1)}}
+
+
+def _generator_reversal_failure(n, stars):
+    """{"monomial": m} of the first basis monomial m = g1 ... gk, by degree,
+    with star(m) != (-1)^(k(k-1)/2) star(gk) ^ ... ^ star(g1), else None;
+    stars maps each letter to the star of its generator.  The reversed
+    product of m is one wedge onto that of m less its last letter, a basis
+    monomial of degree k-1."""
+    rev = {(): FiberForm.unit(n)}
+    for k in range(1, 2 * n + 1):
+        for m in basis_degree(n, k):
+            w = m.word()
+            r = stars[w[-1]] * rev[w[:-1]]
+            rev[w] = -r if k % 2 == 0 else r
+            if _mono_form(n, m).star() != rev[w]:
+                return {"monomial": str(m)}
+    return None
+
+
+def _star_rule_failure(n, stars):
+    """The pair x y of the first rewrite rule x y -> sum c w1 w2 whose two
+    sides the conjugate-linear anti-automorphism phi, phi(g) = star(g), maps
+    to different forms: star(y) ^ star(x) against sum conj(c) star(w2) ^
+    star(w1), the graded sign -1 of both sides dropped.  Else None."""
+    for (x, y), rhs in rewrite_rules(n).items():
+        image = FiberForm.zero(n)
+        for (w1, w2), c in rhs:
+            image = image + (stars[w2] * stars[w1]).scale(c.conjugate())
+        if stars[y] * stars[x] != image:
+            return x, y
+    return None
+
+
+@memoize
+def _relations_premises(n):
+    """The (name, witness) of each premise of the star-reversal entry, the
+    witness None when the premise holds, checked once per n; see
+    `suite_relations` for the derivation.  A word is named as the wedge of
+    its generators."""
+    gens = _generators(n)
+    stars = {g: f.star() for g, f in gens.items()}
+    overlap = next((w for w in overlaps(n) if not overlap_resolves(n, w)), None)
+    rule = _star_rule_failure(n, stars)
+    return (
+        (OVERLAPS, None if overlap is None
+         else {"overlap": "^".join(str(gens[g]) for g in overlap)}),
+        (STAR_GENERATORS, _generator_reversal_failure(n, stars)),
+        (STAR_RULES, None if rule is None
+         else {"rule": "^".join(str(gens[g]) for g in rule)}),
+    )
 
 
 def _generator_relation_failures(n):
@@ -141,6 +165,30 @@ def _generator_relation_failures(n):
 
 
 def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
+    """Two entries are derived from premises on the rewrite rules of
+    `fiber.rewrite_rules` and on the 2n generators, named only in
+    witnesses, and a failing one names its first failing premise.  The
+    wedge is, by construction, the bilinear normal form of the
+    concatenated word of its factors.
+
+    - Overlaps (`_relations_premises`): every overlap x y z of two rules
+      resolves.  The rules strictly lower the termination order of the
+      `fiber` docstring, so by Bergman's diamond lemma the normal words
+      are a basis of the algebra the rules present, and the wedge is its
+      product, hence associative.
+    - Star reverses products (overlaps, generator reversal, rule images):
+      let phi be the conjugate-linear graded anti-automorphism of the free
+      algebra with phi(g) = star(g) on the 2n generators.  Phi maps both
+      sides of every rule to forms with equal wedges, so it maps the ideal
+      of the relations into itself and is an anti-automorphism of the
+      fiber algebra.  Star agrees with phi on every basis monomial,
+      star(g1 ... gk) = (-1)^(k(k-1)/2) star(gk) ^ ... ^ star(g1), and
+      both are conjugate-linear, so star is phi:
+      star(u ^ v) = (-1)^(kl) star(v) ^ star(u).
+    - Kappa is central (overlaps, kappa commutes with each generator):
+      every basis monomial is a wedge of generators, so by associativity
+      kappa commutes with it, and by linearity with every form.
+    """
     out = []
     dims = [len(basis_degree(n, k)) for k in range(2 * n + 1)]
     expect = [comb(2 * n, k) for k in range(2 * n + 1)]
@@ -162,23 +210,24 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
             ok = False
     out.append(_entry("relations", "wedge associativity on seeded random triples", ok))
 
-    forms = {m: _mono_form(n, m)
-             for k in range(2 * n + 1) for m in basis_degree(n, k)}
+    premises = _relations_premises(n)
     kap = kappa(n)
-    ok = all(u * kap == kap * u for u in forms.values())
-    out.append(_entry("relations", "fundamental form is central", ok))
+    bad = next((f for f in _generators(n).values() if f * kap != kap * f),
+               None)
+    commutes = (KAPPA_GENERATORS,
+                None if bad is None else {"generator": str(bad)})
+    wit = _premise_failure(premises[:1] + (commutes,))
+    out.append(_entry("relations", "fundamental form is central",
+                      wit is None, witness=wit))
 
-    stars = {m: u.star() for m, u in forms.items()}
-    ok = all(stars[m].star() == u for m, u in forms.items())
+    ok = all(u.star().star() == u for u in (
+        _mono_form(n, m) for k in range(2 * n + 1) for m in basis_degree(n, k)))
     out.append(_entry("relations", "star is an involution on the basis", ok))
 
-    # one wedge of basis forms and one of star forms decide both (u, v) and
-    # its partner (v*, u*), since star permutes the basis up to units
-    bad = next(_star_reversal_failures(forms, stars), None)
+    wit = _premise_failure(premises)
     out.append(_entry("relations",
                       "star reverses products with the graded sign (-1)^(kl)",
-                      bad is None, witness=None if bad is None
-                      else {"pair": [str(m) for m in bad]}))
+                      wit is None, witness=wit))
 
     ok = True
     for k in range(2 * n + 1):
@@ -575,6 +624,7 @@ def _zero_factor_failure(n, mode):
     return None
 
 
+BASIS = "string members form a basis per bidegree"
 RAISING = "L raises every string by one level"
 
 
@@ -608,12 +658,15 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 
     basis = {(a, b): string_basis_matrix(n, a, b)
              for a in range(n + 1) for b in range(n + 1)}
+    wit = _first_bidegree(n, lambda a, b: basis[a, b].ncols
+                          == len(basis_bidegree(n, a, b))
+                          == linalg.rank(basis[a, b]))
+    # Lambda's Hodge blocks invert the string basis, so they are built only
+    # once it is a basis
     checked = (
-        ("string members form a basis per bidegree",
-         _first_bidegree(n, lambda a, b: basis[a, b].ncols
-                         == len(basis_bidegree(n, a, b))
-                         == linalg.rank(basis[a, b]))),
+        (BASIS, wit),
         ("lowering factor [j]_h [n-j-k+1]_h along every string",
+         {"premise": BASIS, **wit} if wit is not None else
          _string_map_failure(n, lambda_operator(n, mode), -1, lambda j, k:
                              lambda_string_factor(n, k, j, mode), basis)),
     )

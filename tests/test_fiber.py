@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import comb
 
 import pytest
 
 from qkahler.fiber import (
-    BasisMonomial, FiberForm, _reduce_word, _star_monomial, basis_bidegree,
-    basis_degree, e_minus, e_plus, weight,
+    BasisMonomial, FiberForm, _reduce, _star_monomial, basis_bidegree,
+    basis_degree, e_minus, e_plus, overlap_resolves, overlaps, rewrite_rules,
+    weight,
 )
 from qkahler.hodge import hodge, vol
 from qkahler.lefschetz import kappa
@@ -113,6 +115,32 @@ def test_normal_form_matches_rightmost_oracle():
             got = _wedge_word(n, word)
             want = reduce_rightmost(n, word)
             assert {(m.plus, m.minus): c for m, c in got.terms.items()} == want
+
+
+def _normal_key(word):
+    return (tuple(i for s, i in word if s == +1),
+            tuple(i for s, i in word if s == -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rule_table_rewrites_every_pair_as_the_rightmost_oracle(n):
+    """The table's keys are the letter pairs whose word is not normal, and
+    each rewrites to the oracle's normal form of its pair."""
+    letters = [(s, i) for s in (+1, -1) for i in range(1, n + 1)]
+    rules = rewrite_rules(n)
+    for pair in product(letters, repeat=2):
+        want = reduce_rightmost(n, pair)
+        if pair not in rules:
+            assert want == {_normal_key(pair): ONE}
+            continue
+        assert {_normal_key(w): c for w, c in rules[pair]} == want, pair
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_every_overlap_of_the_rewrite_rules_resolves(n):
+    words = overlaps(n)
+    assert len(words) == comb(2 * n + 2, 3)
+    assert all(overlap_resolves(n, w) for w in words)
 
 
 def test_wedge_of_every_monomial_pair_matches_rightmost_oracle():
@@ -302,7 +330,7 @@ def _candidate_star(u, c1, c0, sp, sm):
                 img.append((+1, a))
                 factor = factor * (Scalar.q_power(-(c1 * a + c0))
                                    * Scalar.from_int(sm))
-        for m2, c2 in _reduce_word(n, tuple(img)).items():
+        for m2, c2 in _reduce(n, [(tuple(img), ONE)]).items():
             out = out + FiberForm(n, {m2: coef.conjugate() * factor * c2})
     return out
 

@@ -139,38 +139,56 @@ def test_strings_suite_cross_level_orthogonality():
     assert any("level" in s for s in names)
 
 
-def test_strings_suite_names_a_seed_that_is_not_primitive():
-    """In a fresh interpreter, before any cache is built, the first (1,1)
-    seed at n = 2 is replaced by seed + kappa, which keeps the string basis
-    a basis.  The string basis, the Hodge blocks and Lambda are then built
-    from that seed, Lambda does not kill it, and the seed entry names the
-    lowering identity at (1,1)."""
-    script = textwrap.dedent("""
+def _strings_report_with_first_seed(seed):
+    """Exit code and {name: entry} of `verify -n 2 --suite strings --json`
+    run in a fresh interpreter where, before any cache is built, the first
+    (1,1) seed is replaced by the expression seed of `seeds` and `kappa`.
+    The string basis, the Hodge blocks and Lambda are then built from it."""
+    script = textwrap.dedent(f"""
         from qkahler import cli, lefschetz, verify
         from qkahler.lefschetz import kappa
 
         true = lefschetz.primitive_basis
 
-        def with_kappa_added(n, a, b):
+        def patched(n, a, b):
             seeds = true(n, a, b)
             if (a, b) != (1, 1):
                 return seeds
-            return (seeds[0] + kappa(n),) + seeds[1:]
+            return ({seed},) + seeds[1:]
 
-        lefschetz.primitive_basis = verify.primitive_basis = with_kappa_added
+        lefschetz.primitive_basis = verify.primitive_basis = patched
         raise SystemExit(cli.main(["verify", "-n", "2", "--suite", "strings",
                                    "--json"]))
     """)
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 1, proc.stderr
+    assert not proc.stderr
     doc = json.loads(proc.stdout)
-    entry, = [e for e in doc["results"]["results"]
-              if e["name"].startswith("every seed is killed")]
-    assert entry["status"] == "fail"
-    assert entry["witness"] == {
-        "premise": "lowering factor [j]_h [n-j-k+1]_h along every string",
-        "bidegree": [1, 1]}
+    return proc.returncode, {e["name"]: e for e in doc["results"]["results"]}
+
+
+def test_strings_suite_names_a_seed_that_is_not_primitive():
+    """seed + kappa keeps the string basis a basis; Lambda does not kill
+    it, and the seed entry names the lowering identity at (1,1)."""
+    code, entries = _strings_report_with_first_seed("seeds[0] + kappa(n)")
+    assert code == 1
+    assert entries[KILLED]["status"] == "fail"
+    assert entries[KILLED]["witness"] == {
+        "premise": LOWERING, "bidegree": [1, 1]}
+
+
+def test_singular_string_basis_fails_its_entries_without_building_lambda():
+    """kappa alone as a seed repeats L(1), so the string basis is singular
+    at (1,1).  Lambda's Hodge blocks would invert it; instead the lowering
+    identity and the entries derived from the basis name that premise, and
+    the command prints its report and exits 1."""
+    code, entries = _strings_report_with_first_seed("kappa(n)")
+    assert code == 1
+    assert entries[BASIS]["witness"] == {"bidegree": [1, 1]}
+    named = {"premise": BASIS, "bidegree": [1, 1]}
+    assert {name: e["witness"] for name, e in entries.items()
+            if e["status"] == "fail" and name != BASIS} == {
+        LOWERING: named, KILLED: named, KERNEL: named, LEVELS: named}
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +349,7 @@ def clear_premises():
     def clear():
         verify._hodge_premises.cache_clear()
         verify._l_premises.cache_clear()
+        verify._relations_premises.cache_clear()
     yield clear
     clear()
 
@@ -674,6 +693,7 @@ STRING_FAULTS = [
     (_string_basis_fault, {
         KILLED: {"premise": BASIS, "bidegree": [1, 1]},
         BASIS: {"bidegree": [1, 1]},
+        LOWERING: {"premise": BASIS, "bidegree": [1, 1]},
         KERNEL: {"premise": BASIS, "bidegree": [1, 1]},
         LEVELS: {"premise": BASIS, "bidegree": [1, 1]},
     }),
@@ -823,9 +843,11 @@ def test_metric_suite_pairs_no_forms_beyond_the_serre_pairing(monkeypatch):
     assert calls["wedge"] == 0
 
 
-def test_generator_relations_name_their_first_failure(monkeypatch):
+def test_generator_relations_name_their_first_failure(monkeypatch,
+                                                      clear_premises):
     """With e+[i] replaced by e+[i] + e-[i], the square of every generator
     is nonzero; the entry names the first of the broken relations."""
+    clear_premises()
     true = verify.e_plus
     monkeypatch.setattr(verify, "e_plus",
                         lambda n, i: true(n, i) + verify.e_minus(n, i))
@@ -839,12 +861,12 @@ def test_generator_relations_name_their_first_failure(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# relations: star reverses products, one orbit {(u, v), (v*, u*)} at a time
+# relations: star reversal and centrality, derived from generator premises
 # ---------------------------------------------------------------------------
 
 def _star_reversal_oracle(forms, stars):
     """The ordered pairs (u, v) with star(u ^ v) != (-1)^(kl) star(v) ^
-    star(u), two wedges per pair, with no pairing of partners."""
+    star(u), two wedges per pair."""
     for u, fu in forms.items():
         for v, fv in forms.items():
             w = fu * fv
@@ -861,9 +883,22 @@ def _basis_forms(n):
     return forms, {m: f.star() for m, f in forms.items()}
 
 
-def test_star_reversal_takes_two_wedges_per_orbit(monkeypatch):
-    n = 3
-    forms, stars = _basis_forms(n)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_star_reverses_products_on_every_basis_pair(n):
+    assert next(_star_reversal_oracle(*_basis_forms(n)), None) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fundamental_form_commutes_with_every_basis_monomial(n):
+    kap = verify.kappa(n)
+    forms, _ = _basis_forms(n)
+    assert all(u * kap == kap * u for u in forms.values())
+
+
+def test_relations_suite_takes_fewer_than_2000_wedges(monkeypatch,
+                                                      clear_premises):
+    """The per-pair star check makes 2 * 16^4 = 131,072 wedges at n = 4."""
+    clear_premises()
     calls = []
     wedge = FiberForm.wedge
 
@@ -872,9 +907,8 @@ def test_star_reversal_takes_two_wedges_per_orbit(monkeypatch):
         return wedge(self, other)
 
     monkeypatch.setattr(FiberForm, "wedge", counting)
-    assert list(verify._star_reversal_failures(forms, stars)) == []
-    # the per-pair check makes 2 * 4^(2n) = 8192
-    assert len(calls) <= 4 ** (2 * n) + 4 ** n
+    assert not [e for e in verify.suite_relations(4) if e["status"] == "fail"]
+    assert len(calls) < 2000
 
 
 STAR_INVOLUTION = "star is an involution on the basis"
@@ -883,12 +917,15 @@ CENTRAL = "fundamental form is central"
 ASSOCIATIVE = "wedge associativity on seeded random triples"
 KAPPA_POWERS = \
     "power formula kappa^l = i^(l mod 2) [l]_q! sum e+_I^e-_I"
+TARGET_WITNESS = {"premise": verify.STAR_GENERATORS, "monomial": "e+[1]^e-[2]"}
 
-# Each fault is installed before anything is cached: _middle, _star_monomial
-# and kappa memoise what they see.  The star faults touch star(e+[1]^e-[2])
-# alone, so rank 1 is unaffected by them.
+# Each fault is installed before anything is cached: _middle, _star_monomial,
+# kappa and the relations premises memoise what they see.  The star faults
+# touch star(e+[1]^e-[2]) alone, so rank 1 is unaffected by them.  Values:
+# the installing code, the failing entries at n = 2 and 3, and the star
+# entry's witness there.
 _RELATIONS_FAULTS = {
-    "clean": ("", set(), True),
+    "clean": ("", set(), None),
     "star unit sign flipped": ("""
         star_monomial = fiber._star_monomial
 
@@ -897,7 +934,7 @@ _RELATIONS_FAULTS = {
             return mono, k, negate != (m == TARGET)
 
         fiber._star_monomial = faulty
-    """, {STAR_INVOLUTION, STAR_REVERSES}, True),
+    """, {STAR_INVOLUTION, STAR_REVERSES}, TARGET_WITNESS),
     "star exponent plus one": ("""
         star_monomial = fiber._star_monomial
 
@@ -906,9 +943,9 @@ _RELATIONS_FAULTS = {
             return mono, k + (m == TARGET), negate
 
         fiber._star_monomial = faulty
-    """, {STAR_INVOLUTION, STAR_REVERSES}, True),
-    # the wedge is no longer bilinear, so the partner checks read other
-    # pairs than the oracle; only the verdicts must agree
+    """, {STAR_INVOLUTION, STAR_REVERSES}, TARGET_WITNESS),
+    # the wedge is no longer bilinear, which the derivation takes as given;
+    # the reversed product of e+[1,2] is the first to show it
     "wedge ignores the right coefficients": ("""
         wedge = FiberForm.wedge
 
@@ -916,18 +953,27 @@ _RELATIONS_FAULTS = {
             return wedge(self, FiberForm(other.n, dict.fromkeys(other.terms, ONE)))
 
         FiberForm.wedge = faulty
-    """, {CENTRAL, STAR_REVERSES, ASSOCIATIVE, KAPPA_POWERS}, False),
+    """, {CENTRAL, STAR_REVERSES, ASSOCIATIVE, KAPPA_POWERS},
+        {"premise": verify.STAR_GENERATORS, "monomial": "e+[1,2]"}),
 }
+
+
+def _run_fresh(script):
+    """Standard output lines of script run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize("fault", sorted(_RELATIONS_FAULTS))
 def test_relations_faults_fail_the_same_entries_as_the_per_pair_check(fault):
     """In a fresh interpreter, under one fault: the failing relations
-    entries at n = 2 and 3 and the pair the star-reversal entry names, and,
-    at n <= 3, the failing pairs of the orbit-paired check against those of
-    the per-pair oracle."""
-    install, failing, same_pairs = _RELATIONS_FAULTS[fault]
-    script = "\n".join([
+    entries at n = 2 and 3 and the star entry's witness, and, at n <= 3,
+    the star entry's verdict against that of the per-pair oracle."""
+    install, failing, witness = _RELATIONS_FAULTS[fault]
+    lines = _run_fresh("\n".join([
+        "import json",
         "from qkahler import fiber, verify",
         "from qkahler.fiber import BasisMonomial, FiberForm",
         "from qkahler.scalars import ONE",
@@ -937,37 +983,71 @@ def test_relations_faults_fail_the_same_entries_as_the_per_pair_check(fault):
         textwrap.dedent(inspect.getsource(_basis_forms)),
         f"STAR_REVERSES = {STAR_REVERSES!r}",
         textwrap.dedent("""
-            named = {}
-            for n in (2, 3):
-                entries = verify.suite_relations(n)
-                print(sorted(e["name"] for e in entries
-                             if e["status"] == "fail"))
-                entry, = (e for e in entries if e["name"] == STAR_REVERSES)
-                named[n] = entry.get("witness", {}).get("pair")
             for n in (1, 2, 3):
-                forms, stars = _basis_forms(n)
-                got = set(verify._star_reversal_failures(forms, stars))
-                want = set(_star_reversal_oracle(forms, stars))
-                pair = named.get(n)
-                by_name = {str(m): m for m in forms}
-                print(bool(got), bool(want), got == want,
-                      "none" if pair is None
-                      else (by_name[pair[0]], by_name[pair[1]]) in want)
+                entries = verify.suite_relations(n)
+                entry, = (e for e in entries if e["name"] == STAR_REVERSES)
+                oracle = next(_star_reversal_oracle(*_basis_forms(n)), None)
+                print(json.dumps([
+                    sorted(e["name"] for e in entries if e["status"] == "fail"),
+                    entry.get("witness"), entry["status"] == "pass",
+                    oracle is None]))
         """),
-    ])
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 5
-    assert lines[:2] == [repr(sorted(failing))] * 2
-    for n, line in zip((1, 2, 3), lines[2:]):
-        got, want, same, named = line.split()
-        assert got == want
-        assert same == "True" or not same_pairs
-        # the entry names a pair exactly when it fails; under a fault that
-        # keeps the wedge bilinear, the per-pair oracle fails that pair too
-        if n == 1 or STAR_REVERSES not in failing:
-            assert named == "none"
-        else:
-            assert named == "True" or (named == "False" and not same_pairs)
+    ]))
+    assert len(lines) == 3
+    for n, line in zip((1, 2, 3), lines):
+        names, wit, derived, oracle = json.loads(line)
+        assert derived == oracle
+        if n > 1:
+            assert names == sorted(failing)
+            assert wit == witness
+
+
+def test_unresolved_overlap_fails_the_derived_entries():
+    """The mixed rule e-_i e+_i -> -q^3 e+_i e-_i - ..., installed in the
+    rule table before any cache is built, leaves overlaps unresolved.  The
+    star and central entries name the first, while the per-pair star check
+    finds no failing pair and, at n = 3, the sampled associativity entry
+    passes."""
+    lines = _run_fresh("\n".join([
+        textwrap.dedent("""
+            import json
+            from qkahler import fiber, verify
+            from qkahler.scalars import Scalar
+
+            rules = fiber.rewrite_rules
+
+            def faulty(n):
+                table = dict(rules(n))
+                for i in range(1, n + 1):
+                    (word, _), *rest = table[(-1, i), (+1, i)]
+                    table[(-1, i), (+1, i)] = ((word, -Scalar.q_power(3)), *rest)
+                return table
+
+            fiber.rewrite_rules = verify.rewrite_rules = faulty
+        """),
+        textwrap.dedent(inspect.getsource(_star_reversal_oracle)),
+        textwrap.dedent(inspect.getsource(_basis_forms)),
+        f"NAMES = {(STAR_REVERSES, CENTRAL, ASSOCIATIVE)!r}",
+        textwrap.dedent("""
+            for n in (2, 3):
+                words, gens = fiber.overlaps(n), verify._generators(n)
+                entries = {e["name"]: e for e in verify.suite_relations(n)}
+                print(json.dumps([
+                    len(words),
+                    ["^".join(str(gens[g]) for g in w) for w in words
+                     if not fiber.overlap_resolves(n, w)],
+                    [[entries[name]["status"], entries[name].get("witness")]
+                     for name in NAMES],
+                    next(_star_reversal_oracle(*_basis_forms(n)), None) is None]))
+        """),
+    ]))
+    unresolved = {2: ["e-[1]^e-[1]^e+[1]", "e-[1]^e+[1]^e+[1]"]}
+    unresolved[3] = unresolved[2] + ["e-[2]^e-[2]^e+[2]", "e-[2]^e+[2]^e+[2]"]
+    for n, line in zip((2, 3), lines):
+        count, words, (star, central, associative), oracle = json.loads(line)
+        assert count == {2: 20, 3: 56}[n]
+        assert words == unresolved[n]
+        named = {"premise": verify.OVERLAPS, "overlap": words[0]}
+        assert star == central == ["fail", named]
+        assert oracle
+        assert associative == ["pass", None] or n == 2
