@@ -18,7 +18,7 @@ from .hodge import (
     certify_posdef, serre_pairing, GradedOperator, hodge_operator,
     l_operator, lambda_operator,
 )
-from .uqsl2 import h_operator, k_operator, sl2_relations
+from .uqsl2 import sl2_relations
 from .su2 import (
     SU2Element, u_entry, antipode_u_entry, projective_coordinate,
     laplacian0_cp1, verify_cp1_laplacian,
@@ -37,7 +37,7 @@ __all__ = [
     "vol", "hodge", "hodge_inverse", "lambda_apply", "metric", "gram",
     "gram_to_json", "certify_posdef", "serre_pairing", "GradedOperator",
     "hodge_operator", "l_operator", "lambda_operator",
-    "h_operator", "k_operator", "sl2_relations",
+    "sl2_relations",
     "SU2Element", "u_entry", "antipode_u_entry", "projective_coordinate",
     "laplacian0_cp1", "verify_cp1_laplacian",
     "run_suites", "SUITES",

@@ -16,10 +16,10 @@ orthogonal, so it is stored as one Gram block per bidegree and evaluated on
 coordinates from those blocks; the blocks are certified positive definite at
 rational points by exact LDL* pivots.
 
-Operator identities (through `combination_defect` the Hodge and sl2
-relations, and the block identities the verify suites derive adjointness
-from) are zero tests, not comparisons of canonical matrices: each entry of
-lhs - rhs is one sum of products of structural nonzeros, put over a common
+The block identities the verify suites rest on (H . S = C on the string
+basis, and the star and Serre identities adjointness is derived from) are
+zero tests, not comparisons of canonical matrices: each entry of lhs - rhs
+is one sum of products of structural nonzeros, put over a common
 denominator with no gcd.  Every denominator is a product of nonzero
 denominators, so the entry vanishes exactly when the numerator does.  The
 same scan names a failing identity's first nonzero entry, and only that
@@ -28,11 +28,10 @@ entry is canonicalised, for the witness.
 
 from __future__ import annotations
 
-from functools import reduce
 from types import MappingProxyType
 
 from .scalars import (
-    ONE, ZERO, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize, dot,
+    ONE, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize, dot,
     dot_is_zero, refuse_assignment, render_scalar,
 )
 from .fiber import FiberForm, BasisMonomial, basis_bidegree
@@ -58,6 +57,21 @@ def vol(u: FiberForm) -> Scalar:
     return u.coefficient(top_monomial(n)) * i_power(-(n % 2))
 
 
+def hodge_factor(n: int, seed: tuple, j: int, mode: HodgeMode = H_EQ_Q) -> Scalar:
+    """The factor c_j by which the Hodge map sends L^j(alpha), alpha primitive
+    of bidegree seed = (a', b') and degree k' = a'+b', to c_j L^(m-j)(alpha),
+    m = n-k':  c_j = (-1)^(k'(k'+1)/2) i^(a'-b') [j]_h! / [m-j]_h!."""
+    kp = sum(seed)
+    sign = -ONE if (kp * (kp + 1) // 2) % 2 else ONE
+    return (sign * i_power(seed[0] - seed[1]) * qfact(j, mode)
+            / qfact(n - j - kp, mode))
+
+
+def hodge_rule(n: int, mode: HodgeMode = H_EQ_Q):
+    """The Hodge map as a `string_images` rule: level j to m-j, c_j."""
+    return lambda j, seed: (n - j - sum(seed), hodge_factor(n, seed, j, mode))
+
+
 @memoize
 def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
     """Matrix of the Hodge map from the (a, b) to the (n-b, n-a) component.
@@ -72,14 +86,7 @@ def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatri
     if len(cols) != len(src):
         raise ArithmeticError(
             f"string basis of ({a},{b}) has wrong size: {len(cols)} != {len(src)}")
-
-    def rule(j, seed):
-        kp = sum(seed)
-        sign = -ONE if (kp * (kp + 1) // 2) % 2 else ONE
-        return n - j - kp, (sign * i_power(seed[0] - seed[1]) * qfact(j, mode)
-                            / qfact(n - j - kp, mode))
-
-    c = string_images(n, a, b, (n - b, n - a), rule)
+    c = string_images(n, a, b, (n - b, n - a), hodge_rule(n, mode))
     return linalg.solve(string_basis_matrix(n, a, b).transpose(),
                         c.transpose()).transpose()
 
@@ -201,20 +208,6 @@ class GradedOperator:
             src: (tgt, mat) for src, (tgt, mat) in blocks.items()
             if mat.nrows and not mat.is_zero()}))
 
-    @staticmethod
-    def diagonal(n: int, eig) -> "GradedOperator":
-        """Diagonal operator with eigenvalue eig(a, b) on each component."""
-        blocks = {}
-        for a in range(n + 1):
-            for b in range(n + 1):
-                lam = eig(a, b)
-                if lam:
-                    dim = len(basis_bidegree(n, a, b))
-                    blocks[(a, b)] = ((a, b), ScalarMatrix(
-                        [[lam if i == j else ZERO for j in range(dim)]
-                         for i in range(dim)], ncols=dim))
-        return GradedOperator(n, blocks)
-
     def apply(self, u: FiberForm) -> FiberForm:
         out = FiberForm.zero(self.n)
         for bd, comp in u.bidegree_split().items():
@@ -225,26 +218,6 @@ class GradedOperator:
             vec = mat.apply(to_coords(comp, basis_bidegree(self.n, *bd)))
             out = out + from_coords(self.n, vec, basis_bidegree(self.n, *tgt_bd))
         return out
-
-    def compose(self, other: "GradedOperator") -> "GradedOperator":
-        """self after other."""
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        blocks = {}
-        for src, (mid, mat1) in other.blocks.items():
-            blk = self.blocks.get(mid)
-            if blk is None:
-                continue
-            tgt, mat2 = blk
-            blocks[src] = (tgt, mat2 @ mat1)
-        return GradedOperator(self.n, blocks)
-
-    __matmul__ = compose
-
-    def scale(self, c) -> "GradedOperator":
-        return GradedOperator(self.n, {
-            src: (tgt, mat.scale(c)) for src, (tgt, mat) in self.blocks.items()
-        })
 
 
 def _first_nonzero(products):
@@ -275,48 +248,6 @@ def _first_block_failure(blocks):
     return None
 
 
-def combination_defect(terms):
-    """None when the sum of c . X1 ... Xr over the terms (c, [X1, ..., Xr])
-    of graded operators is zero; otherwise a witness of its first nonzero
-    entry, {"bidegree", "target", "row", "col", "defect"}, scanning sources
-    in sorted order, then targets in sorted order, then the entry.  With
-    the terms of lhs - rhs, the defect is lhs - rhs at that entry, and it
-    is the only value canonicalised.
-
-    Each term is split as (c . X1 ... X(r-1)) . Xr: the prefix is built as
-    one canonical operator (c times the identity when r = 1), and its
-    product with Xr is never formed.  At each source the terms are grouped
-    by target, and each group must vanish on its own, as the blocks of one
-    GradedOperator do; a term that meets an absent block adds nothing.
-    Each entry of a group is a sum of products of structural nonzeros,
-    tested by `dot_is_zero`, so no gcd is taken."""
-    n = terms[0][1][0].n
-    if any(x.n != n for _, factors in terms for x in factors):
-        raise ValueError("rank mismatch")
-    split = []
-    for c, factors in terms:
-        *head, last = factors
-        if head:
-            prefix = reduce(GradedOperator.compose, head)
-            prefix = prefix if c == ONE else prefix.scale(c)
-        else:
-            prefix = GradedOperator.diagonal(n, lambda a, b: c)
-        split.append((prefix, last))
-
-    def blocks():
-        for src in sorted({s for _, last in split for s in last.blocks}):
-            groups = {}
-            for prefix, last in split:
-                mid, right = last.blocks.get(src, (None, None))
-                blk = prefix.blocks.get(mid)
-                if blk is not None:
-                    groups.setdefault(blk[0], []).append((blk[1], right))
-            for tgt in sorted(groups):
-                yield src, tgt, groups[tgt]
-
-    return _first_block_failure(blocks())
-
-
 @memoize
 def hodge_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
     blocks = {}
@@ -339,10 +270,10 @@ def lambda_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
     """Lowering operator as blocks H^-1 . L . H: the Hodge block of (a, b),
     the raising matrix on its (n-b, n-a) image, and the Hodge block of
     (n-b+1, n-a+1) back to (a-1, b-1), which is the inverse Hodge block up
-    to the sign (-1)^(a+b).  Built once per (n, mode).  The lids suite
-    takes this construction as given: Lambda is the metric adjoint of L
-    because H and L satisfy sparse identities with the star matrices and
-    the Serre pairing, and its adjoint entry does not read Lambda."""
+    to the sign (-1)^(a+b).  Built once per (n, mode), for `lambda_apply`
+    alone: the verify suites take this construction as given and use its
+    action on the string basis, one level down with the factor
+    (-1)^k' c_j c_(m-j+1) of `hodge_factor`."""
     blocks = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):

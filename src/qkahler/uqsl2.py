@@ -1,18 +1,16 @@
-"""Quantum sl2 action on the exterior fiber.
+"""Quantum sl2 action on the exterior fiber, on the string basis.
 
-The raising operator L (wedging with the Hermitian form), its metric adjoint
-Lambda, and the diagonal counting operators H and K realise the quantised
-enveloping algebra of sl2 on the fiber algebra.  This module builds H and K
-and writes down the deformed commutator identities, which the lids suite in
-`verify` checks exactly, block by block.  The irreducible strings L^j(alpha)
-of primitive forms alpha are modelled once, by `lefschetz.string_columns`;
-the strings suite in `verify` checks how the lowering operator acts on them.
-
-Each relation lhs = rhs is written as the terms (c, [X1, ..., Xr]) of
-lhs - rhs and checked by `hodge.combination_defect`: one zero test per
-entry, over a common denominator and with no gcd, which is exact because
-every denominator is nonzero.  The same scan names a failing relation by
-its first nonzero entry.
+L, its metric adjoint Lambda and the counting operators H and K realise the
+quantised enveloping algebra of sl2 on the fiber.  On the string basis
+L^j(alpha), alpha primitive of degree k' and m = n-k', each is a weighted
+shift (step, weight): L^j(alpha) goes to weight(m, j) times the member step
+levels away, or to 0 past either end.  L has step +1 and weight 1, Lambda
+step -1 and weight `lefschetz.lambda_string_factor`, [j]_h [m-j+1]_h, and
+H and K step 0 and weights [2j-m]_h and h^(2j-m), functions of the degree
+k' + 2j.  Each relation lhs = rhs, written as the terms (c, [X1, ..., Xr])
+of lhs - rhs, is one scalar identity per string member (`relation_defect`);
+the verify suites check that the members are a basis and that L and
+Lambda act as these shifts.
 
 Conventions.  [A,B]_t := AB - t BA, and the eigenvalue of H on degree k is
 the symmetric quantum integer [k-n]_h, extended to negative arguments by
@@ -20,31 +18,51 @@ oddness.  The plain integer k-n works only at h = 1; the quantum version is
 the one compatible with [L,Lambda] = H, and the reports record that choice.
 """
 
-from .scalars import HodgeMode, H_EQ_Q, ONE, qint, qint_signed
-from .hodge import GradedOperator, l_operator, lambda_operator
+from .scalars import (
+    HodgeMode, H_EQ_Q, ONE, ZERO, qint, qint_signed, render_scalar,
+)
+from .lefschetz import lambda_string_factor
 
 
-def h_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
-    """Counting operator H: multiplication by [a+b-n]_h on each component."""
-    return GradedOperator.diagonal(n, lambda a, b: qint_signed(a + b - n, mode))
+def h_weight(m: int, j: int, mode: HodgeMode = H_EQ_Q):
+    """H on the member L^j of a string of length m+1: [2j-m]_h."""
+    return qint_signed(2 * j - m, mode)
 
 
-def k_operator(n: int, mode: HodgeMode = H_EQ_Q, inverse: bool = False) -> GradedOperator:
-    """Group-like counting operator K (or its inverse): h^{+-(a+b-n)}."""
-    sgn = -1 if inverse else 1
-    return GradedOperator.diagonal(n, lambda a, b: mode.h_power(sgn * (a + b - n)))
+def k_weight(m: int, j: int, mode: HodgeMode = H_EQ_Q, inverse: bool = False):
+    """K (or its inverse) on the member L^j of a string of length m+1:
+    h^(+-(2j-m))."""
+    return mode.h_power(m - 2 * j if inverse else 2 * j - m)
 
 
-def _commutator(x: GradedOperator, y: GradedOperator, t) -> list:
-    """The terms of [x, y]_t = xy - t yx, as `combination_defect` takes
-    them."""
-    return [(ONE, [x, y]), (-t, [y, x])]
+def relation_defect(n: int, terms):
+    """None when the sum of c . X1 ... Xr over the terms (c, [X1, ..., Xr])
+    of weighted shifts kills every member of every string at rank n, else
+    {"length": m+1, "level": j, "defect"} of the first member it does not."""
+    for m in range(n + 1):
+        for j in range(m + 1):
+            image = {}
+            for c, factors in terms:
+                pos = j
+                for step, weight in reversed(factors):
+                    c = c * weight(m, pos)
+                    pos += step
+                    if not 0 <= pos <= m:
+                        break
+                else:
+                    image[pos] = image.get(pos, ZERO) + c
+            bad = next((x for _, x in sorted(image.items()) if x), None)
+            if bad is not None:
+                return {"length": m + 1, "level": j,
+                        "defect": render_scalar(bad)}
+    return None
 
 
 def sl2_relations(n: int, mode: HodgeMode = H_EQ_Q):
     """The deformed sl2 relations on the fiber, and the notes on their
     conventions, as (relations, notes); each relation is (name, terms of
-    lhs - rhs, expected), with expected whether the relation should hold.
+    lhs - rhs, expected), with expected whether the relation should hold,
+    and each factor a weighted shift (step, weight(m, j)).
 
     Covers the three h-commutator identities linking H, K, L and Lambda,
     then the conjugation relations presenting (L, Lambda, K) as a
@@ -55,25 +73,26 @@ def sl2_relations(n: int, mode: HodgeMode = H_EQ_Q):
     """
     h2 = mode.h_power(2)
     hm2 = mode.h_power(-2)
-    L = l_operator(n)
-    Lam = lambda_operator(n, mode)
-    H = h_operator(n, mode)
-    K = k_operator(n, mode)
-    Kinv = k_operator(n, mode, inverse=True)
-    ident = GradedOperator.diagonal(n, lambda a, b: ONE)
+    two = qint(2, mode)
+    L = (1, lambda m, j: ONE)
+    Lam = (-1, lambda m, j: lambda_string_factor(n, n - m, j, mode))
+    H = (0, lambda m, j: h_weight(m, j, mode))
+    K = (0, lambda m, j: k_weight(m, j, mode))
+    Kinv = (0, lambda m, j: k_weight(m, j, mode, inverse=True))
 
     relations = [
         ("[H,L]_{h^-2} = [2]_h L K",
-         _commutator(H, L, hm2) + [(-qint(2, mode), [L, K])], True),
-        ("[L,Lambda] = H", _commutator(L, Lam, ONE) + [(-ONE, [H])], True),
+         [(ONE, [H, L]), (-hm2, [L, H]), (-two, [L, K])], True),
+        ("[L,Lambda] = H",
+         [(ONE, [L, Lam]), (-ONE, [Lam, L]), (-ONE, [H])], True),
         ("[H,Lambda]_{h^2} = -[2]_h Lambda K",
-         _commutator(H, Lam, h2) + [(qint(2, mode), [Lam, K])], True),
-        ("K K^-1 = id", [(ONE, [K, Kinv]), (-ONE, [ident])], True),
+         [(ONE, [H, Lam]), (-h2, [Lam, H]), (two, [Lam, K])], True),
+        ("K K^-1 = id", [(ONE, [K, Kinv]), (-ONE, [])], True),
         ("K L K^-1 = h^2 L", [(ONE, [K, L, Kinv]), (-h2, [L])], True),
         ("K Lambda K^-1 = h^-2 Lambda", [(ONE, [K, Lam, Kinv]), (-hm2, [Lam])],
          True),
         ("literal form -[2]_{h^2} K Lambda (expected to differ for h != 1)",
-         _commutator(H, Lam, h2) + [(h2 + hm2, [K, Lam])],
+         [(ONE, [H, Lam]), (-h2, [Lam, H]), (h2 + hm2, [K, Lam])],
          mode.h_power(4) == ONE),
     ]
 
@@ -90,8 +109,8 @@ def sl2_relations(n: int, mode: HodgeMode = H_EQ_Q):
     hdiff = mode.h_power(1) - mode.h_power(-1)
     if hdiff:
         relations.append(("[L,Lambda] = (K - K^-1)/(h - h^-1)",
-                          _commutator(L, Lam, ONE)
-                          + [(-ONE / hdiff, [K]), (ONE / hdiff, [Kinv])],
+                          [(ONE, [L, Lam]), (-ONE, [Lam, L]),
+                           (-ONE / hdiff, [K]), (ONE / hdiff, [Kinv])],
                           True))
     else:
         notes.append("h = 1: (K - K^-1)/(h - h^-1) is a 0/0 limit; the "

@@ -4,17 +4,16 @@ checked exactly and reported uniformly.
 Each suite returns a list of entries {suite, name, status, detail, witness?}
 with status "pass", "fail", or "note" (notes carry flags and conventions and
 never fail a run).  Suites are keyed by name in SUITES; run_suites drives a
-selection and aggregates the failures.  The metric adjoint entries of the
-hodge and lids suites are derived from block identities on H, L, the star
-matrices and the Serre pairing, checked once per rank and mode and shared
-by both suites.  The strings suite checks that the string members form a
-basis and that Lambda and L move them as `lefschetz.string_images` says,
-and derives its seed, kernel and level-orthogonality entries from those
-identities, with no rank of Lambda and no Hodge image of a form.  The
-relations entries "star reverses products" and "fundamental form is
-central" are derived from premises on the rewrite rules and on the 2n
-generators, with no pair of basis monomials wedged.  A derived entry that
-fails names its first failing premise.
+selection and aggregates the failures.  The hodge, lids and strings suites
+share premises on the string basis, checked once per rank and mode, on
+which H, L, Lambda and the counting operators are weighted shifts: the
+square of H, the lowering identity and every sl2 relation are scalar
+identities, and no suite builds Lambda or multiplies two Hodge blocks.  The
+adjoint entries rest further on block identities of H and L with the star
+matrices and the Serre pairing.  The relations entries "star reverses
+products" and "fundamental form is central" are derived from premises on
+the rewrite rules and the 2n generators.  A derived entry that fails names
+its first failing premise.
 """
 
 from __future__ import annotations
@@ -38,11 +37,11 @@ from .lefschetz import (
 from . import linalg
 from .linalg import ScalarMatrix
 from .hodge import (
-    GradedOperator, hodge, hodge_operator, metric, gram, certify_posdef,
-    serre_pairing, combination_defect, l_operator, lambda_operator,
-    star_matrix, _first_block_failure, _first_nonzero,
+    hodge, hodge_factor, hodge_operator, hodge_rule, metric, gram,
+    certify_posdef, serre_pairing, l_operator, star_matrix,
+    _first_block_failure, _first_nonzero,
 )
-from .uqsl2 import h_operator, k_operator, sl2_relations
+from .uqsl2 import h_weight, k_weight, relation_defect, sl2_relations
 from .su2 import verify_cp1_laplacian
 
 DEFAULT_Q_SAMPLES = ("9/10", "1", "11/10")
@@ -252,8 +251,17 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 
 
 # ---------------------------------------------------------------------------
-# premises: the block identities the adjoint entries are derived from
+# premises: the string and block identities the derived entries rest on
 # ---------------------------------------------------------------------------
+
+BASIS = "string members form a basis per bidegree"
+RAISING = "L raises every string by one level"
+HODGE_STRINGS = "H sends every string member L^j(a) to c_j L^(m-j)(a)"
+SQUARE_FACTORS = "c_j c_(m-j) = (-1)^k' on every string"
+LOWERING_FACTORS = "(-1)^k' c_j c_(m-j+1) = [j]_h [m-j+1]_h on every string"
+# the string premises of the square and of the lowering identity, in order
+SQUARE_PREMISES = (BASIS, HODGE_STRINGS, SQUARE_FACTORS)
+LOWERING_PREMISES = (BASIS, RAISING, HODGE_STRINGS, LOWERING_FACTORS)
 
 SQUARE = "square is (-1)^degree"
 STAR_COMMUTES = "commutes with star on the basis"
@@ -262,52 +270,114 @@ L_SERRE = "L is symmetric for the Serre pairing"
 L_STAR = "L commutes with star"
 
 
-def _star_operator(n):
-    """Star as a graded operator, the star matrix of each (a, b) into (b, a).
-    Star is conjugate-linear, so star(u) has coordinates S . conj(x)."""
-    return GradedOperator(n, {(a, b): ((b, a), star_matrix(n, a, b))
-                              for a, b in product(range(n + 1), repeat=2)})
+def _string_map_failure(n, op, target, rule, basis):
+    """{"bidegree": [a, b]} of the first (a, b) with a target in the fiber
+    where op . S_(a,b) is not `string_images(n, a, b, target(a, b), rule)`,
+    S = basis[a, b] the string basis matrix, else None; an absent op block
+    is zero."""
+    for a, b in product(range(n + 1), repeat=2):
+        tgt = target(a, b)
+        if not all(0 <= x <= n for x in tgt):
+            continue
+        images = string_images(n, a, b, tgt, rule)
+        products = [(ScalarMatrix.identity(images.nrows).scale(-ONE), images)]
+        if (a, b) in op.blocks:
+            products.append((op.blocks[a, b][1], basis[a, b]))
+        if _first_nonzero(products) is not None:
+            return {"bidegree": [a, b]}
+    return None
 
 
-def _conjugate(op):
-    return GradedOperator(op.n, {src: (tgt, mat.conjugate())
-                                 for src, (tgt, mat) in op.blocks.items()})
+def _factor_failure(n, holds):
+    """{"bidegree": [a', b'], "level": j} of the first seed bidegree and
+    level 0 <= j <= m = n-a'-b' where holds(seed, m, j) fails, else None."""
+    for k in range(n + 1):
+        for b in range(k + 1):
+            for j in range(n - k + 1):
+                if not holds((k - b, b), n - k, j):
+                    return {"bidegree": [k - b, b], "level": j}
+    return None
+
+
+@memoize
+def _string_premise_table(n, mode):
+    """{name: witness} of the premises on the string basis, the witness None
+    when the premise holds, checked once per (n, mode) for the hodge, lids
+    and strings suites: the members of each (a, b) are a basis; L . S is S
+    one level up (raising); H . S sends L^j(alpha) to c_j L^(m-j)(alpha),
+    c_j = `hodge_factor` (H . S = C); and, per seed bidegree and level, the
+    scalar identities of the square and lowering factors.  Given the basis
+    and H . S = C, H is the weighted shift j -> m-j with weights c_j, so
+    H^2 = (-1)^k is the square identity; with raising, Lambda = (-1)^(a+b)
+    H . L . H sends L^j(alpha) to (-1)^k' c_j c_(m-j+1) L^(j-1)(alpha) and
+    kills the seeds.  The Hodge blocks solve H . S = C, so while S is not a
+    basis only the basis premise is checked."""
+    basis = {(a, b): string_basis_matrix(n, a, b)
+             for a, b in product(range(n + 1), repeat=2)}
+    wit = _first_bidegree(n, lambda a, b: basis[a, b].ncols
+                          == len(basis_bidegree(n, a, b))
+                          == linalg.rank(basis[a, b]))
+    if wit is not None:
+        return {BASIS: wit}
+
+    def c(seed, j):
+        return hodge_factor(n, seed, j, mode)
+
+    def sign(seed):
+        return -ONE if sum(seed) % 2 else ONE
+
+    return {
+        BASIS: None,
+        RAISING: _string_map_failure(n, l_operator(n), lambda a, b: (
+            a + 1, b + 1), lambda j, seed: (j + 1, ONE), basis),
+        HODGE_STRINGS: _string_map_failure(n, hodge_operator(n, mode),
+                                           lambda a, b: (n - b, n - a),
+                                           hodge_rule(n, mode), basis),
+        SQUARE_FACTORS: _factor_failure(n, lambda seed, m, j: c(
+            seed, j) * c(seed, m - j) == sign(seed)),
+        LOWERING_FACTORS: _factor_failure(n, lambda seed, m, j: j == 0 or (
+            sign(seed) * c(seed, j) * c(seed, m - j + 1)
+            == lambda_string_factor(n, sum(seed), j, mode))),
+    }
+
+
+def _string_premises(n, mode, names):
+    """The (name, witness) of each named string premise, in order."""
+    return tuple((p, _string_premise_table(n, mode).get(p)) for p in names)
 
 
 @memoize
 def _hodge_premises(n, mode):
-    """The (name, witness) of each Hodge premise, the witness None when the
-    premise holds, checked once per (n, mode) for the hodge and lids suites.
+    """The (name, witness) of each block premise on H, as in
+    `_string_premise_table`, one `_first_block_failure` each:
 
-    - H^2 = (-1)^k on k-forms;
     - H commutes with star: H_(b,a) . S_(a,b) = S_(n-b,n-a) . conj(H_(a,b)),
       S the star matrices;
     - H is (-1)^k-symmetric for the Serre pairing P:
       H_(a,b)^T . P_(n-b,n-a) = (-1)^(a+b) P_(a,b) . H_(b,a).
 
     `gram` builds G_(a,b) = P_(a,b) . H_(b,a) . S_(a,b), and with that
-    construction taken as given the three premises give
+    construction taken as given these two and the square give
     H_(a,b)^T . G_(n-b,n-a) . conj(H_(a,b)) = G_(a,b): substitute the Serre
     symmetry, then star commutation, then the square.  That is unitarity
     of H for the metric, with no Gram block read."""
-    star_op = hodge_operator(n, mode)
-    sign = GradedOperator.diagonal(n, lambda a, b: -ONE if (a + b) % 2 else ONE)
-    star = _star_operator(n)
+    h = hodge_operator(n, mode).blocks
 
-    def products(src, tgt, mat):
+    def serre(src, tgt, mat):
         p = serre_pairing(n, *src)
         return [(mat.transpose(), serre_pairing(n, *tgt)),
-                (p if sum(src) % 2 else p.scale(-ONE),
-                 star_op.blocks[src[::-1]][1])]
+                (p if sum(src) % 2 else p.scale(-ONE), h[src[::-1]][1])]
 
     return (
-        (SQUARE, combination_defect([(ONE, [star_op, star_op]),
-                                     (-ONE, [sign])])),
-        (STAR_COMMUTES, combination_defect([(ONE, [star_op, star]),
-                                            (-ONE, [star, _conjugate(star_op)])])),
+        (STAR_COMMUTES, _first_block_failure(
+            ((a, b), (n - a, n - b),
+             [(h[b, a][1], star_matrix(n, a, b)),
+              (star_matrix(n, n - b, n - a).scale(-ONE),
+               h[a, b][1].conjugate())])
+            for a, b in product(range(n + 1), repeat=2))),
         (H_SERRE, _first_block_failure(
-            (src, tgt, products(src, tgt, mat))
-            for src, (tgt, mat) in sorted(star_op.blocks.items()))),
+            (src, tgt, serre(src, tgt, mat))
+            for src, (tgt, mat) in sorted(h.items()))),
     )
 
 
@@ -324,19 +394,20 @@ def _l_premises(n):
     construction and G = P . H . S taken as given, these two and the Hodge
     premises give L_(a,b)^T . G_(a+1,b+1) = G_(a,b) . conj(Lambda_(a+1,b+1)):
     Lambda is the metric adjoint of L."""
-    l_op, star = l_operator(n), _star_operator(n)
-
-    def products(a, b):
-        return [(l_op.blocks[a, b][1].transpose(),
-                 serre_pairing(n, a + 1, b + 1)),
-                (serre_pairing(n, a, b).scale(-ONE),
-                 l_op.blocks[n - a - 1, n - b - 1][1])]
-
+    low = l_operator(n).blocks
+    bidegrees = list(product(range(n), repeat=2))
     return (
-        (L_SERRE, _first_block_failure(((a, b), (a + 1, b + 1), products(a, b))
-                                       for a, b in product(range(n), repeat=2))),
-        (L_STAR, combination_defect([(ONE, [star, _conjugate(l_op)]),
-                                     (-ONE, [l_op, star])])),
+        (L_SERRE, _first_block_failure(
+            ((a, b), (a + 1, b + 1),
+             [(low[a, b][1].transpose(), serre_pairing(n, a + 1, b + 1)),
+              (serre_pairing(n, a, b).scale(-ONE),
+               low[n - a - 1, n - b - 1][1])])
+            for a, b in bidegrees)),
+        (L_STAR, _first_block_failure(
+            ((a, b), (b + 1, a + 1),
+             [(star_matrix(n, a + 1, b + 1), low[a, b][1].conjugate()),
+              (low[b, a][1].scale(-ONE), star_matrix(n, a, b))])
+            for a, b in bidegrees)),
     )
 
 
@@ -349,17 +420,16 @@ def _premise_failure(premises):
     return None
 
 
-def _real_scalar_failure(op):
-    """{"bidegree": [a, b]} of the first block of op that is not lam . I on
-    its own bidegree with lam = conj(lam), else None.  The Gram blocks are
-    per bidegree, so such an op is self-adjoint for the metric: on (a, b)
+def _real_weight_failure(n, weight):
+    """{"degree": k} of the first degree k where the weights weight(m, j) of
+    its string members, k = n + 2j - m, are not one real scalar lam, else
+    None.  The Gram blocks are per bidegree, so lam . I is self-adjoint:
     both sides of M^T . G = G . conj(M) are lam . G."""
-    for src, (tgt, mat) in sorted(op.blocks.items()):
-        lam = mat.rows[0][0]
-        if tgt != src or lam != lam.conjugate() or not all(
-                row[i] == lam and not any(row[:i]) and not any(row[i + 1:])
-                for i, row in enumerate(mat.rows)):
-            return {"bidegree": list(src)}
+    for k in range(2 * n + 1):
+        lam, *rest = [weight(m, j) for m in range(n + 1)
+                      for j in range(m + 1) if n + 2 * j - m == k]
+        if lam != lam.conjugate() or any(x != lam for x in rest):
+            return {"degree": k}
     return None
 
 
@@ -397,19 +467,24 @@ def _pinned_hodge_tables(n, mode, out):
                               f"on P^({a},{b})", ok))
 
 
+def _unitary_premises(n, mode):
+    """The premises of the square, then the block premises on H."""
+    return _string_premises(n, mode, SQUARE_PREMISES) + _hodge_premises(n, mode)
+
+
 def suite_hodge(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
-    premises = _hodge_premises(n, mode)
-    (_, square), (_, commutes), _ = premises
-    out.append(_entry("hodge", SQUARE, square is None, witness=square))
+    wit = _premise_failure(_string_premises(n, mode, SQUARE_PREMISES))
+    out.append(_entry("hodge", SQUARE, wit is None, witness=wit))
 
     ok = all(tgt == (n - src[1], n - src[0])
              for src, (tgt, _) in hodge_operator(n, mode).blocks.items())
     out.append(_entry("hodge", "component map (a,b) -> (n-b,n-a)", ok))
+    (_, commutes), _ = _hodge_premises(n, mode)
     out.append(_entry("hodge", STAR_COMMUTES, commutes is None,
                       witness=commutes))
 
-    wit = _premise_failure(premises)
+    wit = _premise_failure(_unitary_premises(n, mode))
     out.append(_entry("hodge", "unitary for the fiber metric, blockwise",
                       wit is None, witness=wit))
     _pinned_hodge_tables(n, mode, out)
@@ -565,10 +640,16 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 # ---------------------------------------------------------------------------
 
 def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
+    """Each sl2 relation is one scalar identity per string member, and
+    rests on the basis, on raising if it holds L or Lambda, and on the
+    lowering premises if it holds Lambda."""
     out = []
     relations, notes = sl2_relations(n, mode)
     for name, terms, expected in relations:
-        wit = combination_defect(terms)
+        steps = {step for _, factors in terms for step, _ in factors}
+        used = LOWERING_PREMISES[:4 if -1 in steps else 2 if 1 in steps else 1]
+        wit = (_premise_failure(_string_premises(n, mode, used))
+               or relation_defect(n, terms))
         ok = (wit is None) == expected
         detail = "" if expected else (
             "holds only at h=1" if wit is None else "differs for h != 1, as derived")
@@ -577,12 +658,12 @@ def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     for note in notes:
         out.append(_entry("lids", "convention", note=True, detail=note))
 
-    wit = _premise_failure(_hodge_premises(n, mode) + _l_premises(n))
+    wit = _premise_failure(_unitary_premises(n, mode) + _l_premises(n))
     out.append(_entry("lids", "adjoint of L is the dual Lefschetz operator",
                       wit is None, witness=wit))
-    for name, op in (("H is self-adjoint", h_operator(n, mode)),
-                     ("K is self-adjoint", k_operator(n, mode))):
-        wit = _real_scalar_failure(op)
+    for name, weight in (("H is self-adjoint", h_weight),
+                         ("K is self-adjoint", k_weight)):
+        wit = _real_weight_failure(n, lambda m, j: weight(m, j, mode))
         out.append(_entry("lids", name, wit is None, witness=wit))
     return out
 
@@ -590,23 +671,6 @@ def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 # ---------------------------------------------------------------------------
 # strings
 # ---------------------------------------------------------------------------
-
-def _string_map_failure(n, op, step, factor, basis):
-    """{"bidegree": [a, b]} of the first (a, b) where op . S_(a,b) is not
-    `string_images` one level up (step 1) or down (step -1), with factor
-    factor(j, k) on a member L^j(alpha) of a degree-k seed alpha, else None.
-    S is the string basis matrix (`basis` maps each bidegree to it), and an
-    absent op block is zero."""
-    for a, b in product(range(max(0, -step), n + 1 - max(0, step)), repeat=2):
-        images = string_images(n, a, b, (a + step, b + step),
-                               lambda j, seed: (j + step, -factor(j, sum(seed))))
-        products = [(ScalarMatrix.identity(images.nrows), images)]
-        if (a, b) in op.blocks:
-            products.append((op.blocks[a, b][1], basis[a, b]))
-        if _first_nonzero(products) is not None:
-            return {"bidegree": [a, b]}
-    return None
-
 
 def _zero_factor_failure(n, mode):
     """{"degree": k, "level": j} of the first zero lowering factor
@@ -624,30 +688,24 @@ def _zero_factor_failure(n, mode):
     return None
 
 
-BASIS = "string members form a basis per bidegree"
-RAISING = "L raises every string by one level"
-
-
 def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
-    """Three entries are derived from the checked basis and lowering
-    identities, the raising identity (named only in witnesses) and the
-    premises on L, and a failing one names its first failing premise.
+    """Four entries are derived from the premises on the string basis and
+    on L, and a failing one names its first failing premise.
 
-    - Seeds (basis, lowering, raising): a seed is a level-0 member, so
-      Lambda kills it; L^(n-k) of it is its top member, a column of an
-      invertible S, and L sends that member to 0.
-    - Kernel (basis, lowering, nonzero factors): `_zero_factor_failure`.
-    - Levels (basis, raising, `_l_premises`): take members L^i(alpha) and
-      L^j(beta) of one degree-k bidegree, i != j.  By raising, the power of
-      L that kills a bidegree's seeds sends its other members to distinct
-      columns of an invertible S, so the seeds span the primitives.  Star
-      and H keep a string's seed: star commutes with L, and H . S = C of
-      `hodge_block`, taken as given, makes H(star(L^j(beta))) =
-      L^(n-k+j)(gamma), gamma primitive.  L^i moves across the Serre
-      pairing, so the metric is vol(alpha ^ L^(n-k+i+j)(gamma)) =
-      vol(L^(n-k+i+j)(alpha) ^ gamma).  gamma's string ends at level
-      n-k+2j and alpha's at n-k+2i, so the first is 0 for i > j and the
-      second for i < j.  No Gram block is read.
+    - Lowering (basis, raising, H . S = C, lowering factors): see
+      `_string_premise_table`.
+    - Seeds (the same): a seed is a level-0 member, so Lambda kills it;
+      L^(n-k) of it is its top member, a column of an invertible S, and L
+      sends that member to 0.
+    - Kernel (basis, nonzero factors, then the lowering premises):
+      `_zero_factor_failure`.
+    - Levels (basis, raising, H . S = C, `_l_premises`): for members
+      L^i(alpha), L^j(beta) of one degree-k bidegree, i != j, the seeds
+      span the primitives (raising, basis), star and H keep a string's
+      seed, so H(star(L^j(beta))) = L^(n-k+j)(gamma), gamma primitive, and
+      L^i moves across the Serre pairing: the metric is
+      vol(alpha ^ L^(n-k+i+j)(gamma)) = vol(L^(n-k+i+j)(alpha) ^ gamma),
+      0 as gamma's string ends at level n-k+2j and alpha's at n-k+2i.
     """
     out = []
     seeds = {(k - b, b): primitive_basis(n, k - b, b)
@@ -656,32 +714,21 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out.append(_entry("strings", "string members count the whole fiber",
                       total == 4 ** n, detail=f"{total} of {4 ** n}"))
 
-    basis = {(a, b): string_basis_matrix(n, a, b)
-             for a in range(n + 1) for b in range(n + 1)}
-    wit = _first_bidegree(n, lambda a, b: basis[a, b].ncols
-                          == len(basis_bidegree(n, a, b))
-                          == linalg.rank(basis[a, b]))
-    # Lambda's Hodge blocks invert the string basis, so they are built only
-    # once it is a basis
-    checked = (
-        (BASIS, wit),
-        ("lowering factor [j]_h [n-j-k+1]_h along every string",
-         {"premise": BASIS, **wit} if wit is not None else
-         _string_map_failure(n, lambda_operator(n, mode), -1, lambda j, k:
-                             lambda_string_factor(n, k, j, mode), basis)),
-    )
-    raising = ((RAISING, _string_map_failure(n, l_operator(n), 1,
-                                             lambda j, k: ONE, basis)),)
-    wit = _premise_failure(checked + raising)
+    lowering = _string_premises(n, mode, LOWERING_PREMISES)
+    wit = _premise_failure(lowering)
     out.append(_entry("strings",
                       "every seed is killed by the lowering operator and "
                       "lives for exactly n-k+1 steps", wit is None,
                       detail=f"{sum(map(len, seeds.values()))} strings",
                       witness=wit))
-    for name, wit in checked:
-        out.append(_entry("strings", name, wit is None, witness=wit))
-    wit = _premise_failure(checked + (
-        ("lowering factors are nonzero", _zero_factor_failure(n, mode)),))
+    (_, basis), = lowering[:1]
+    out.append(_entry("strings", BASIS, basis is None, witness=basis))
+    out.append(_entry("strings",
+                      "lowering factor [j]_h [n-j-k+1]_h along every string",
+                      wit is None, witness=wit))
+    wit = _premise_failure(lowering[:1] + (
+        ("lowering factors are nonzero", _zero_factor_failure(n, mode)),)
+        + lowering[1:])
     out.append(_entry("strings",
                       "primitives are exactly the lowering kernel, by rank",
                       wit is None, witness=wit))
@@ -690,7 +737,7 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out.append(_entry("strings",
                       "L^(n-k) is an isomorphism from degree k to 2n-k", ok))
 
-    wit = _premise_failure(checked[:1] + raising + _l_premises(n))
+    wit = _premise_failure(lowering[:3] + _l_premises(n))
     out.append(_entry("strings",
                       "members over different levels are metric-orthogonal",
                       wit is None, witness=wit))

@@ -6,25 +6,36 @@ numbers, Sylvester minors for positivity, and rewrite reducers that walk
 words from the right instead of the left.  Slow but transparently correct,
 which is what an oracle is for.  Nothing here imports the linear algebra,
 rewrite, or Hodge code under test; only the scalar type is shared, and the
-scalar type has its own dict-arithmetic oracle below.  Three exceptions sit
+scalar type has its own dict-arithmetic oracle below.  Four exceptions sit
 at the end.  The form-level metric wedges forms through the engine's Hodge
 map, so it checks the Gram-block path of `metric` and nothing else.  The
 direct adjointness check reads the engine's Gram blocks and zero test: it
 is the block check that the verify suites' derived adjoint entries stand in
-for, kept here so that tests can hold the two against each other.  The Hopf
-half of quantum SU(2), coproduct and counit, multiplies tensor legs through
-the engine's `SU2Element` product: it is the reference the antipode's
-convolution axiom is checked against, not an oracle for the ring, which the
-rightmost-first SU(2) reducer above checks.
+for, kept here so that tests can hold the two against each other.  The
+graded-operator products, the counting operators H and K and
+`combination_defect` state the sl2 relations and the Hodge square on the
+engine's operator blocks, with the engine's zero test: the suites check
+those relations as scalar identities on the string basis instead, and the
+tests hold the two against each other.  The Hopf half of quantum SU(2),
+coproduct and counit, multiplies tensor legs through the engine's
+`SU2Element` product: it is the reference the antipode's convolution axiom
+is checked against, not an oracle for the ring, which the rightmost-first
+SU(2) reducer above checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
-from qkahler.hodge import _first_block_failure, gram, hodge, vol
-from qkahler.scalars import H_EQ_Q, Scalar, ONE, ZERO
+from qkahler.fiber import basis_bidegree
+from qkahler.hodge import (
+    GradedOperator, _first_block_failure, gram, hodge, l_operator, vol,
+)
+from qkahler.linalg import ScalarMatrix
+from qkahler.scalars import (
+    H_EQ_Q, Scalar, ONE, ZERO, qint, qint_signed, render_scalar,
+)
 from qkahler.su2 import SU2Element
 
 
@@ -406,6 +417,165 @@ def adjoint_defect(op, other, mode=H_EQ_Q):
     hit = {tgt for tgt, _ in op.blocks.values()}
     extra = min((src for src in other.blocks if src not in hit), default=None)
     return None if extra is None else {"bidegree": list(extra)}
+
+
+# ---------------------------------------------------------------------------
+# graded operators: products, the counting operators and the sl2 relations
+# ---------------------------------------------------------------------------
+
+def diagonal(n, eig):
+    """Diagonal operator with eigenvalue eig(a, b) on each component."""
+    blocks = {}
+    for a in range(n + 1):
+        for b in range(n + 1):
+            lam = eig(a, b)
+            if lam:
+                dim = len(basis_bidegree(n, a, b))
+                blocks[(a, b)] = ((a, b), ScalarMatrix(
+                    [[lam if i == j else ZERO for j in range(dim)]
+                     for i in range(dim)], ncols=dim))
+    return GradedOperator(n, blocks)
+
+
+def compose(x, y):
+    """x after y, every block product multiplied out."""
+    if x.n != y.n:
+        raise ValueError("rank mismatch")
+    blocks = {}
+    for src, (mid, mat1) in y.blocks.items():
+        blk = x.blocks.get(mid)
+        if blk is not None:
+            blocks[src] = (blk[0], blk[1] @ mat1)
+    return GradedOperator(x.n, blocks)
+
+
+def scale(op, c):
+    return GradedOperator(op.n, {src: (tgt, mat.scale(c))
+                                 for src, (tgt, mat) in op.blocks.items()})
+
+
+def conjugate(op):
+    return GradedOperator(op.n, {src: (tgt, mat.conjugate())
+                                 for src, (tgt, mat) in op.blocks.items()})
+
+
+def h_operator(n, mode=H_EQ_Q):
+    """Counting operator H: multiplication by [a+b-n]_h on each component."""
+    return diagonal(n, lambda a, b: qint_signed(a + b - n, mode))
+
+
+def k_operator(n, mode=H_EQ_Q, inverse=False):
+    """Group-like counting operator K (or its inverse): h^(+-(a+b-n))."""
+    sgn = -1 if inverse else 1
+    return diagonal(n, lambda a, b: mode.h_power(sgn * (a + b - n)))
+
+
+def combination_defect(terms):
+    """None when the sum of c . X1 ... Xr over the terms (c, [X1, ..., Xr])
+    of graded operators is zero; otherwise a witness of its first nonzero
+    entry, {"bidegree", "target", "row", "col", "defect"}, scanning sources
+    in sorted order, then targets in sorted order, then the entry.  With
+    the terms of lhs - rhs, the defect is lhs - rhs at that entry, and it
+    is the only value canonicalised.
+
+    Each term is split as (c . X1 ... X(r-1)) . Xr: the prefix is built as
+    one canonical operator (c times the identity when r = 1), and its
+    product with Xr is never formed.  At each source the terms are grouped
+    by target, and each group must vanish on its own, as the blocks of one
+    GradedOperator do; a term that meets an absent block adds nothing.
+    Each entry of a group is the engine's zero test, `dot_is_zero`, so no
+    gcd is taken."""
+    n = terms[0][1][0].n
+    if any(x.n != n for _, factors in terms for x in factors):
+        raise ValueError("rank mismatch")
+    split = []
+    for c, factors in terms:
+        *head, last = factors
+        if head:
+            prefix = reduce(compose, head)
+            prefix = prefix if c == ONE else scale(prefix, c)
+        else:
+            prefix = diagonal(n, lambda a, b: c)
+        split.append((prefix, last))
+
+    def blocks():
+        for src in sorted({s for _, last in split for s in last.blocks}):
+            groups = {}
+            for prefix, last in split:
+                mid, right = last.blocks.get(src, (None, None))
+                blk = prefix.blocks.get(mid)
+                if blk is not None:
+                    groups.setdefault(blk[0], []).append((blk[1], right))
+            for tgt in sorted(groups):
+                yield src, tgt, groups[tgt]
+
+    return _first_block_failure(blocks())
+
+
+def operator_relations(n, mode, lam):
+    """{name: terms of lhs - rhs} of each relation of `uqsl2.sl2_relations`,
+    over graded operators: the engine's L, the given Lambda, and the H and
+    K above.  The relation that needs h != 1 is left out at h = 1."""
+    lop, h, k = l_operator(n), h_operator(n, mode), k_operator(n, mode)
+    kinv = k_operator(n, mode, inverse=True)
+    ident = diagonal(n, lambda a, b: ONE)
+    h2, hm2, two = mode.h_power(2), mode.h_power(-2), qint(2, mode)
+    out = {
+        "[H,L]_{h^-2} = [2]_h L K":
+            [(ONE, [h, lop]), (-hm2, [lop, h]), (-two, [lop, k])],
+        "[L,Lambda] = H":
+            [(ONE, [lop, lam]), (-ONE, [lam, lop]), (-ONE, [h])],
+        "[H,Lambda]_{h^2} = -[2]_h Lambda K":
+            [(ONE, [h, lam]), (-h2, [lam, h]), (two, [lam, k])],
+        "K K^-1 = id": [(ONE, [k, kinv]), (-ONE, [ident])],
+        "K L K^-1 = h^2 L": [(ONE, [k, lop, kinv]), (-h2, [lop])],
+        "K Lambda K^-1 = h^-2 Lambda":
+            [(ONE, [k, lam, kinv]), (-hm2, [lam])],
+        "literal form -[2]_{h^2} K Lambda (expected to differ for h != 1)":
+            [(ONE, [h, lam]), (-h2, [lam, h]), (h2 + hm2, [k, lam])],
+    }
+    hdiff = mode.h_power(1) - mode.h_power(-1)
+    if hdiff:
+        out["[L,Lambda] = (K - K^-1)/(h - h^-1)"] = [
+            (ONE, [lop, lam]), (-ONE, [lam, lop]),
+            (-ONE / hdiff, [k]), (ONE / hdiff, [kinv])]
+    return out
+
+
+def _shift_matrix(m, factor):
+    """The (m+1) x (m+1) matrix of a weighted shift (step, weight) on a
+    string of length m+1, as lists of rows: column j holds weight(m, j)
+    in row j + step."""
+    step, weight = factor
+    rows = [[ZERO] * (m + 1) for _ in range(m + 1)]
+    for j in range(m + 1):
+        if 0 <= j + step <= m:
+            rows[j + step][j] = weight(m, j)
+    return rows
+
+
+def shift_relation_defect(n, terms):
+    """The oracle for `uqsl2.relation_defect`: each term c . X1 ... Xr of
+    weighted shifts multiplied out as dense matrices on every string of
+    length m+1, m <= n, and summed; the witness of the first nonzero entry
+    by m, then column j, then row."""
+    for m in range(n + 1):
+        size = range(m + 1)
+        total = [[ZERO] * (m + 1) for _ in size]
+        for c, factors in terms:
+            acc = [[c if i == j else ZERO for j in size] for i in size]
+            for factor in factors:
+                mat = _shift_matrix(m, factor)
+                acc = [[sum((acc[i][t] * mat[t][j] for t in size), ZERO)
+                        for j in size] for i in size]
+            total = [[x + y for x, y in zip(r0, r1)]
+                     for r0, r1 in zip(total, acc)]
+        for j in size:
+            for i in size:
+                if total[i][j]:
+                    return {"length": m + 1, "level": j,
+                            "defect": render_scalar(total[i][j])}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from qkahler.fiber import (
     FiberForm, basis_bidegree, basis_degree, e_minus, e_plus,
 )
 from qkahler.hodge import (
-    certify_posdef, combination_defect, gram, hodge, hodge_operator, metric,
+    certify_posdef, gram, hodge, hodge_operator, lambda_operator, metric,
 )
 from qkahler.lefschetz import (
     L_power, kappa, kappa_power, primitive_basis, to_coords,
@@ -31,12 +31,14 @@ from qkahler.linalg import ScalarMatrix
 from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, I, ONE, Q, Scalar, i_power, parse_scalar, qfact, qint,
 )
-from qkahler.uqsl2 import sl2_relations
+from qkahler.uqsl2 import relation_defect, sl2_relations
 from qkahler.su2 import (
     A, B, C, D, antipode_u_entry, laplacian0_cp1, projective_coordinate,
     u_entry,
 )
 from qkahler.verify import run_suites
+
+from oracles import combination_defect, operator_relations
 
 
 def _criterion(capsys, idx, desc, budget, fn):
@@ -183,8 +185,10 @@ def test_07_deformed_commutation_identities(capsys):
         for n in (1, 2, 3):
             for mode in (H_EQ_Q, H_EQ_ONE):
                 relations, _ = sl2_relations(n, mode)
-                if any((combination_defect(terms) is None) != expected
-                       for _, terms, expected in relations):
+                ops = operator_relations(n, mode, lambda_operator(n, mode))
+                if any((relation_defect(n, terms) is None) != expected
+                       or (combination_defect(ops[name]) is None) != expected
+                       for name, terms, expected in relations):
                     return False
                 lit = [expected for name, _, expected in relations
                        if name.startswith("literal")]

@@ -12,20 +12,27 @@ import textwrap
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from qkahler import cli, lefschetz, linalg, uqsl2, verify
-from qkahler.fiber import FiberForm
+from qkahler.fiber import FiberForm, basis_bidegree
 from qkahler.hodge import GradedOperator
+from qkahler.lefschetz import L_power, primitive_basis, string_columns, to_coords
 from qkahler.scalars import (
-    H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, ZERO, qint, render_scalar,
+    H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, ZERO, i_power, qfact,
+    render_scalar,
 )
 from qkahler.verify import DEFAULT_Q_SAMPLES, SUITES, run_suites
 
-from oracles import adjoint_defect
+from oracles import (
+    adjoint_defect, combination_defect, compose, conjugate, diagonal,
+    operator_relations, scale, shift_relation_defect,
+)
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10)))
+TESTS = Path(__file__).parent
 
 
 def test_every_suite_passes_for_small_ranks():
@@ -168,13 +175,14 @@ def _strings_report_with_first_seed(seed):
 
 
 def test_strings_suite_names_a_seed_that_is_not_primitive():
-    """seed + kappa keeps the string basis a basis; Lambda does not kill
-    it, and the seed entry names the lowering identity at (1,1)."""
+    """seed + kappa keeps the string basis a basis, but L does not kill
+    its one-member string: the seed entry names the raising identity at
+    (1,1)."""
     code, entries = _strings_report_with_first_seed("seeds[0] + kappa(n)")
     assert code == 1
     assert entries[KILLED]["status"] == "fail"
     assert entries[KILLED]["witness"] == {
-        "premise": LOWERING, "bidegree": [1, 1]}
+        "premise": RAISING, "bidegree": [1, 1]}
 
 
 def test_singular_string_basis_fails_its_entries_without_building_lambda():
@@ -237,7 +245,6 @@ def _l_entry_fault(monkeypatch):
     def faulted(n):
         return _with_block(true(n), (0, 0), _times(Q))
 
-    monkeypatch.setattr(uqsl2, "l_operator", faulted)
     monkeypatch.setattr(verify, "l_operator", faulted)
 
 
@@ -257,6 +264,8 @@ def _gram_entry_fault(monkeypatch):
 
 
 def _lambda_entry_fault(src):
+    """Lambda's block at src with its first nonzero entry times q.  No
+    suite builds Lambda, so only `lambda_apply` and the tests see it."""
     def install(monkeypatch):
         true = hodge.lambda_operator
 
@@ -264,8 +273,6 @@ def _lambda_entry_fault(src):
             return _with_block(true(n, mode), src, _times(Q))
 
         monkeypatch.setattr(hodge, "lambda_operator", faulted)
-        monkeypatch.setattr(uqsl2, "lambda_operator", faulted)
-        monkeypatch.setattr(verify, "lambda_operator", faulted)
     return install
 
 
@@ -301,24 +308,56 @@ def _star_entry_fault(monkeypatch):
 
 
 def _h_eigenvalue_fault(monkeypatch):
-    true = uqsl2.h_operator
+    """H's weight on the seed of the strings of length 3 times i: at n = 2
+    that is H on degree 0."""
+    true = uqsl2.h_weight
 
-    def faulted(n, mode=H_EQ_Q):
-        return _with_block(true(n, mode), (0, 0), _times(I))
+    def faulted(m, j, mode=H_EQ_Q):
+        w = true(m, j, mode)
+        return w * I if (m, j) == (2, 0) else w
 
-    monkeypatch.setattr(uqsl2, "h_operator", faulted)
-    monkeypatch.setattr(verify, "h_operator", faulted)
+    monkeypatch.setattr(uqsl2, "h_weight", faulted)
+    monkeypatch.setattr(verify, "h_weight", faulted)
 
 
 def _k_eigenvalue_fault(monkeypatch):
-    true = uqsl2.k_operator
+    """K's weight on the middle member of every odd-length string times i,
+    K^-1 unchanged: at n = 2 that is K on degree 2."""
+    true = uqsl2.k_weight
 
-    def faulted(n, mode=H_EQ_Q, inverse=False):
-        op = true(n, mode, inverse)
-        return op if inverse else _with_block(op, (1, 1), _times(I))
+    def faulted(m, j, mode=H_EQ_Q, inverse=False):
+        w = true(m, j, mode, inverse)
+        return w * I if not inverse and 2 * j == m else w
 
-    monkeypatch.setattr(uqsl2, "k_operator", faulted)
-    monkeypatch.setattr(verify, "k_operator", faulted)
+    monkeypatch.setattr(uqsl2, "k_weight", faulted)
+    monkeypatch.setattr(verify, "k_weight", faulted)
+
+
+def _hodge_entry_fault(monkeypatch):
+    """The first nonzero entry of the Hodge block of (1,0) plus one."""
+    true = hodge.hodge_operator
+
+    def faulted(n, mode=H_EQ_Q):
+        op = true(n, mode)
+        blocks = dict(op.blocks)
+        tgt, mat = blocks[1, 0]
+        blocks[1, 0] = (tgt, _bump_first_nonzero(mat))
+        return GradedOperator(n, blocks)
+
+    monkeypatch.setattr(hodge, "hodge_operator", faulted)
+    monkeypatch.setattr(verify, "hodge_operator", faulted)
+
+
+def _qint_fault(monkeypatch):
+    """[2]_h plus one, as the sl2 module and the lowering factors read it;
+    the Hodge factors' q-factorials keep the true [2]_h."""
+    true = uqsl2.qint
+
+    def faulted(m, mode=H_EQ_Q):
+        return true(m, mode) + ONE if m == 2 else true(m, mode)
+
+    monkeypatch.setattr(uqsl2, "qint", faulted)
+    monkeypatch.setattr(lefschetz, "qint", faulted)
 
 
 SQUARE = "square is (-1)^degree"
@@ -339,6 +378,8 @@ ADJ_K = "K is self-adjoint"
 H_SERRE = "H is (-1)^k-symmetric for the Serre pairing"
 L_SERRE = "L is symmetric for the Serre pairing"
 L_STAR = "L commutes with star"
+HODGE_STRINGS = verify.HODGE_STRINGS
+LOWERING_FACTORS = verify.LOWERING_FACTORS
 
 
 @pytest.fixture
@@ -347,6 +388,7 @@ def clear_premises():
     fault installed after a clean run is then checked, and its premise
     results are not kept for later tests."""
     def clear():
+        verify._string_premise_table.cache_clear()
         verify._hodge_premises.cache_clear()
         verify._l_premises.cache_clear()
         verify._relations_premises.cache_clear()
@@ -354,17 +396,23 @@ def clear_premises():
     clear()
 
 
-# The relations [H,L], [H,Lambda], K K^-1, K L K^-1 and K Lambda K^-1 hold
-# for any L and Lambda that move the degree by 2, so only a fault in H or K
-# breaks them.  UNITARY and ADJ_L are derived from premises on H, L, the
-# Serre pairing and the star matrices, and read neither Gram blocks nor
-# Lambda: a fault in one of those four fails them, a fault in `gram` or in
-# Lambda does not.
+# Each sl2 relation rests on the string basis, on raising if it holds L or
+# Lambda, and on H . S = C and the lowering factors if it holds Lambda, so
+# a fault in L or in the Hodge blocks fails the relations that hold them,
+# naming that premise, and a fault in the H or K weights fails the
+# relations that hold H or K.  No suite reads Lambda, so a fault in Lambda
+# fails nothing; the direct tests of tests/test_uqsl2.py catch it
+# (`test_direct_relation_tests_catch_a_lambda_fault`).  UNITARY and ADJ_L
+# are derived from the square's premises and from block premises on H, L,
+# the Serre pairing and the star matrices, and read no Gram block: a fault
+# in one of those fails them, a fault in `gram` does not.  The qint fault
+# moves [2]_h as the sl2 module reads it: [H,L] fails its own identity, and
+# the relations that hold Lambda fail the lowering factors.
 FAULTS = [
     (_hodge_sign_fault, H_EQ_Q,
      {SQUARE, STAR, UNITARY, ADJ_L, "rank-2 table: *(e+[1])",
-      "rank-2 table: *(e+[2])"}),
-    (_l_entry_fault, H_EQ_Q, {LLAM, CASIMIR, ADJ_L}),
+      "rank-2 table: *(e+[2])", LLAM, HLAM, KLAM, CASIMIR}),
+    (_l_entry_fault, H_EQ_Q, {HL, LLAM, HLAM, KL, KLAM, CASIMIR, ADJ_L}),
     (_gram_entry_fault, H_EQ_Q, set()),
     (_h_eigenvalue_fault, H_EQ_Q, {HL, LLAM, HLAM, ADJ_H}),
     (_h_eigenvalue_fault, H_EQ_ONE, {HL, LLAM, HLAM, LITERAL, ADJ_H}),
@@ -373,8 +421,13 @@ FAULTS = [
     (_serre_entry_fault, H_EQ_Q, {UNITARY, ADJ_L}),
     (_serre_entry_fault, H_EQ_ONE, {UNITARY, ADJ_L}),
     (_star_entry_fault, H_EQ_Q, {STAR, UNITARY, ADJ_L}),
-    (_l_entry_fault, H_EQ_ONE, {LLAM, ADJ_L}),
-    (_lambda_entry_fault((1, 1)), H_EQ_Q, {LLAM, CASIMIR}),
+    (_l_entry_fault, H_EQ_ONE, {HL, LLAM, HLAM, KL, KLAM, LITERAL, ADJ_L}),
+    (_lambda_entry_fault((1, 1)), H_EQ_Q, set()),
+    (_hodge_entry_fault, H_EQ_Q,
+     {SQUARE, STAR, UNITARY, ADJ_L, "rank-2 table: *(e+[2])", LLAM, HLAM,
+      KLAM, CASIMIR}),
+    (_qint_fault, H_EQ_Q, {HL, LLAM, HLAM, KLAM, CASIMIR}),
+    (_qint_fault, H_EQ_ONE, {HL, LLAM, HLAM, KLAM, LITERAL}),
 ]
 
 
@@ -402,7 +455,7 @@ def _canonical_defect(terms):
     every chain multiplied out canonically and summed per (src, tgt)."""
     blocks = {}
     for c, factors in terms:
-        op = reduce(GradedOperator.compose, factors).scale(c)
+        op = scale(reduce(compose, factors), c)
         for src, (tgt, mat) in op.blocks.items():
             old = blocks.get((src, tgt))
             blocks[src, tgt] = mat if old is None else _sum(old, mat)
@@ -415,70 +468,121 @@ def _canonical_premise_failure(premises):
                  if wit is not None), None)
 
 
-def _canonical_real_scalar_failure(op):
-    """The first bidegree whose block is not lam . I with lam real."""
-    for src, (tgt, mat) in sorted(op.blocks.items()):
-        lam = mat.rows[0][0]
-        if tgt != src or lam != lam.conjugate() or \
-                mat != linalg.ScalarMatrix.identity(mat.nrows).scale(lam):
-            return {"bidegree": list(src)}
+def _canonical_string_premises(n, mode):
+    """{name: witness} of the premises on the string basis, each from
+    canonical products: the L and H blocks times the string basis against
+    the image of each member built form by form, and the factor identities
+    from the formula for c_j."""
+    def c(seed, j):
+        kp = sum(seed)
+        return ((-ONE if kp * (kp + 1) // 2 % 2 else ONE)
+                * i_power(seed[0] - seed[1]) * qfact(j, mode)
+                / qfact(n - kp - j, mode))
+
+    def sign(seed):
+        return -ONE if sum(seed) % 2 else ONE
+
+    def images(a, b, tgt, move):
+        basis = basis_bidegree(n, *tgt)
+        cols = []
+        for j, seed, idx, _ in string_columns(n, a, b):
+            jp, f = move(j, seed)
+            form = (L_power(primitive_basis(n, *seed)[idx], jp).scale(f)
+                    if jp <= n - sum(seed) else FiberForm.zero(n))
+            cols.append(to_coords(form, basis))
+        return linalg.ScalarMatrix.from_columns(cols, len(basis))
+
+    def first_block(op, sources, target, move):
+        return next(({"bidegree": [a, b]} for a, b in sources
+                     if op.blocks[a, b][1] @ verify.string_basis_matrix(n, a, b)
+                     != images(a, b, target(a, b), move)), None)
+
+    def first_factor(holds):
+        return next(({"bidegree": [k - b, b], "level": j}
+                     for k in range(n + 1) for b in range(k + 1)
+                     for j in range(n - k + 1)
+                     if not holds((k - b, b), n - k, j)), None)
+
+    every = list(product(range(n + 1), repeat=2))
+    return {
+        verify.BASIS: next(({"bidegree": [a, b]} for a, b in every
+                            if linalg.rank(verify.string_basis_matrix(n, a, b))
+                            != len(basis_bidegree(n, a, b))), None),
+        verify.RAISING: first_block(
+            verify.l_operator(n), product(range(n), repeat=2),
+            lambda a, b: (a + 1, b + 1), lambda j, seed: (j + 1, ONE)),
+        HODGE_STRINGS: first_block(
+            verify.hodge_operator(n, mode), every, lambda a, b: (n - b, n - a),
+            lambda j, seed: (n - sum(seed) - j, c(seed, j))),
+        verify.SQUARE_FACTORS: first_factor(
+            lambda seed, m, j: c(seed, j) * c(seed, m - j) == sign(seed)),
+        LOWERING_FACTORS: first_factor(lambda seed, m, j: j == 0 or (
+            sign(seed) * c(seed, j) * c(seed, m - j + 1)
+            == lefschetz.qint(j, mode) * lefschetz.qint(m - j + 1, mode))),
+    }
+
+
+def _canonical_weight_failure(n, weight):
+    """The first degree k where weight(m, j) differs between two string
+    members of degree k, or is not real, read member by member."""
+    for k in range(2 * n + 1):
+        lams = [weight(n - sum(seed), j)
+                for b in range(k + 1) if k - b <= n and b <= n
+                for j, seed, _, _ in string_columns(n, k - b, b)]
+        if any(x != lams[0] or x != x.conjugate() for x in lams):
+            return {"degree": k}
     return None
 
 
 def _canonical_witnesses(n, mode):
     """The witness of every hodge and lids identity entry, from lhs - rhs
-    built as canonical operators out of the operators the suites read."""
-    h_op, k_op = uqsl2.h_operator(n, mode), uqsl2.k_operator(n, mode)
-    k_inv = uqsl2.k_operator(n, mode, inverse=True)
-    l_op, lam = uqsl2.l_operator(n), uqsl2.lambda_operator(n, mode)
-    h2, hm2, two = mode.h_power(2), mode.h_power(-2), qint(2, mode)
-    hdiff = mode.h_power(1) - mode.h_power(-1)
-    ident = GradedOperator.diagonal(n, lambda a, b: ONE)
-    sign = GradedOperator.diagonal(n, lambda a, b: -ONE if (a + b) % 2 else ONE)
+    built as canonical operators or dense shift matrices out of what the
+    suites read, a derived entry's from its canonical premises."""
+    strings = _canonical_string_premises(n, mode)
+
+    def premises(*names):
+        return [(name, strings[name]) for name in names]
+
+    sign = diagonal(n, lambda a, b: -ONE if (a + b) % 2 else ONE)
     star_op = verify.hodge_operator(n, mode)
     star = GradedOperator(n, {(a, b): ((b, a), verify.star_matrix(n, a, b))
                               for a in range(n + 1) for b in range(n + 1)})
-    conj = GradedOperator(n, {src: (tgt, mat.conjugate())
-                              for src, (tgt, mat) in star_op.blocks.items()})
-    terms = {
-        SQUARE: [(ONE, [star_op, star_op]), (-ONE, [sign])],
-        STAR: [(ONE, [star_op, star]), (-ONE, [star, conj])],
-        HL: [(ONE, [h_op, l_op]), (-hm2, [l_op, h_op]), (-two, [l_op, k_op])],
-        LLAM: [(ONE, [l_op, lam]), (-ONE, [lam, l_op]), (-ONE, [h_op])],
-        HLAM: [(ONE, [h_op, lam]), (-h2, [lam, h_op]), (two, [lam, k_op])],
-        KK: [(ONE, [k_op, k_inv]), (-ONE, [ident])],
-        KL: [(ONE, [k_op, l_op, k_inv]), (-h2, [l_op])],
-        KLAM: [(ONE, [k_op, lam, k_inv]), (-hm2, [lam])],
-        LITERAL: [(ONE, [h_op, lam]), (-h2, [lam, h_op]),
-                  (h2 + hm2, [k_op, lam])],
+    l_op = verify.l_operator(n)
+    out = {
+        STAR: _canonical_defect([(ONE, [star_op, star]),
+                                 (-ONE, [star, conjugate(star_op)])]),
+        L_STAR: _canonical_defect([(ONE, [star, conjugate(l_op)]),
+                                   (-ONE, [l_op, star])]),
     }
-    if hdiff:
-        terms[CASIMIR] = [(ONE, [l_op, lam]), (-ONE, [lam, l_op]),
-                          (-ONE / hdiff, [k_op]), (ONE / hdiff, [k_inv])]
-    l_star = verify.l_operator(n)
-    conj_l = GradedOperator(n, {src: (tgt, mat.conjugate())
-                                for src, (tgt, mat) in l_star.blocks.items()})
-    terms[L_STAR] = [(ONE, [star, conj_l]), (-ONE, [l_star, star])]
-    out = {name: _canonical_defect(t) for name, t in terms.items()}
+    relations, _ = uqsl2.sl2_relations(n, mode)
+    for name, terms, _ in relations:
+        steps = {step for _, factors in terms for step, _ in factors}
+        used = verify.LOWERING_PREMISES[:4 if -1 in steps else
+                                        2 if 1 in steps else 1]
+        out[name] = (_canonical_premise_failure(premises(*used))
+                     or shift_relation_defect(n, terms))
     p = verify.serre_pairing
     out[H_SERRE] = _first_entry({
         (src, tgt): _sum(mat.transpose() @ p(n, *tgt),
                          -p(n, *src).scale(sign.blocks[src][1].rows[0][0])
                          @ star_op.blocks[src[::-1]][1])
         for src, (tgt, mat) in star_op.blocks.items()})
-    lower = {src: mat for src, (_, mat) in l_star.blocks.items()}
+    lower = {src: mat for src, (_, mat) in l_op.blocks.items()}
     out[L_SERRE] = _first_entry({
         ((a, b), (a + 1, b + 1)): _sum(
             lower[a, b].transpose() @ p(n, a + 1, b + 1),
             -p(n, a, b) @ lower[n - a - 1, n - b - 1])
         for a, b in product(range(n), repeat=2)})
-    hodge_premises = [(name, out[name]) for name in (SQUARE, STAR, H_SERRE)]
-    out[UNITARY] = _canonical_premise_failure(hodge_premises)
+    square = premises(*verify.SQUARE_PREMISES)
+    out[SQUARE] = _canonical_premise_failure(square)
+    unitary = square + [(name, out[name]) for name in (STAR, H_SERRE)]
+    out[UNITARY] = _canonical_premise_failure(unitary)
     out[ADJ_L] = _canonical_premise_failure(
-        hodge_premises + [(name, out[name]) for name in (L_SERRE, L_STAR)])
-    for name, op in ((ADJ_H, verify.h_operator(n, mode)),
-                     (ADJ_K, verify.k_operator(n, mode))):
-        out[name] = _canonical_real_scalar_failure(op)
+        unitary + [(name, out[name]) for name in (L_SERRE, L_STAR)])
+    out[ADJ_H] = _canonical_weight_failure(
+        n, lambda m, j: uqsl2.h_weight(m, j, mode))
+    out[ADJ_K] = _canonical_weight_failure(
+        n, lambda m, j: uqsl2.k_weight(m, j, mode))
     return out
 
 
@@ -504,19 +608,22 @@ def test_each_identity_entry_fails_under_its_fault(monkeypatch, clear_premises,
 
 
 # Each fault bumps one entry of one block that the premises read.  The
-# derived entries name the first premise it breaks, in the order square,
-# star commutation, the Serre symmetry of H, then the two premises on L;
-# the last column is the first premise on L that fails.
+# derived entries name the first premise it breaks, in the order basis,
+# H . S = C, square factors, star commutation, the Serre symmetry of H,
+# then the two premises on L; the last column is the first premise on L
+# that fails.
 PREMISE_FAULTS = [
     (_serre_entry_fault, {UNITARY: H_SERRE, ADJ_L: H_SERRE}, L_SERRE),
     (_l_entry_fault, {ADJ_L: L_SERRE}, L_SERRE),
     (_star_entry_fault, {UNITARY: STAR, ADJ_L: STAR}, L_STAR),
+    (_hodge_entry_fault, {SQUARE: HODGE_STRINGS, UNITARY: HODGE_STRINGS,
+                          ADJ_L: HODGE_STRINGS}, None),
 ]
 
 
 @pytest.mark.parametrize("fault, derived, l_premise", PREMISE_FAULTS,
                          ids=["serre-block-1-0", "l-block-0-0",
-                              "star-block-1-0"])
+                              "star-block-1-0", "hodge-block-1-0"])
 def test_derived_entries_name_the_premise_a_fault_breaks(
         monkeypatch, clear_premises, fault, derived, l_premise):
     n = 2
@@ -524,32 +631,37 @@ def test_derived_entries_name_the_premise_a_fault_breaks(
     clear_premises()
     _, failures = run_suites(["hodge", "lids"], n, H_EQ_Q)
     assert {e["name"]: e["witness"]["premise"] for e in failures
-            if e["name"] in (UNITARY, ADJ_L)} == derived
-    assert next(name for name, wit in verify._l_premises(n)
-                if wit is not None) == l_premise
+            if e["name"] in (SQUARE, UNITARY, ADJ_L)} == derived
+    assert next((name for name, wit in verify._l_premises(n)
+                 if wit is not None), None) == l_premise
+
+
+def _weight_operator(n, weight):
+    """The diagonal operator of a degree weight: on degree k, weight(m, j)
+    of the member L^j of degree k on the longest string through k, whose
+    seed has degree k mod 2."""
+    return diagonal(n, lambda a, b: weight(n - (a + b) % 2, (a + b) // 2))
 
 
 def _adjoint_claims(n, mode):
     """The (entry, op, other) of each entry that claims `other` is the
     metric adjoint of `op`, read through the names the suites read."""
     star_op = verify.hodge_operator(n, mode)
-    sign = GradedOperator.diagonal(n, lambda a, b: -ONE if (a + b) % 2 else ONE)
-    h_op, k_op = verify.h_operator(n, mode), verify.k_operator(n, mode)
-    return [(UNITARY, star_op, star_op @ sign),
-            (ADJ_L, verify.l_operator(n), verify.lambda_operator(n, mode)),
+    sign = diagonal(n, lambda a, b: -ONE if (a + b) % 2 else ONE)
+    h_op = _weight_operator(n, lambda m, j: verify.h_weight(m, j, mode))
+    k_op = _weight_operator(n, lambda m, j: verify.k_weight(m, j, mode))
+    return [(UNITARY, star_op, compose(star_op, sign)),
+            (ADJ_L, verify.l_operator(n), hodge.lambda_operator(n, mode)),
             (ADJ_H, h_op, h_op), (ADJ_K, k_op, k_op)]
 
 
 @pytest.mark.parametrize("mode", [H_EQ_Q, H_EQ_ONE], ids=["hq", "h1"])
-def test_direct_adjoint_check_accepts_where_the_derived_entries_pass(
-        monkeypatch, mode):
+def test_direct_adjoint_check_accepts_where_the_derived_entries_pass(mode):
     """At n <= 4 the direct block check M^T . G_tgt = G_src . conj(W) of
     tests/oracles.py accepts each adjoint claim, and each derived entry
     passes.  This is necessary for the derivation, not a proof of it: the
     derivation also rests on G = P . H . S and Lambda = H^-1 . L . H,
-    which test_hodge checks at one point only.  The sl2 relations are
-    left out of the lids suite here; other tests run them."""
-    monkeypatch.setattr(verify, "sl2_relations", lambda n, mode: ([], []))
+    which test_hodge checks at one point only."""
     for n in range(1, 5):
         status = {e["name"]: e["status"]
                   for e in run_suites(["hodge", "lids"], n, mode)[0]}
@@ -575,6 +687,79 @@ def test_direct_adjoint_check_rejects_where_a_fault_fails_the_derived_entry(
     entry, = [e for e in run_suites(["hodge", "lids"], n, H_EQ_Q)[0]
               if e["name"] == name]
     assert entry["status"] == "fail"
+
+
+def test_direct_relation_tests_catch_a_lambda_fault(monkeypatch,
+                                                    clear_premises):
+    """Lambda's (1,1) block with one entry times q fails no entry of the
+    hodge, lids or strings suites at n = 2, which never build Lambda.  The
+    direct tests see it: [L,Lambda] = H and its K form fail on the
+    operators, and the direct adjoint check rejects Lambda as the adjoint
+    of L."""
+    n = 2
+    _lambda_entry_fault((1, 1))(monkeypatch)
+    clear_premises()
+    assert run_suites(["hodge", "lids", "strings"], n, H_EQ_Q)[1] == []
+    lam = hodge.lambda_operator(n, H_EQ_Q)
+    terms = operator_relations(n, H_EQ_Q, lam)
+    relations, _ = uqsl2.sl2_relations(n, H_EQ_Q)
+    assert {name for name, _, expected in relations
+            if (combination_defect(terms[name]) is None) != expected} == \
+        {LLAM, CASIMIR}
+    assert adjoint_defect(verify.l_operator(n), lam, H_EQ_Q) is not None
+
+
+@pytest.mark.parametrize("mode", ["hq", "h1", "numeric:9/10:7/8"])
+def test_no_suite_builds_lambda_or_multiplies_two_hodge_blocks(mode):
+    """In a fresh interpreter, with `lambda_operator` patched to raise and
+    every block product recorded, `verify -n 3 --suite all` exits 0, its
+    JSON has the recorded digest of the unpatched command, and no product
+    has a Hodge block on both sides."""
+    if mode == "hq":
+        reference = TESTS.parent / "perfbench" / "reference" / "verify-n3-hq.json"
+        want = json.loads(reference.read_text())["sha256"]
+    else:
+        name = "verify-n3-h1" if mode == "h1" else "verify-n3-numeric"
+        want = (TESTS / "golden" / f"{name}.sha256").read_text().split()[0]
+    script = textwrap.dedent(f"""
+        import contextlib, hashlib, io, json, sys
+        from qkahler import cli, linalg
+        from qkahler.cli import parse_mode
+
+        hodge = sys.modules["qkahler.hodge"]
+
+        def refuse(*args):
+            raise AssertionError("lambda_operator was called")
+
+        hodge.lambda_operator = refuse
+        pairs = []
+        product_pairs, matmul = linalg.product_pairs, linalg.ScalarMatrix.__matmul__
+
+        def recording_pairs(products):
+            pairs.extend(products)
+            return product_pairs(products)
+
+        def recording_matmul(x, y):
+            pairs.append((x, y))
+            return matmul(x, y)
+
+        linalg.product_pairs = recording_pairs
+        linalg.ScalarMatrix.__matmul__ = recording_matmul
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["verify", "-n", "3", "--suite", "all", "--mode",
+                           {mode!r}, "--json"])
+        mode = parse_mode({mode!r})
+        blocks = {{id(hodge.hodge_block(3, a, b, mode))
+                   for a in range(4) for b in range(4)}}
+        both = sum(id(x) in blocks and id(y) in blocks for x, y in pairs)
+        print(json.dumps([rc, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                          both, len(pairs) > 0]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, want, 0, True]
 
 
 @pytest.mark.parametrize("mode", ["hq", "h1"])
@@ -631,8 +816,6 @@ RAISING = "L raises every string by one level"
 
 
 def _zero_lowering_fault(monkeypatch):
-    monkeypatch.setattr(verify, "lambda_operator",
-                        lambda n, mode=H_EQ_Q: GradedOperator(n, {}))
     monkeypatch.setattr(verify, "lambda_string_factor",
                         lambda n, k, j, mode=H_EQ_Q: ZERO)
 
@@ -662,31 +845,26 @@ def _lefschetz_power_fault(monkeypatch):
 
 
 # The failing strings and metric entries at n = 2, hq, with their witnesses.
-# The seed entry is derived from the basis, lowering and raising
-# identities, the kernel entry from the basis and lowering identities and
-# nonzero lowering factors, and the level entry from the basis and raising
-# identities and the premises on L; each names its first failing premise.
-# Lambda's (2,1) block lowers no seed, yet it breaks the lowering identity,
-# a premise of the seed entry.  A zero Lambda with zero lowering factors
-# meets the lowering identity; only the kernel entry's premise that the
-# factors are nonzero sees it.  Zeroing the string member of seed 0 in the
-# (1,1) basis breaks the basis, and the lowering and raising identities
-# still hold, since Lambda and L kill that seed.  L's (0,0) block scaled by
-# q breaks raising; the Serre and star faults break the premises on L,
-# which the level entry alone reads.  The isomorphism entry stays a direct
-# rank check.
+# The lowering and seed entries are derived from the basis, raising, H . S
+# = C and the lowering factors, the kernel entry from the basis, nonzero
+# lowering factors and then the lowering premises, and the level entry from
+# the basis, raising, H . S = C and the premises on L; each names its first
+# failing premise.  No suite builds Lambda, so a fault in its blocks fails
+# nothing here.  Zero lowering factors break the lowering factor identity,
+# and the kernel entry names its own premise first.  Zeroing the string
+# member of seed 0 in the (1,1) basis breaks the basis, which every derived
+# entry names.  L's (0,0) block scaled by q breaks raising, and a bumped
+# Hodge block breaks H . S = C, both premises of every derived entry; [2]_h
+# plus one breaks the lowering factors.  The Serre and star faults break the
+# premises on L, which the level entry alone reads.  The isomorphism entry
+# stays a direct rank check.
+LOWERED = {"premise": LOWERING_FACTORS, "bidegree": [0, 0], "level": 1}
+HODGE_BLOCK = {"premise": HODGE_STRINGS, "bidegree": [1, 0]}
 STRING_FAULTS = [
-    (_lambda_entry_fault((2, 1)), {
-        KILLED: {"premise": LOWERING, "bidegree": [2, 1]},
-        LOWERING: {"bidegree": [2, 1]},
-        KERNEL: {"premise": LOWERING, "bidegree": [2, 1]},
-    }),
-    (_lambda_entry_fault((1, 1)), {
-        KILLED: {"premise": LOWERING, "bidegree": [1, 1]},
-        LOWERING: {"bidegree": [1, 1]},
-        KERNEL: {"premise": LOWERING, "bidegree": [1, 1]},
-    }),
+    (_lambda_entry_fault((2, 1)), {}),
+    (_lambda_entry_fault((1, 1)), {}),
     (_zero_lowering_fault, {
+        KILLED: LOWERED, LOWERING: LOWERED,
         KERNEL: {"premise": "lowering factors are nonzero",
                  "degree": 0, "level": 1},
     }),
@@ -701,10 +879,9 @@ STRING_FAULTS = [
         RESCALING: {"bidegree": [1, 0], "level": 1},
         "rank-2 value <e+[1],e+[1]> = q^-5": None,
     }),
-    (_l_entry_fault, {
-        KILLED: {"premise": RAISING, "bidegree": [0, 0]},
-        LEVELS: {"premise": RAISING, "bidegree": [0, 0]},
-    }),
+    (_l_entry_fault, dict.fromkeys(
+        (KILLED, LOWERING, KERNEL, LEVELS),
+        {"premise": RAISING, "bidegree": [0, 0]})),
     (_serre_entry_fault, {
         LEVELS: {"premise": L_SERRE, "bidegree": [1, 0], "target": [2, 1],
                  "row": 0, "col": 0, "defect": "(i)*q^-1"},
@@ -714,6 +891,9 @@ STRING_FAULTS = [
                  "row": 1, "col": 0, "defect": "(i)*q^-1"},
     }),
     (_lefschetz_power_fault, {ISO: None}),
+    (_hodge_entry_fault, dict.fromkeys((KILLED, LOWERING, KERNEL, LEVELS),
+                                       HODGE_BLOCK)),
+    (_qint_fault, dict.fromkeys((KILLED, LOWERING, KERNEL), LOWERED)),
 ]
 
 
@@ -722,7 +902,7 @@ STRING_FAULTS = [
                               "zero-lowering", "string-basis-1-1",
                               "gram-block-1-0", "l-block-0-0",
                               "serre-block-1-0", "star-block-1-0",
-                              "l-power-0-0"])
+                              "l-power-0-0", "hodge-block-1-0", "qint-2"])
 def test_each_string_and_metric_entry_fails_under_its_fault(
         monkeypatch, clear_premises, fault, failing):
     entries, failures = run_suites(["strings", "metric"], 2, H_EQ_Q)
@@ -746,7 +926,7 @@ def test_strings_suite_takes_no_rank_of_a_lambda_block(monkeypatch):
     assert not [e for e in verify.suite_strings(3, H_EQ_ONE)
                 if e["status"] == "fail"]
     blocks = [mat for _, mat
-              in verify.lambda_operator(3, H_EQ_ONE).blocks.values()]
+              in hodge.lambda_operator(3, H_EQ_ONE).blocks.values()]
     assert ranked
     assert not any(m == blk for m in ranked for blk in blocks)
 
