@@ -4,16 +4,19 @@ checked exactly and reported uniformly.
 Each suite returns a list of entries {suite, name, status, detail, witness?}
 with status "pass", "fail", or "note" (notes carry flags and conventions and
 never fail a run).  Suites are keyed by name in SUITES; run_suites drives a
-selection and aggregates the failures.  The hodge, lids and strings suites
-share premises on the string basis, checked once per rank and mode, on
-which H, L, Lambda and the counting operators are weighted shifts: the
-square of H, the lowering identity and every sl2 relation are scalar
-identities, and no suite builds Lambda or multiplies two Hodge blocks.  The
-adjoint entries rest further on block identities of H and L with the star
-matrices and the Serre pairing.  The relations entries "star reverses
-products" and "fundamental form is central" are derived from premises on
-the rewrite rules and the 2n generators.  A derived entry that fails names
-its first failing premise.
+selection and aggregates the failures.
+
+A derived entry rests on a tuple of named premises and, when it fails,
+names the first that fails.  PREMISES maps each name to its check, run by
+the one memoised `_premise`: once per rank for the MODE_FREE premises,
+which read no Hodge parameter, and once per rank and mode for the rest.
+`_premise_failure` runs a tuple in order up to its first failure, so a
+suite runs only the premises its entries reach.  Each derived entry names
+its tuple once, as a *_PREMISES constant or, for an sl2 relation, through
+`_relation_premises`.  On the string basis H, L, Lambda and the counting
+operators are weighted shifts, so the square of H, the lowering identity
+and every sl2 relation are scalar identities, and no suite builds Lambda
+or multiplies two Hodge blocks.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def _random_form(rng, n, k, nterms=3):
 
 
 # ---------------------------------------------------------------------------
-# relations
+# premises: the facts the derived entries rest on
 # ---------------------------------------------------------------------------
 
 OVERLAPS = "every overlap of the rewrite rules resolves"
@@ -81,6 +84,16 @@ STAR_GENERATORS = "star is the graded reversal of its generator images"
 STAR_RULES = ("the anti-automorphism of star's generator images keeps every "
               "rewrite rule")
 KAPPA_GENERATORS = "fundamental form commutes with every generator"
+BASIS = "string members form a basis per bidegree"
+RAISING = "L raises every string by one level"
+HODGE_STRINGS = "H sends every string member L^j(a) to c_j L^(m-j)(a)"
+SQUARE_FACTORS = "c_j c_(m-j) = (-1)^k' on every string"
+LOWERING_FACTORS = "(-1)^k' c_j c_(m-j+1) = [j]_h [m-j+1]_h on every string"
+NONZERO_FACTORS = "lowering factors are nonzero"
+STAR_COMMUTES = "commutes with star on the basis"
+H_SERRE = "H is (-1)^k-symmetric for the Serre pairing"
+L_SERRE = "L is symmetric for the Serre pairing"
+L_STAR = "L commutes with star"
 
 
 def _generators(n):
@@ -89,12 +102,20 @@ def _generators(n):
             **{(-1, i): e_minus(n, i) for i in range(1, n + 1)}}
 
 
-def _generator_reversal_failure(n, stars):
+def _overlap_failure(n, mode):
+    """{"overlap": word} of the first overlap x y z of two rewrite rules
+    that does not resolve, named as the wedge of its letters, else None."""
+    gens = _generators(n)
+    return next(({"overlap": "^".join(str(gens[g]) for g in w)}
+                 for w in overlaps(n) if not overlap_resolves(n, w)), None)
+
+
+def _generator_reversal_failure(n, mode):
     """{"monomial": m} of the first basis monomial m = g1 ... gk, by degree,
-    with star(m) != (-1)^(k(k-1)/2) star(gk) ^ ... ^ star(g1), else None;
-    stars maps each letter to the star of its generator.  The reversed
-    product of m is one wedge onto that of m less its last letter, a basis
-    monomial of degree k-1."""
+    with star(m) != (-1)^(k(k-1)/2) star(gk) ^ ... ^ star(g1), else None.
+    The reversed product of m is one wedge onto that of m less its last
+    letter, a basis monomial of degree k-1."""
+    stars = {g: f.star() for g, f in _generators(n).items()}
     rev = {(): FiberForm.unit(n)}
     for k in range(1, 2 * n + 1):
         for m in basis_degree(n, k):
@@ -106,38 +127,218 @@ def _generator_reversal_failure(n, stars):
     return None
 
 
-def _star_rule_failure(n, stars):
-    """The pair x y of the first rewrite rule x y -> sum c w1 w2 whose two
+def _star_rule_failure(n, mode):
+    """{"rule": x^y} of the first rewrite rule x y -> sum c w1 w2 whose two
     sides the conjugate-linear anti-automorphism phi, phi(g) = star(g), maps
     to different forms: star(y) ^ star(x) against sum conj(c) star(w2) ^
     star(w1), the graded sign -1 of both sides dropped.  Else None."""
+    gens = _generators(n)
+    stars = {g: f.star() for g, f in gens.items()}
     for (x, y), rhs in rewrite_rules(n).items():
         image = FiberForm.zero(n)
         for (w1, w2), c in rhs:
             image = image + (stars[w2] * stars[w1]).scale(c.conjugate())
         if stars[y] * stars[x] != image:
-            return x, y
+            return {"rule": f"{gens[x]}^{gens[y]}"}
     return None
 
 
-@memoize
-def _relations_premises(n):
-    """The (name, witness) of each premise of the star-reversal entry, the
-    witness None when the premise holds, checked once per n; see
-    `suite_relations` for the derivation.  A word is named as the wedge of
-    its generators."""
-    gens = _generators(n)
-    stars = {g: f.star() for g, f in gens.items()}
-    overlap = next((w for w in overlaps(n) if not overlap_resolves(n, w)), None)
-    rule = _star_rule_failure(n, stars)
-    return (
-        (OVERLAPS, None if overlap is None
-         else {"overlap": "^".join(str(gens[g]) for g in overlap)}),
-        (STAR_GENERATORS, _generator_reversal_failure(n, stars)),
-        (STAR_RULES, None if rule is None
-         else {"rule": "^".join(str(gens[g]) for g in rule)}),
-    )
+def _kappa_generator_failure(n, mode):
+    """{"generator": g} of the first generator g with g ^ kappa != kappa ^ g,
+    else None."""
+    kap = kappa(n)
+    return next(({"generator": str(f)} for f in _generators(n).values()
+                 if f * kap != kap * f), None)
 
+
+def _basis_failure(n, mode):
+    """{"bidegree": [a, b]} of the first (a, b) whose string members are not
+    a basis, else None."""
+    def holds(a, b):
+        s = string_basis_matrix(n, a, b)
+        return s.ncols == len(basis_bidegree(n, a, b)) == linalg.rank(s)
+    return _first_bidegree(n, holds)
+
+
+def _string_map_failure(n, op, target, rule):
+    """{"bidegree": [a, b]} of the first (a, b) with a target in the fiber
+    where op . S_(a,b) is not `string_images(n, a, b, target(a, b), rule)`,
+    S the string basis matrix, else None; an absent op block is zero."""
+    def holds(a, b):
+        tgt = target(a, b)
+        if not all(0 <= x <= n for x in tgt):
+            return True
+        images = string_images(n, a, b, tgt, rule)
+        products = [(ScalarMatrix.identity(images.nrows).scale(-ONE), images)]
+        if (a, b) in op.blocks:
+            products.append((op.blocks[a, b][1],
+                             string_basis_matrix(n, a, b)))
+        return _first_nonzero(products) is None
+    return _first_bidegree(n, holds)
+
+
+def _factor_failure(n, mode, shift, value):
+    """{"bidegree": [a', b'], "level": j} of the first seed bidegree, k' =
+    a'+b' and m = n-k', and level shift <= j <= m where (-1)^k' c_j
+    c_(m-j+shift) != value(k', j), c = `hodge_factor`, else None."""
+    for k in range(n + 1):
+        for b in range(k + 1):
+            seed = (k - b, b)
+            for j in range(shift, n - k + 1):
+                c = (hodge_factor(n, seed, j, mode)
+                     * hodge_factor(n, seed, n - k - j + shift, mode))
+                if (-c if k % 2 else c) != value(k, j):
+                    return {"bidegree": list(seed), "level": j}
+    return None
+
+
+def _zero_factor_failure(n, mode):
+    """{"degree": k, "level": j} of the first zero lowering factor
+    [j]_h [n-j-k+1]_h, 0 <= k <= n and 1 <= j <= n-k, else None.
+
+    With the basis and lowering identities this decides "primitives are
+    exactly the lowering kernel, by rank", with no rank of Lambda: in
+    string coordinates Lambda_(a,b) sends each member above level 0 to a
+    nonzero multiple of a member of its own, and each seed to 0, so its
+    kernel is the span of the seeds."""
+    for k in range(n + 1):
+        for j in range(1, n - k + 1):
+            if not lambda_string_factor(n, k, j, mode):
+                return {"degree": k, "level": j}
+    return None
+
+
+def _star_commutes_failure(n, mode):
+    """H commutes with star: H_(b,a) . S_(a,b) = S_(n-b,n-a) . conj(H_(a,b)),
+    S the star matrices."""
+    h = hodge_operator(n, mode).blocks
+    return _first_block_failure(
+        ((a, b), (n - a, n - b),
+         [(h[b, a][1], star_matrix(n, a, b)),
+          (star_matrix(n, n - b, n - a).scale(-ONE), h[a, b][1].conjugate())])
+        for a, b in product(range(n + 1), repeat=2))
+
+
+def _hodge_serre_failure(n, mode):
+    """H is (-1)^k-symmetric for the Serre pairing P:
+    H_(a,b)^T . P_(n-b,n-a) = (-1)^(a+b) P_(a,b) . H_(b,a)."""
+    h = hodge_operator(n, mode).blocks
+
+    def serre(src, tgt, mat):
+        p = serre_pairing(n, *src)
+        return [(mat.transpose(), serre_pairing(n, *tgt)),
+                (p if sum(src) % 2 else p.scale(-ONE), h[src[::-1]][1])]
+
+    return _first_block_failure((src, tgt, serre(src, tgt, mat))
+                                for src, (tgt, mat) in sorted(h.items()))
+
+
+def _l_serre_failure(n, mode):
+    """L is symmetric for the Serre pairing P:
+    L_(a,b)^T . P_(a+1,b+1) = P_(a,b) . L_(n-a-1,n-b-1)."""
+    low = l_operator(n).blocks
+    return _first_block_failure(
+        ((a, b), (a + 1, b + 1),
+         [(low[a, b][1].transpose(), serre_pairing(n, a + 1, b + 1)),
+          (serre_pairing(n, a, b).scale(-ONE),
+           low[n - a - 1, n - b - 1][1])])
+        for a, b in product(range(n), repeat=2))
+
+
+def _l_star_failure(n, mode):
+    """L commutes with star: S_(a+1,b+1) . conj(L_(a,b)) = L_(b,a) . S_(a,b)."""
+    low = l_operator(n).blocks
+    return _first_block_failure(
+        ((a, b), (b + 1, a + 1),
+         [(star_matrix(n, a + 1, b + 1), low[a, b][1].conjugate()),
+          (low[b, a][1].scale(-ONE), star_matrix(n, a, b))])
+        for a, b in product(range(n), repeat=2))
+
+
+# name -> check(n, mode), the witness of a failure or None when it holds
+PREMISES = {
+    OVERLAPS: _overlap_failure,
+    STAR_GENERATORS: _generator_reversal_failure,
+    STAR_RULES: _star_rule_failure,
+    KAPPA_GENERATORS: _kappa_generator_failure,
+    BASIS: _basis_failure,
+    RAISING: lambda n, mode: _string_map_failure(
+        n, l_operator(n), lambda a, b: (a + 1, b + 1),
+        lambda j, seed: (j + 1, ONE)),
+    HODGE_STRINGS: lambda n, mode: _string_map_failure(
+        n, hodge_operator(n, mode), lambda a, b: (n - b, n - a),
+        hodge_rule(n, mode)),
+    SQUARE_FACTORS: lambda n, mode: _factor_failure(
+        n, mode, 0, lambda k, j: ONE),
+    LOWERING_FACTORS: lambda n, mode: _factor_failure(
+        n, mode, 1, lambda k, j: lambda_string_factor(n, k, j, mode)),
+    NONZERO_FACTORS: _zero_factor_failure,
+    STAR_COMMUTES: _star_commutes_failure,
+    H_SERRE: _hodge_serre_failure,
+    L_SERRE: _l_serre_failure,
+    L_STAR: _l_star_failure,
+}
+# the premises that read no Hodge parameter, checked once per rank
+MODE_FREE = frozenset({OVERLAPS, STAR_GENERATORS, STAR_RULES,
+                       KAPPA_GENERATORS, BASIS, RAISING, L_SERRE, L_STAR})
+
+
+@memoize
+def _premise(name, n, mode):
+    """The witness of the named premise at rank n, None when it holds; a
+    premise in MODE_FREE is checked once per rank, keyed with mode None."""
+    if mode is not None and name in MODE_FREE:
+        return _premise(name, n, None)
+    return PREMISES[name](n, mode)
+
+
+def _premise_failure(n, mode, names):
+    """{"premise": name} with the witness of the first of the named
+    premises that fails, else None; none after it is evaluated."""
+    for name in names:
+        wit = _premise(name, n, mode)
+        if wit is not None:
+            return {"premise": name, **wit}
+    return None
+
+
+# The premise tuple of each derived entry, in the order its witness names
+# them.  A tuple that reaches a Hodge block lists BASIS first, so no Hodge
+# block is solved from a singular string basis.  Given the basis and
+# H . S = C, H is the weighted shift j -> m-j with weights c_j.
+SQUARE_PREMISES = (BASIS, HODGE_STRINGS, SQUARE_FACTORS)
+# `gram` builds G_(a,b) = P_(a,b) . H_(b,a) . S_(a,b), P the Serre pairing
+# and S the star matrices.  Taking that as given, substitute the Serre
+# symmetry of H, then star commutation, then the square:
+# H_(a,b)^T . G_(n-b,n-a) . conj(H_(a,b)) = G_(a,b), unitarity of H for the
+# metric with no Gram block read.
+UNITARY_PREMISES = SQUARE_PREMISES + (STAR_COMMUTES, H_SERRE)
+# Taking Lambda = H^-1 . L . H (`lambda_operator`) as given too, the
+# premises on L give L_(a,b)^T . G_(a+1,b+1) = G_(a,b) . conj(Lambda_(a+1,
+# b+1)): Lambda is the metric adjoint of L.
+ADJOINT_L_PREMISES = UNITARY_PREMISES + (L_SERRE, L_STAR)
+# With raising too, Lambda = (-1)^(a+b) H . L . H sends L^j(alpha) to
+# (-1)^k' c_j c_(m-j+1) L^(j-1)(alpha) and kills the seeds.
+LOWERING_PREMISES = (BASIS, RAISING, HODGE_STRINGS, LOWERING_FACTORS)
+KERNEL_PREMISES = (BASIS, NONZERO_FACTORS, RAISING, HODGE_STRINGS,
+                   LOWERING_FACTORS)
+LEVEL_PREMISES = (BASIS, RAISING, HODGE_STRINGS, L_SERRE, L_STAR)
+CENTRAL_PREMISES = (OVERLAPS, KAPPA_GENERATORS)
+STAR_REVERSAL_PREMISES = (OVERLAPS, STAR_GENERATORS, STAR_RULES)
+
+
+def _relation_premises(terms):
+    """The premises of the sl2 relation with these terms: the basis, raising
+    if it holds L or Lambda, and H . S = C and the lowering factors if it
+    holds Lambda."""
+    steps = {step for _, factors in terms for step, _ in factors}
+    return (LOWERING_PREMISES if -1 in steps
+            else (BASIS, RAISING) if 1 in steps else (BASIS,))
+
+
+# ---------------------------------------------------------------------------
+# relations
+# ---------------------------------------------------------------------------
 
 def _generator_relation_failures(n):
     """Yield, in order, each defining relation of the generators e+[i],
@@ -170,11 +371,11 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     wedge is, by construction, the bilinear normal form of the
     concatenated word of its factors.
 
-    - Overlaps (`_relations_premises`): every overlap x y z of two rules
-      resolves.  The rules strictly lower the termination order of the
-      `fiber` docstring, so by Bergman's diamond lemma the normal words
-      are a basis of the algebra the rules present, and the wedge is its
-      product, hence associative.
+    - Overlaps: every overlap x y z of two rules resolves.  The rules
+      strictly lower the termination order of the `fiber` docstring, so
+      by Bergman's diamond lemma the normal words are a basis of the
+      algebra the rules present, and the wedge is its product, hence
+      associative.
     - Star reverses products (overlaps, generator reversal, rule images):
       let phi be the conjugate-linear graded anti-automorphism of the free
       algebra with phi(g) = star(g) on the 2n generators.  Phi maps both
@@ -209,13 +410,7 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
             ok = False
     out.append(_entry("relations", "wedge associativity on seeded random triples", ok))
 
-    premises = _relations_premises(n)
-    kap = kappa(n)
-    bad = next((f for f in _generators(n).values() if f * kap != kap * f),
-               None)
-    commutes = (KAPPA_GENERATORS,
-                None if bad is None else {"generator": str(bad)})
-    wit = _premise_failure(premises[:1] + (commutes,))
+    wit = _premise_failure(n, mode, CENTRAL_PREMISES)
     out.append(_entry("relations", "fundamental form is central",
                       wit is None, witness=wit))
 
@@ -223,7 +418,7 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
         _mono_form(n, m) for k in range(2 * n + 1) for m in basis_degree(n, k)))
     out.append(_entry("relations", "star is an involution on the basis", ok))
 
-    wit = _premise_failure(premises)
+    wit = _premise_failure(n, mode, STAR_REVERSAL_PREMISES)
     out.append(_entry("relations",
                       "star reverses products with the graded sign (-1)^(kl)",
                       wit is None, witness=wit))
@@ -248,189 +443,6 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out.append(_entry("relations",
                       "power formula kappa^l = i^(l mod 2) [l]_q! sum e+_I^e-_I", ok))
     return out
-
-
-# ---------------------------------------------------------------------------
-# premises: the string and block identities the derived entries rest on
-# ---------------------------------------------------------------------------
-
-BASIS = "string members form a basis per bidegree"
-RAISING = "L raises every string by one level"
-HODGE_STRINGS = "H sends every string member L^j(a) to c_j L^(m-j)(a)"
-SQUARE_FACTORS = "c_j c_(m-j) = (-1)^k' on every string"
-LOWERING_FACTORS = "(-1)^k' c_j c_(m-j+1) = [j]_h [m-j+1]_h on every string"
-# the string premises of the square and of the lowering identity, in order
-SQUARE_PREMISES = (BASIS, HODGE_STRINGS, SQUARE_FACTORS)
-LOWERING_PREMISES = (BASIS, RAISING, HODGE_STRINGS, LOWERING_FACTORS)
-
-SQUARE = "square is (-1)^degree"
-STAR_COMMUTES = "commutes with star on the basis"
-H_SERRE = "H is (-1)^k-symmetric for the Serre pairing"
-L_SERRE = "L is symmetric for the Serre pairing"
-L_STAR = "L commutes with star"
-
-
-def _string_map_failure(n, op, target, rule, basis):
-    """{"bidegree": [a, b]} of the first (a, b) with a target in the fiber
-    where op . S_(a,b) is not `string_images(n, a, b, target(a, b), rule)`,
-    S = basis[a, b] the string basis matrix, else None; an absent op block
-    is zero."""
-    for a, b in product(range(n + 1), repeat=2):
-        tgt = target(a, b)
-        if not all(0 <= x <= n for x in tgt):
-            continue
-        images = string_images(n, a, b, tgt, rule)
-        products = [(ScalarMatrix.identity(images.nrows).scale(-ONE), images)]
-        if (a, b) in op.blocks:
-            products.append((op.blocks[a, b][1], basis[a, b]))
-        if _first_nonzero(products) is not None:
-            return {"bidegree": [a, b]}
-    return None
-
-
-def _factor_failure(n, holds):
-    """{"bidegree": [a', b'], "level": j} of the first seed bidegree and
-    level 0 <= j <= m = n-a'-b' where holds(seed, m, j) fails, else None."""
-    for k in range(n + 1):
-        for b in range(k + 1):
-            for j in range(n - k + 1):
-                if not holds((k - b, b), n - k, j):
-                    return {"bidegree": [k - b, b], "level": j}
-    return None
-
-
-@memoize
-def _string_premise_table(n, mode):
-    """{name: witness} of the premises on the string basis, the witness None
-    when the premise holds, checked once per (n, mode) for the hodge, lids
-    and strings suites: the members of each (a, b) are a basis; L . S is S
-    one level up (raising); H . S sends L^j(alpha) to c_j L^(m-j)(alpha),
-    c_j = `hodge_factor` (H . S = C); and, per seed bidegree and level, the
-    scalar identities of the square and lowering factors.  Given the basis
-    and H . S = C, H is the weighted shift j -> m-j with weights c_j, so
-    H^2 = (-1)^k is the square identity; with raising, Lambda = (-1)^(a+b)
-    H . L . H sends L^j(alpha) to (-1)^k' c_j c_(m-j+1) L^(j-1)(alpha) and
-    kills the seeds.  The Hodge blocks solve H . S = C, so while S is not a
-    basis only the basis premise is checked."""
-    basis = {(a, b): string_basis_matrix(n, a, b)
-             for a, b in product(range(n + 1), repeat=2)}
-    wit = _first_bidegree(n, lambda a, b: basis[a, b].ncols
-                          == len(basis_bidegree(n, a, b))
-                          == linalg.rank(basis[a, b]))
-    if wit is not None:
-        return {BASIS: wit}
-
-    def c(seed, j):
-        return hodge_factor(n, seed, j, mode)
-
-    def sign(seed):
-        return -ONE if sum(seed) % 2 else ONE
-
-    return {
-        BASIS: None,
-        RAISING: _string_map_failure(n, l_operator(n), lambda a, b: (
-            a + 1, b + 1), lambda j, seed: (j + 1, ONE), basis),
-        HODGE_STRINGS: _string_map_failure(n, hodge_operator(n, mode),
-                                           lambda a, b: (n - b, n - a),
-                                           hodge_rule(n, mode), basis),
-        SQUARE_FACTORS: _factor_failure(n, lambda seed, m, j: c(
-            seed, j) * c(seed, m - j) == sign(seed)),
-        LOWERING_FACTORS: _factor_failure(n, lambda seed, m, j: j == 0 or (
-            sign(seed) * c(seed, j) * c(seed, m - j + 1)
-            == lambda_string_factor(n, sum(seed), j, mode))),
-    }
-
-
-def _string_premises(n, mode, names):
-    """The (name, witness) of each named string premise, in order."""
-    return tuple((p, _string_premise_table(n, mode).get(p)) for p in names)
-
-
-@memoize
-def _hodge_premises(n, mode):
-    """The (name, witness) of each block premise on H, as in
-    `_string_premise_table`, one `_first_block_failure` each:
-
-    - H commutes with star: H_(b,a) . S_(a,b) = S_(n-b,n-a) . conj(H_(a,b)),
-      S the star matrices;
-    - H is (-1)^k-symmetric for the Serre pairing P:
-      H_(a,b)^T . P_(n-b,n-a) = (-1)^(a+b) P_(a,b) . H_(b,a).
-
-    `gram` builds G_(a,b) = P_(a,b) . H_(b,a) . S_(a,b), and with that
-    construction taken as given these two and the square give
-    H_(a,b)^T . G_(n-b,n-a) . conj(H_(a,b)) = G_(a,b): substitute the Serre
-    symmetry, then star commutation, then the square.  That is unitarity
-    of H for the metric, with no Gram block read."""
-    h = hodge_operator(n, mode).blocks
-
-    def serre(src, tgt, mat):
-        p = serre_pairing(n, *src)
-        return [(mat.transpose(), serre_pairing(n, *tgt)),
-                (p if sum(src) % 2 else p.scale(-ONE), h[src[::-1]][1])]
-
-    return (
-        (STAR_COMMUTES, _first_block_failure(
-            ((a, b), (n - a, n - b),
-             [(h[b, a][1], star_matrix(n, a, b)),
-              (star_matrix(n, n - b, n - a).scale(-ONE),
-               h[a, b][1].conjugate())])
-            for a, b in product(range(n + 1), repeat=2))),
-        (H_SERRE, _first_block_failure(
-            (src, tgt, serre(src, tgt, mat))
-            for src, (tgt, mat) in sorted(h.items()))),
-    )
-
-
-@memoize
-def _l_premises(n):
-    """The (name, witness) of each premise on L, as `_hodge_premises`,
-    checked once per n:
-
-    - L is symmetric for the Serre pairing P:
-      L_(a,b)^T . P_(a+1,b+1) = P_(a,b) . L_(n-a-1,n-b-1);
-    - L commutes with star: S_(a+1,b+1) . conj(L_(a,b)) = L_(b,a) . S_(a,b).
-
-    `lambda_operator` builds Lambda as H^-1 . L . H, and with that
-    construction and G = P . H . S taken as given, these two and the Hodge
-    premises give L_(a,b)^T . G_(a+1,b+1) = G_(a,b) . conj(Lambda_(a+1,b+1)):
-    Lambda is the metric adjoint of L."""
-    low = l_operator(n).blocks
-    bidegrees = list(product(range(n), repeat=2))
-    return (
-        (L_SERRE, _first_block_failure(
-            ((a, b), (a + 1, b + 1),
-             [(low[a, b][1].transpose(), serre_pairing(n, a + 1, b + 1)),
-              (serre_pairing(n, a, b).scale(-ONE),
-               low[n - a - 1, n - b - 1][1])])
-            for a, b in bidegrees)),
-        (L_STAR, _first_block_failure(
-            ((a, b), (b + 1, a + 1),
-             [(star_matrix(n, a + 1, b + 1), low[a, b][1].conjugate()),
-              (low[b, a][1].scale(-ONE), star_matrix(n, a, b))])
-            for a, b in bidegrees)),
-    )
-
-
-def _premise_failure(premises):
-    """{"premise": name} with the witness of the first of the (name,
-    witness) premises that fails, else None."""
-    for name, wit in premises:
-        if wit is not None:
-            return {"premise": name, **wit}
-    return None
-
-
-def _real_weight_failure(n, weight):
-    """{"degree": k} of the first degree k where the weights weight(m, j) of
-    its string members, k = n + 2j - m, are not one real scalar lam, else
-    None.  The Gram blocks are per bidegree, so lam . I is self-adjoint:
-    both sides of M^T . G = G . conj(M) are lam . G."""
-    for k in range(2 * n + 1):
-        lam, *rest = [weight(m, j) for m in range(n + 1)
-                      for j in range(m + 1) if n + 2 * j - m == k]
-        if lam != lam.conjugate() or any(x != lam for x in rest):
-            return {"degree": k}
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +479,20 @@ def _pinned_hodge_tables(n, mode, out):
                               f"on P^({a},{b})", ok))
 
 
-def _unitary_premises(n, mode):
-    """The premises of the square, then the block premises on H."""
-    return _string_premises(n, mode, SQUARE_PREMISES) + _hodge_premises(n, mode)
-
-
 def suite_hodge(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
-    wit = _premise_failure(_string_premises(n, mode, SQUARE_PREMISES))
-    out.append(_entry("hodge", SQUARE, wit is None, witness=wit))
+    wit = _premise_failure(n, mode, SQUARE_PREMISES)
+    out.append(_entry("hodge", "square is (-1)^degree", wit is None,
+                      witness=wit))
 
     ok = all(tgt == (n - src[1], n - src[0])
              for src, (tgt, _) in hodge_operator(n, mode).blocks.items())
     out.append(_entry("hodge", "component map (a,b) -> (n-b,n-a)", ok))
-    (_, commutes), _ = _hodge_premises(n, mode)
+    commutes = _premise(STAR_COMMUTES, n, mode)
     out.append(_entry("hodge", STAR_COMMUTES, commutes is None,
                       witness=commutes))
 
-    wit = _premise_failure(_unitary_premises(n, mode))
+    wit = _premise_failure(n, mode, UNITARY_PREMISES)
     out.append(_entry("hodge", "unitary for the fiber metric, blockwise",
                       wit is None, witness=wit))
     _pinned_hodge_tables(n, mode, out)
@@ -639,16 +647,26 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 # lids
 # ---------------------------------------------------------------------------
 
+def _real_weight_failure(n, weight):
+    """{"degree": k} of the first degree k where the weights weight(m, j) of
+    its string members, k = n + 2j - m, are not one real scalar lam, else
+    None.  The Gram blocks are per bidegree, so lam . I is self-adjoint:
+    both sides of M^T . G = G . conj(M) are lam . G."""
+    for k in range(2 * n + 1):
+        lam, *rest = [weight(m, j) for m in range(n + 1)
+                      for j in range(m + 1) if n + 2 * j - m == k]
+        if lam != lam.conjugate() or any(x != lam for x in rest):
+            return {"degree": k}
+    return None
+
+
 def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     """Each sl2 relation is one scalar identity per string member, and
-    rests on the basis, on raising if it holds L or Lambda, and on the
-    lowering premises if it holds Lambda."""
+    rests on the premises of `_relation_premises`."""
     out = []
     relations, notes = sl2_relations(n, mode)
     for name, terms, expected in relations:
-        steps = {step for _, factors in terms for step, _ in factors}
-        used = LOWERING_PREMISES[:4 if -1 in steps else 2 if 1 in steps else 1]
-        wit = (_premise_failure(_string_premises(n, mode, used))
+        wit = (_premise_failure(n, mode, _relation_premises(terms))
                or relation_defect(n, terms))
         ok = (wit is None) == expected
         detail = "" if expected else (
@@ -658,7 +676,7 @@ def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     for note in notes:
         out.append(_entry("lids", "convention", note=True, detail=note))
 
-    wit = _premise_failure(_unitary_premises(n, mode) + _l_premises(n))
+    wit = _premise_failure(n, mode, ADJOINT_L_PREMISES)
     out.append(_entry("lids", "adjoint of L is the dual Lefschetz operator",
                       wit is None, witness=wit))
     for name, weight in (("H is self-adjoint", h_weight),
@@ -672,40 +690,22 @@ def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 # strings
 # ---------------------------------------------------------------------------
 
-def _zero_factor_failure(n, mode):
-    """{"degree": k, "level": j} of the first zero lowering factor
-    [j]_h [n-j-k+1]_h, 0 <= k <= n and 1 <= j <= n-k, else None.
-
-    With the basis and lowering identities this decides "primitives are
-    exactly the lowering kernel, by rank", with no rank of Lambda: in
-    string coordinates Lambda_(a,b) sends each member above level 0 to a
-    nonzero multiple of a member of its own, and each seed to 0, so its
-    kernel is the span of the seeds."""
-    for k in range(n + 1):
-        for j in range(1, n - k + 1):
-            if not lambda_string_factor(n, k, j, mode):
-                return {"degree": k, "level": j}
-    return None
-
-
 def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     """Four entries are derived from the premises on the string basis and
     on L, and a failing one names its first failing premise.
 
-    - Lowering (basis, raising, H . S = C, lowering factors): see
-      `_string_premise_table`.
+    - Lowering (LOWERING_PREMISES): see there.
     - Seeds (the same): a seed is a level-0 member, so Lambda kills it;
       L^(n-k) of it is its top member, a column of an invertible S, and L
       sends that member to 0.
-    - Kernel (basis, nonzero factors, then the lowering premises):
-      `_zero_factor_failure`.
-    - Levels (basis, raising, H . S = C, `_l_premises`): for members
-      L^i(alpha), L^j(beta) of one degree-k bidegree, i != j, the seeds
-      span the primitives (raising, basis), star and H keep a string's
-      seed, so H(star(L^j(beta))) = L^(n-k+j)(gamma), gamma primitive, and
-      L^i moves across the Serre pairing: the metric is
-      vol(alpha ^ L^(n-k+i+j)(gamma)) = vol(L^(n-k+i+j)(alpha) ^ gamma),
-      0 as gamma's string ends at level n-k+2j and alpha's at n-k+2i.
+    - Kernel (KERNEL_PREMISES): see `_zero_factor_failure`.
+    - Levels (LEVEL_PREMISES): for members L^i(alpha), L^j(beta) of one
+      degree-k bidegree, i != j, the seeds span the primitives (raising,
+      basis), star and H keep a string's seed, so H(star(L^j(beta))) =
+      L^(n-k+j)(gamma), gamma primitive, and L^i moves across the Serre
+      pairing: the metric is vol(alpha ^ L^(n-k+i+j)(gamma)) =
+      vol(L^(n-k+i+j)(alpha) ^ gamma), 0 as gamma's string ends at level
+      n-k+2j and alpha's at n-k+2i.
     """
     out = []
     seeds = {(k - b, b): primitive_basis(n, k - b, b)
@@ -714,21 +714,18 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out.append(_entry("strings", "string members count the whole fiber",
                       total == 4 ** n, detail=f"{total} of {4 ** n}"))
 
-    lowering = _string_premises(n, mode, LOWERING_PREMISES)
-    wit = _premise_failure(lowering)
+    wit = _premise_failure(n, mode, LOWERING_PREMISES)
     out.append(_entry("strings",
                       "every seed is killed by the lowering operator and "
                       "lives for exactly n-k+1 steps", wit is None,
                       detail=f"{sum(map(len, seeds.values()))} strings",
                       witness=wit))
-    (_, basis), = lowering[:1]
+    basis = _premise(BASIS, n, mode)
     out.append(_entry("strings", BASIS, basis is None, witness=basis))
     out.append(_entry("strings",
                       "lowering factor [j]_h [n-j-k+1]_h along every string",
                       wit is None, witness=wit))
-    wit = _premise_failure(lowering[:1] + (
-        ("lowering factors are nonzero", _zero_factor_failure(n, mode)),)
-        + lowering[1:])
+    wit = _premise_failure(n, mode, KERNEL_PREMISES)
     out.append(_entry("strings",
                       "primitives are exactly the lowering kernel, by rank",
                       wit is None, witness=wit))
@@ -737,7 +734,7 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out.append(_entry("strings",
                       "L^(n-k) is an isomorphism from degree k to 2n-k", ok))
 
-    wit = _premise_failure(lowering[:3] + _l_premises(n))
+    wit = _premise_failure(n, mode, LEVEL_PREMISES)
     out.append(_entry("strings",
                       "members over different levels are metric-orthogonal",
                       wit is None, witness=wit))

@@ -146,8 +146,8 @@ def test_strings_suite_cross_level_orthogonality():
     assert any("level" in s for s in names)
 
 
-def _strings_report_with_first_seed(seed):
-    """Exit code and {name: entry} of `verify -n 2 --suite strings --json`
+def _strings_report_with_first_seed(seed, suite="strings"):
+    """Exit code and {name: entry} of `verify -n 2 --suite <suite> --json`
     run in a fresh interpreter where, before any cache is built, the first
     (1,1) seed is replaced by the expression seed of `seeds` and `kappa`.
     The string basis, the Hodge blocks and Lambda are then built from it."""
@@ -164,7 +164,7 @@ def _strings_report_with_first_seed(seed):
             return ({seed},) + seeds[1:]
 
         lefschetz.primitive_basis = verify.primitive_basis = patched
-        raise SystemExit(cli.main(["verify", "-n", "2", "--suite", "strings",
+        raise SystemExit(cli.main(["verify", "-n", "2", "--suite", {suite!r},
                                    "--json"]))
     """)
     proc = subprocess.run([sys.executable, "-c", script],
@@ -197,6 +197,20 @@ def test_singular_string_basis_fails_its_entries_without_building_lambda():
     assert {name: e["witness"] for name, e in entries.items()
             if e["status"] == "fail" and name != BASIS} == {
         LOWERING: named, KILLED: named, KERNEL: named, LEVELS: named}
+
+
+def test_singular_string_basis_fails_the_lids_entries_without_a_hodge_block():
+    """With the same singular basis the lids suite solves no Hodge block
+    from it: every relation and the adjoint of L name the basis premise,
+    which each lists first, and the command exits 1.  The literal form is
+    expected to differ for h != 1, so a failing premise leaves it passing;
+    H and K read only their weights."""
+    code, entries = _strings_report_with_first_seed("kappa(n)", "lids")
+    assert code == 1
+    named = {"premise": BASIS, "bidegree": [1, 1]}
+    assert {name: e["witness"] for name, e in entries.items()
+            if e["status"] == "fail"} == dict.fromkeys(
+        (HL, LLAM, HLAM, KK, KL, KLAM, CASIMIR, ADJ_L), named)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +398,10 @@ LOWERING_FACTORS = verify.LOWERING_FACTORS
 
 @pytest.fixture
 def clear_premises():
-    """A call that empties the premise caches, made again after the test: a
-    fault installed after a clean run is then checked, and its premise
-    results are not kept for later tests."""
-    def clear():
-        verify._string_premise_table.cache_clear()
-        verify._hodge_premises.cache_clear()
-        verify._l_premises.cache_clear()
-        verify._relations_premises.cache_clear()
+    """A call that empties the one premise cache, made again after the
+    test: a fault installed after a clean run is then checked, and its
+    premise results are not kept for later tests."""
+    clear = verify._premise.cache_clear
     yield clear
     clear()
 
@@ -556,11 +566,9 @@ def _canonical_witnesses(n, mode):
     }
     relations, _ = uqsl2.sl2_relations(n, mode)
     for name, terms, _ in relations:
-        steps = {step for _, factors in terms for step, _ in factors}
-        used = verify.LOWERING_PREMISES[:4 if -1 in steps else
-                                        2 if 1 in steps else 1]
-        out[name] = (_canonical_premise_failure(premises(*used))
-                     or shift_relation_defect(n, terms))
+        out[name] = (_canonical_premise_failure(
+            premises(*verify._relation_premises(terms)))
+            or shift_relation_defect(n, terms))
     p = verify.serre_pairing
     out[H_SERRE] = _first_entry({
         (src, tgt): _sum(mat.transpose() @ p(n, *tgt),
@@ -632,8 +640,37 @@ def test_derived_entries_name_the_premise_a_fault_breaks(
     _, failures = run_suites(["hodge", "lids"], n, H_EQ_Q)
     assert {e["name"]: e["witness"]["premise"] for e in failures
             if e["name"] in (SQUARE, UNITARY, ADJ_L)} == derived
-    assert next((name for name, wit in verify._l_premises(n)
-                 if wit is not None), None) == l_premise
+    assert next((name for name in (L_SERRE, L_STAR)
+                 if verify._premise(name, n, H_EQ_Q) is not None),
+                None) == l_premise
+
+
+def test_each_premise_is_evaluated_once_per_rank_or_per_mode(
+        monkeypatch, clear_premises):
+    """With every check of the table counted: the hodge suite alone at n = 3
+    evaluates neither raising nor the lowering factors, and `--suite all`
+    in hq and then h1, in one process, evaluates each mode-free premise
+    once in total and each other premise once per mode."""
+    calls = {}
+
+    def counting(name, check):
+        def counted(n, mode):
+            calls[name, mode] = calls.get((name, mode), 0) + 1
+            return check(n, mode)
+        return counted
+
+    for name, check in list(verify.PREMISES.items()):
+        monkeypatch.setitem(verify.PREMISES, name, counting(name, check))
+    clear_premises()
+    assert run_suites(["hodge"], 3, H_EQ_Q)[1] == []
+    assert calls and not {name for name, _ in calls} & {
+        verify.RAISING, verify.LOWERING_FACTORS}
+    for mode in (H_EQ_Q, H_EQ_ONE):
+        assert run_suites("all", 3, mode)[1] == []
+    assert calls == {
+        **{(name, None): 1 for name in verify.MODE_FREE},
+        **{(name, mode): 1 for name in verify.PREMISES
+           if name not in verify.MODE_FREE for mode in (H_EQ_Q, H_EQ_ONE)}}
 
 
 def _weight_operator(n, weight):
