@@ -44,9 +44,14 @@ the two factors' terms is formed only when some middle term survives both
 unions, so a pair of terms whose product vanishes costs no scalar product.
 No cache is kept per monomial pair.
 
-The star sends each basis monomial e+_P e-_M to +-q^k times the single
-monomial e+_M e-_P, cached per monomial as (monomial, k, negate); starring a
-form conjugates each coefficient and shifts it by that signed q-power.
+The star sends each basis monomial e+_P e-_M of degree d to +-q^k e+_M e-_P,
+cached per monomial as (monomial, k, negate).  The graded reversal of the
+generator images is (-1)^(d(d-1)/2) q^(2 sum_M (a+1) - 2 sum_P (a+1)) times
+e+_M e-_P with both runs descending, sorted by C(|M|, 2) plus swaps (-q) and
+C(|P|, 2) minus swaps (-q^-1) and no mixed rule, so k = C(|M|, 2) - C(|P|, 2)
++ 2 sum_M (a+1) - 2 sum_P (a+1), the sign - when d(d-1)/2 + C(|M|, 2) +
+C(|P|, 2) is odd.  Starring a form conjugates each coefficient and shifts
+it by that signed q-power.
 Conjugation returns a coefficient whose Q(i) coefficients are all real as
 it is, so starring a form with real coefficients copies no polynomial.  A
 product with +-q^k is itself a shift of the numerator (Scalar.__mul__), so
@@ -57,10 +62,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from types import MappingProxyType
 
 from .scalars import (
-    ZERO, ONE, Q, Scalar, GaussianRational, memoize, _signed_q_power,
+    ZERO, ONE, Q, Scalar, GaussianRational, memoize,
     refuse_assignment, render_terms,
 )
 
@@ -206,31 +212,14 @@ def _merge(a: tuple, b: tuple):
 # images together amounts to relabelling every minus generator by -1, an
 # equivalent presentation, so the positive choice is used.
 
-def _star_generator(s: int, a: int):
-    if s == +1:
-        return (-1, a), Scalar.q_power(-2 * (a + 1))
-    return (+1, a), Scalar.q_power(2 * (a + 1))
-
-
 @memoize
 def _star_monomial(n: int, m: BasisMonomial) -> tuple:
-    """star(m) as (monomial, k, negate): the image is +-q^k times one basis
-    monomial, so star permutes the basis up to signed q-powers."""
-    w = m.word()
-    k = m.degree
-    coeff = ONE if (k * (k - 1) // 2) % 2 == 0 else -ONE
-    img = []
-    for s, a in reversed(w):
-        g, c = _star_generator(s, a)
-        img.append(g)
-        coeff = coeff * c
-    reduced = _reduce(n, [(tuple(img), ONE)])
-    if len(reduced) == 1:
-        (mono, c), = reduced.items()
-        u = _signed_q_power(coeff * c)
-        if u is not None:
-            return (mono, *u)
-    raise ArithmeticError(f"star of {m} is not a signed q-power of one monomial")
+    """star(m) as (monomial, k, negate), the image +-q^k times one basis
+    monomial; k and the sign are those of the module docstring."""
+    sp, sm = comb(len(m.plus), 2), comb(len(m.minus), 2)
+    k = sm - sp + 2 * (sum(m.minus) - sum(m.plus) + len(m.minus) - len(m.plus))
+    return (BasisMonomial(m.minus, m.plus), k,
+            (comb(m.degree, 2) + sm + sp) % 2 == 1)
 
 
 class FiberForm:

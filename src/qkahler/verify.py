@@ -13,10 +13,12 @@ which read no Hodge parameter, and once per rank and mode for the rest.
 `_premise_failure` runs a tuple in order up to its first failure, so a
 suite runs only the premises its entries reach.  Each derived entry names
 its tuple once, as a *_PREMISES constant or, for an sl2 relation, through
-`_relation_premises`.  On the string basis H, L, Lambda and the counting
-operators are weighted shifts, so the square of H, the lowering identity
-and every sl2 relation are scalar identities, and no suite builds Lambda
-or multiplies two Hodge blocks.
+`_relation_premises`.  The hodge, metric and posdef entries that read a
+Hodge or Gram block directly check BASIS first, and fail naming it, so no
+block is solved from a singular string basis.  On the string basis H, L,
+Lambda and the counting operators are weighted shifts, so the square of H,
+the lowering identity and every sl2 relation are scalar identities, and no
+suite builds Lambda or multiplies two Hodge blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import combinations, product
 from math import comb
 
 from .scalars import (
-    H_EQ_Q, ONE, I, Scalar, qfact, memoize, render_scalar, parse_scalar,
+    H_EQ_Q, ONE, I, Scalar, qfact, memoize, parse_scalar,
 )
 from .fiber import (
     FiberForm, basis_bidegree, basis_degree, weight, e_plus, e_minus,
@@ -449,34 +451,41 @@ def suite_relations(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 # hodge
 # ---------------------------------------------------------------------------
 
-def _pinned_hodge_tables(n, mode, out):
+def _pinned_entry(suite, name, basis, want, compute, *args):
+    """The entry compute(*args) == want, with the value got as its detail,
+    or one failing with basis, the basis premise's witness, if it failed."""
+    if basis is not None:
+        return _entry(suite, name, False, witness=basis)
+    got = compute(*args)
+    return _entry(suite, name, got == want, detail=f"got {got}")
+
+
+def _pinned_hodge_tables(n, mode, basis, out):
     if n == 1:
         table = [
-            ("1", [], [], kappa(1)),
-            ("e+[1]", [1], [], FiberForm.monomial(1, [1], []).scale(-I)),
-            ("e-[1]", [], [1], FiberForm.monomial(1, [], [1]).scale(I)),
+            ("1", FiberForm.unit(1), kappa(1)),
+            ("e+[1]", e_plus(1, 1), e_plus(1, 1).scale(-I)),
+            ("e-[1]", e_minus(1, 1), e_minus(1, 1).scale(I)),
         ]
-        for name, pl, mi, want in table:
-            got = hodge(FiberForm.monomial(1, pl, mi), mode)
-            out.append(_entry("hodge", f"rank-1 table: *({name})", got == want,
-                              detail=f"got {got}"))
-    if n == 2:
+    elif n == 2:
         table = [
             ("e+[1]", e_plus(2, 1), FiberForm.monomial(2, [1, 2], [2])),
             ("e+[2]", e_plus(2, 2), FiberForm.monomial(2, [1, 2], [1]).scale(-_Q(1))),
             ("e-[1]", e_minus(2, 1), FiberForm.monomial(2, [2], [1, 2]).scale(_Q(-1))),
             ("e-[2]", e_minus(2, 2), FiberForm.monomial(2, [1], [1, 2]).scale(-ONE)),
         ]
-        for name, src, want in table:
-            got = hodge(src, mode)
-            out.append(_entry("hodge", f"rank-2 table: *({name})", got == want,
-                              detail=f"got {got}"))
+    else:
+        return
+    for name, src, want in table:
+        out.append(_pinned_entry("hodge", f"rank-{n} table: *({name})", basis,
+                                 want, hodge, src, mode))
+    if n == 2:
         for (a, b), sign in (((2, 0), ONE), ((1, 1), -ONE), ((0, 2), ONE)):
-            ok = all(hodge(p, mode) == p.scale(sign)
-                     for p in primitive_basis(2, a, b))
+            ok = basis is None and all(hodge(p, mode) == p.scale(sign)
+                                       for p in primitive_basis(2, a, b))
             out.append(_entry("hodge",
                               f"rank-2 primitive sign: * = {'+' if sign == ONE else '-'}id "
-                              f"on P^({a},{b})", ok))
+                              f"on P^({a},{b})", ok, witness=basis))
 
 
 def suite_hodge(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
@@ -485,17 +494,20 @@ def suite_hodge(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out.append(_entry("hodge", "square is (-1)^degree", wit is None,
                       witness=wit))
 
-    ok = all(tgt == (n - src[1], n - src[0])
-             for src, (tgt, _) in hodge_operator(n, mode).blocks.items())
-    out.append(_entry("hodge", "component map (a,b) -> (n-b,n-a)", ok))
-    commutes = _premise(STAR_COMMUTES, n, mode)
+    basis = _premise_failure(n, mode, (BASIS,))
+    ok = basis is None and all(
+        tgt == (n - src[1], n - src[0])
+        for src, (tgt, _) in hodge_operator(n, mode).blocks.items())
+    out.append(_entry("hodge", "component map (a,b) -> (n-b,n-a)", ok,
+                      witness=basis))
+    commutes = basis or _premise(STAR_COMMUTES, n, mode)
     out.append(_entry("hodge", STAR_COMMUTES, commutes is None,
                       witness=commutes))
 
     wit = _premise_failure(n, mode, UNITARY_PREMISES)
     out.append(_entry("hodge", "unitary for the fiber metric, blockwise",
                       wit is None, witness=wit))
-    _pinned_hodge_tables(n, mode, out)
+    _pinned_hodge_tables(n, mode, basis, out)
     return out
 
 
@@ -503,7 +515,7 @@ def suite_hodge(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 # metric
 # ---------------------------------------------------------------------------
 
-def _pinned_metric_tables(n, mode, out):
+def _pinned_metric_tables(n, mode, basis, out):
     if n == 1:
         vals = [
             ("<1,1>", FiberForm.unit(1), FiberForm.unit(1), "1"),
@@ -541,10 +553,8 @@ def _pinned_metric_tables(n, mode, out):
     else:
         return
     for name, u, v, want in vals:
-        got = metric(u, v, mode)
-        out.append(_entry("metric", f"rank-{n} value {name} = {want}",
-                          got == parse_scalar(want),
-                          detail=f"got {render_scalar(got)}"))
+        out.append(_pinned_entry("metric", f"rank-{n} value {name} = {want}",
+                                 basis, parse_scalar(want), metric, u, v, mode))
     if n == 1:
         out.append(_entry(
             "metric", "rank-1 holomorphic norm flag", note=True,
@@ -598,9 +608,11 @@ def _first_bidegree(n, holds):
 
 def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
+    basis = _premise_failure(n, mode, (BASIS,))
 
-    wit = _first_bidegree(n, lambda a, b: gram(n, a, b, mode)
-                          == gram(n, a, b, mode).transpose().conjugate())
+    wit = basis or _first_bidegree(
+        n, lambda a, b: gram(n, a, b, mode)
+        == gram(n, a, b, mode).transpose().conjugate())
     out.append(_entry("metric", "Gram blocks are conjugate-symmetric",
                       wit is None, witness=wit))
 
@@ -609,8 +621,9 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     # has a' > a or b' > b, so u ^ w lies in (a'+n-a, b'+n-b), where one
     # index count exceeds n and no monomial exists.  A u of another degree
     # misses degree 2n, the only one vol reads.  No Gram block is read.
-    images = [(m, hodge(_mono_form(n, m).star(), mode))
-              for k in range(2 * n + 1) for m in basis_degree(n, k)]
+    images = [] if basis else [(m, hodge(_mono_form(n, m).star(), mode))
+                               for k in range(2 * n + 1)
+                               for m in basis_degree(n, k)]
     for name, lands in (
             ("distinct bidegrees are orthogonal", lambda m, t:
              t.bidegree == (n - m.bidegree[0], n - m.bidegree[1])),
@@ -618,15 +631,15 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
              t.degree == 2 * n - m.degree)):
         bad = next((m for m, w in images
                     if not all(lands(m, t) for t in w.terms)), None)
-        out.append(_entry("metric", name, bad is None, witness=None
-                          if bad is None else {"monomial": str(bad)}))
+        wit = basis or (None if bad is None else {"monomial": str(bad)})
+        out.append(_entry("metric", name, wit is None, witness=wit))
 
     wit = _first_bidegree(n, lambda a, b: linalg.rank(serre_pairing(n, a, b))
                           == len(basis_bidegree(n, a, b)))
     out.append(_entry("metric", "top-degree wedge pairing is nondegenerate",
                       wit is None, witness=wit))
 
-    wit = _level_rescaling_failure(n, mode)
+    wit = basis or _level_rescaling_failure(n, mode)
     out.append(_entry("metric",
                       "level rescaling <L^j a, L^j b> = [j]_h! [n-k]_h! / [n-j-k]_h! <a,b>",
                       wit is None, witness=wit))
@@ -639,7 +652,7 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
                "j=1, where the true factor is [2]_h and the binomial form "
                "gives 1."))
 
-    _pinned_metric_tables(n, mode, out)
+    _pinned_metric_tables(n, mode, basis, out)
     return out
 
 
@@ -666,10 +679,11 @@ def suite_lids(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
     relations, notes = sl2_relations(n, mode)
     for name, terms, expected in relations:
-        wit = (_premise_failure(n, mode, _relation_premises(terms))
-               or relation_defect(n, terms))
-        ok = (wit is None) == expected
-        detail = "" if expected else (
+        premise = _premise_failure(n, mode, _relation_premises(terms))
+        wit = premise or relation_defect(n, terms)
+        # a relation differs as derived only when its premises hold
+        ok = premise is None and (wit is None) == expected
+        detail = "" if expected or premise else (
             "holds only at h=1" if wit is None else "differs for h != 1, as derived")
         out.append(_entry("lids", name, ok, detail=detail,
                           witness=None if ok else wit))
@@ -753,14 +767,13 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 
 def suite_posdef(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
+    basis = _premise_failure(n, mode, (BASIS,))
     for q0 in q_samples:
-        wit = None
-        for a, b in product(range(n + 1), repeat=2):
-            cert = certify_posdef(gram(n, a, b, mode), q0)
-            if not cert.positive_definite:
-                wit = {"bidegree": [a, b], "q0": str(q0),
-                       "reason": cert.reason}
-                break
+        wit = basis or next((
+            {"bidegree": [a, b], "q0": str(q0), "reason": cert.reason}
+            for a, b in product(range(n + 1), repeat=2)
+            for cert in (certify_posdef(gram(n, a, b, mode), q0),)
+            if not cert.positive_definite), None)
         out.append(_entry("posdef",
                           f"all Gram blocks positive definite at q0 = {q0}",
                           wit is None, witness=wit))

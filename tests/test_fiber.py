@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
 from math import comb
 
@@ -285,7 +288,7 @@ def _oracle_star_image(n, m):
 
 
 def test_star_monomial_is_one_signed_q_power():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         for k in range(2 * n + 1):
             for m in basis_degree(n, k):
                 mono, shift, negate = _star_monomial(n, m)
@@ -293,6 +296,33 @@ def test_star_monomial_is_one_signed_q_power():
                 qk = Scalar.q_power(shift)
                 want = {mono: -qk if negate else qk}
                 assert _oracle_star_image(n, m) == want
+
+
+def test_star_reduces_no_word():
+    """In a fresh interpreter where `_reduce` raises before any cache is
+    built, star of every basis monomial at n <= 4 is still the signed
+    q-power of its swapped monomial and squares to the identity."""
+    script = textwrap.dedent("""
+        from qkahler import fiber
+        from qkahler.fiber import BasisMonomial, FiberForm, basis_degree
+        from qkahler.scalars import ONE
+
+        def refuse(n, terms):
+            raise AssertionError("star reduced a word")
+
+        fiber._reduce = refuse
+        for n in range(1, 5):
+            for k in range(2 * n + 1):
+                for m in basis_degree(n, k):
+                    u = FiberForm(n, {m: ONE})
+                    assert list(u.star().terms) == [BasisMonomial(m.minus, m.plus)]
+                    assert u.star().star() == u
+        print("starred")
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "starred\n"
 
 
 def test_star_of_forms_matches_the_oracle_images():

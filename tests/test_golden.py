@@ -5,11 +5,13 @@ The files under tests/golden/ were written by the CLI itself, e.g.
     python -m qkahler.cli verify -n 2 --suite all --json > tests/golden/verify-n2-hq.json
 
 Any deliberate change to an output is re-recorded the same way and noted in
-CHANGES.md.
+CHANGES.md.  The larger reports are pinned by the sha256 digests under
+tests/golden/, which the CI loop also checks.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,20 @@ def test_cli_output_matches_golden_file(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+DIGESTS = {
+    "verify-n4-relations.sha256": ["verify", "-n", "4", "--suite",
+                                   "relations", "--json"],
+    "verify-n6-relations.sha256": ["verify", "-n", "6", "--suite",
+                                   "relations", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_cli_output_matches_recorded_digest(name, capsys):
+    code = main(DIGESTS[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == (GOLDEN / name).read_text().strip())

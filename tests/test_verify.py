@@ -203,14 +203,36 @@ def test_singular_string_basis_fails_the_lids_entries_without_a_hodge_block():
     """With the same singular basis the lids suite solves no Hodge block
     from it: every relation and the adjoint of L name the basis premise,
     which each lists first, and the command exits 1.  The literal form is
-    expected to differ for h != 1, so a failing premise leaves it passing;
-    H and K read only their weights."""
+    expected to differ for h != 1, but only as derived from its premises,
+    so it fails on the basis too; H and K read only their weights."""
     code, entries = _strings_report_with_first_seed("kappa(n)", "lids")
     assert code == 1
     named = {"premise": BASIS, "bidegree": [1, 1]}
     assert {name: e["witness"] for name, e in entries.items()
             if e["status"] == "fail"} == dict.fromkeys(
-        (HL, LLAM, HLAM, KK, KL, KLAM, CASIMIR, ADJ_L), named)
+        (HL, LLAM, HLAM, KK, KL, KLAM, LITERAL, CASIMIR, ADJ_L), named)
+
+
+@pytest.mark.parametrize("suite, passing", [
+    ("hodge", set()),
+    ("metric", {"top-degree wedge pairing is nondegenerate"}),
+    ("posdef", set()),
+])
+def test_singular_string_basis_fails_the_block_entries_without_a_block(
+        suite, passing):
+    """With the same singular basis every entry that reads a Hodge or Gram
+    block fails on the basis premise, and the command exits 1 rather than
+    crashing on a block solved from that basis.  Only the Serre pairing,
+    which reads no Hodge block, is still checked."""
+    code, entries = _strings_report_with_first_seed("kappa(n)", suite)
+    assert code == 1
+    named = {"premise": BASIS, "bidegree": [1, 1]}
+    checked = {name: e for name, e in entries.items() if e["status"] != "note"}
+    assert {name for name, e in checked.items()
+            if e["status"] == "pass"} == passing
+    assert len(checked) > len(passing)
+    assert all(e["witness"] == named for name, e in checked.items()
+               if name not in passing)
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +439,15 @@ def clear_premises():
 # the Serre pairing and the star matrices, and read no Gram block: a fault
 # in one of those fails them, a fault in `gram` does not.  The qint fault
 # moves [2]_h as the sl2 module reads it: [H,L] fails its own identity, and
-# the relations that hold Lambda fail the lowering factors.
+# the relations that hold Lambda fail the lowering factors.  The literal
+# form, expected to differ for h != 1, fails in hq too when a premise of
+# its relation fails: the difference is then no longer derived.
 FAULTS = [
     (_hodge_sign_fault, H_EQ_Q,
      {SQUARE, STAR, UNITARY, ADJ_L, "rank-2 table: *(e+[1])",
-      "rank-2 table: *(e+[2])", LLAM, HLAM, KLAM, CASIMIR}),
-    (_l_entry_fault, H_EQ_Q, {HL, LLAM, HLAM, KL, KLAM, CASIMIR, ADJ_L}),
+      "rank-2 table: *(e+[2])", LLAM, HLAM, KLAM, LITERAL, CASIMIR}),
+    (_l_entry_fault, H_EQ_Q,
+     {HL, LLAM, HLAM, KL, KLAM, LITERAL, CASIMIR, ADJ_L}),
     (_gram_entry_fault, H_EQ_Q, set()),
     (_h_eigenvalue_fault, H_EQ_Q, {HL, LLAM, HLAM, ADJ_H}),
     (_h_eigenvalue_fault, H_EQ_ONE, {HL, LLAM, HLAM, LITERAL, ADJ_H}),
@@ -435,8 +460,8 @@ FAULTS = [
     (_lambda_entry_fault((1, 1)), H_EQ_Q, set()),
     (_hodge_entry_fault, H_EQ_Q,
      {SQUARE, STAR, UNITARY, ADJ_L, "rank-2 table: *(e+[2])", LLAM, HLAM,
-      KLAM, CASIMIR}),
-    (_qint_fault, H_EQ_Q, {HL, LLAM, HLAM, KLAM, CASIMIR}),
+      KLAM, LITERAL, CASIMIR}),
+    (_qint_fault, H_EQ_Q, {HL, LLAM, HLAM, KLAM, LITERAL, CASIMIR}),
     (_qint_fault, H_EQ_ONE, {HL, LLAM, HLAM, KLAM, LITERAL}),
 ]
 
@@ -848,6 +873,17 @@ ISO = "L^(n-k) is an isomorphism from degree k to 2n-k"
 LEVELS = "members over different levels are metric-orthogonal"
 RESCALING = ("level rescaling <L^j a, L^j b> = [j]_h! [n-k]_h! / [n-j-k]_h! "
              "<a,b>")
+BIDEGREES = "distinct bidegrees are orthogonal"
+DEGREES = "distinct degrees pair to zero"
+SYMMETRIC = "Gram blocks are conjugate-symmetric"
+NONDEGENERATE = "top-degree wedge pairing is nondegenerate"
+RANK2_VALUES = tuple(f"rank-2 value {v}" for v in (
+    "<e+[1],e+[1]> = q^-5", "<e+[2],e+[2]> = q^-5", "<e-[1],e-[1]> = q^7",
+    "<e-[2],e-[2]> = q^9", "<e+[1,2],e+[1,2]> = q^-11",
+    "<e-[1,2],e-[1,2]> = q^17", "<e+[1]^e-[2],same> = q^3",
+    "<e+[2]^e-[1],same> = q",
+    "<e+[1]^e-[1] - q^-2 e+[2]^e-[2], same> = q + q^-1",
+    "<kappa,kappa> = q + q^-1"))
 # a premise that appears only in the witnesses of the derived strings entries
 RAISING = "L raises every string by one level"
 
@@ -890,9 +926,10 @@ def _lefschetz_power_fault(monkeypatch):
 # nothing here.  Zero lowering factors break the lowering factor identity,
 # and the kernel entry names its own premise first.  Zeroing the string
 # member of seed 0 in the (1,1) basis breaks the basis, which every derived
-# entry names.  L's (0,0) block scaled by q breaks raising, and a bumped
-# Hodge block breaks H . S = C, both premises of every derived entry; [2]_h
-# plus one breaks the lowering factors.  The Serre and star faults break the
+# entry names, as does every metric entry that reads a Hodge or Gram block.
+# L's (0,0) block scaled by q breaks raising, and a bumped Hodge block
+# breaks H . S = C, both premises of every derived entry; [2]_h plus one
+# breaks the lowering factors.  The Serre and star faults break the
 # premises on L, which the level entry alone reads.  The isomorphism entry
 # stays a direct rank check.
 LOWERED = {"premise": LOWERING_FACTORS, "bidegree": [0, 0], "level": 1}
@@ -906,11 +943,11 @@ STRING_FAULTS = [
                  "degree": 0, "level": 1},
     }),
     (_string_basis_fault, {
-        KILLED: {"premise": BASIS, "bidegree": [1, 1]},
         BASIS: {"bidegree": [1, 1]},
-        LOWERING: {"premise": BASIS, "bidegree": [1, 1]},
-        KERNEL: {"premise": BASIS, "bidegree": [1, 1]},
-        LEVELS: {"premise": BASIS, "bidegree": [1, 1]},
+        **dict.fromkeys(
+            (KILLED, LOWERING, KERNEL, LEVELS, SYMMETRIC, BIDEGREES, DEGREES,
+             RESCALING, *RANK2_VALUES),
+            {"premise": BASIS, "bidegree": [1, 1]}),
     }),
     (_gram_entry_fault, {
         RESCALING: {"bidegree": [1, 0], "level": 1},
@@ -967,11 +1004,6 @@ def test_strings_suite_takes_no_rank_of_a_lambda_block(monkeypatch):
     assert ranked
     assert not any(m == blk for m in ranked for blk in blocks)
 
-
-BIDEGREES = "distinct bidegrees are orthogonal"
-DEGREES = "distinct degrees pair to zero"
-SYMMETRIC = "Gram blocks are conjugate-symmetric"
-NONDEGENERATE = "top-degree wedge pairing is nondegenerate"
 
 # At n = 2 the image hodge(star(e+[1])) lies in bidegree (1, 2).  A stray
 # term in (2, 1) keeps its degree; one in (1, 1) does not, and `metric`,
