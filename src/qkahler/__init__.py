@@ -11,7 +11,7 @@ from .fiber import (
 from .linalg import ScalarMatrix, LDLCertificate
 from .lefschetz import (
     kappa, kappa_power, L, L_power, primitive_basis, lefschetz_decompose,
-    verify_lefschetz_iso, lambda_string_factor,
+    lambda_string_factor,
 )
 from .hodge import (
     vol, hodge, hodge_inverse, lambda_apply, metric, gram, gram_to_json,
@@ -33,7 +33,7 @@ __all__ = [
     "basis_degree", "basis_bidegree", "weight",
     "ScalarMatrix", "LDLCertificate",
     "kappa", "kappa_power", "L", "L_power", "primitive_basis",
-    "lefschetz_decompose", "verify_lefschetz_iso", "lambda_string_factor",
+    "lefschetz_decompose", "lambda_string_factor",
     "vol", "hodge", "hodge_inverse", "lambda_apply", "metric", "gram",
     "gram_to_json", "certify_posdef", "serre_pairing", "GradedOperator",
     "hodge_operator", "l_operator", "lambda_operator",

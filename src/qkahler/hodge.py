@@ -140,8 +140,9 @@ def gram(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
     `star_matrix(n, a, b)`, H the (b, a) Hodge block and P the Serre
     pairing of (a, b) with (n-a, n-b).  Blocks are cached per
     (n, a, b, mode) and never inverted.  The verify suites take this
-    construction as given: unitarity of H and the adjointness of L and
-    Lambda follow from sparse identities between H, L, P and S, checked
+    construction as given: unitarity of H, the adjointness of L and
+    Lambda and the level rescaling follow from sparse identities between
+    H, L, P and S and from scalar identities in the Hodge factors, checked
     without reading any Gram block.
     """
     return (serre_pairing(n, a, b) @ hodge_block(n, b, a, mode)

@@ -16,7 +16,7 @@ raising and H . S = C premises of the verify suites.
 from __future__ import annotations
 
 from .scalars import ZERO, ONE, I, HodgeMode, H_EQ_Q, Scalar, qint, memoize
-from .fiber import FiberForm, basis_bidegree, basis_degree
+from .fiber import FiberForm, basis_bidegree
 from . import linalg
 from .linalg import ScalarMatrix
 
@@ -182,21 +182,3 @@ def lefschetz_decompose(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> list:
                 levels[j] = levels[j] + part if j in levels else part
     return sorted(levels.items())
 
-
-def verify_lefschetz_iso(n: int, k: int) -> dict:
-    """Check that the (n-k)-th Lefschetz power maps degree k isomorphically
-    onto degree 2n-k.  Returns a report with the exact rank, summed over
-    the (a, b) -> (a+n-k, b+n-k) blocks, since the power preserves the
-    bidegree grading."""
-    if not 0 <= k < n:
-        raise ValueError(f"requires 0 <= k < n, got k={k}, n={n}")
-    dim = len(basis_degree(n, k))
-    r = sum(linalg.rank(l_power_matrix(n, k - b, b, n - k))
-            for b in range(k + 1))
-    return {
-        "n": n,
-        "k": k,
-        "dimension": dim,
-        "rank": r,
-        "full_rank": r == dim == len(basis_degree(n, 2 * n - k)),
-    }

@@ -273,10 +273,18 @@ class LaurentPoly:
         return r
 
     def evaluate(self, q0: Fraction) -> GaussianRational:
-        acc = GR_ZERO
-        for e, c in self.terms.items():
-            acc = acc + c * (q0 ** e)
-        return acc
+        """Value at a rational q0 != 0: one Horner pass from the top
+        exponent down over the real and imaginary parts, times q0^lo."""
+        re = im = 0
+        prev = max(self.terms, default=0)
+        for e in sorted(self.terms, reverse=True):
+            if e != prev:
+                step = q0 ** (prev - e)
+                re, im = re * step, im * step
+            c = self.terms[e]
+            re, im, prev = re + c.re, im + c.im, e
+        step = q0 ** prev
+        return GaussianRational(re * step, im * step)
 
     def is_unit(self) -> bool:
         """Units of the Laurent ring are the single-term polynomials."""

@@ -6,12 +6,15 @@ numbers, Sylvester minors for positivity, and rewrite reducers that walk
 words from the right instead of the left.  Slow but transparently correct,
 which is what an oracle is for.  Nothing here imports the linear algebra,
 rewrite, or Hodge code under test; only the scalar type is shared, and the
-scalar type has its own dict-arithmetic oracle below.  Four exceptions sit
+scalar type has its own dict-arithmetic oracle below.  Five exceptions sit
 at the end.  The form-level metric wedges forms through the engine's Hodge
 map, so it checks the Gram-block path of `metric` and nothing else.  The
 direct adjointness check reads the engine's Gram blocks and zero test: it
 is the block check that the verify suites' derived adjoint entries stand in
 for, kept here so that tests can hold the two against each other.  The
+direct level-rescaling check and the exact-rank Lefschetz isomorphism
+check read the engine's Gram blocks, string basis and raising powers in
+the same way, against the entries the suites derive instead.  The
 graded-operator products, the counting operators H and K and
 `combination_defect` state the sl2 relations and the Hodge square on the
 engine's operator blocks, with the engine's zero test: the suites check
@@ -28,13 +31,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 
-from qkahler.fiber import basis_bidegree
+from qkahler import linalg
+from qkahler.fiber import basis_bidegree, basis_degree
 from qkahler.hodge import (
-    GradedOperator, _first_block_failure, gram, hodge, l_operator, vol,
+    GradedOperator, _first_block_failure, _first_nonzero, gram, hodge,
+    l_operator, vol,
 )
+from qkahler.lefschetz import l_power_matrix, string_columns, to_coords
 from qkahler.linalg import ScalarMatrix
 from qkahler.scalars import (
-    H_EQ_Q, Scalar, ONE, ZERO, qint, qint_signed, render_scalar,
+    GR_ZERO, H_EQ_Q, Scalar, ONE, ZERO, qfact, qint, qint_signed,
+    render_scalar,
 )
 from qkahler.su2 import SU2Element
 
@@ -205,6 +212,15 @@ def dict_eval(p, q0: Fraction) -> tuple:
     acc = C_ZERO
     for e, c in p.items():
         acc = c_add(acc, c_mul(c, (Fraction(q0) ** e, Fraction(0))))
+    return acc
+
+
+def laurent_evaluate(p, q0: Fraction):
+    """A `LaurentPoly` at q0 as the per-term sum of c_e q0^e: one power,
+    one Gaussian product and one sum per term, no Horner pass."""
+    acc = GR_ZERO
+    for e, c in p.terms.items():
+        acc = acc + c * (q0 ** e)
     return acc
 
 
@@ -417,6 +433,63 @@ def adjoint_defect(op, other, mode=H_EQ_Q):
     hit = {tgt for tgt, _ in op.blocks.values()}
     extra = min((src for src in other.blocks if src not in hit), default=None)
     return None if extra is None else {"bidegree": list(extra)}
+
+
+# ---------------------------------------------------------------------------
+# direct level rescaling and Lefschetz isomorphism
+# ---------------------------------------------------------------------------
+
+def level_coords(n, a, b, j):
+    """Monomial coordinates of L^j of the (a, b) seeds, one column per seed,
+    read off the string basis of (a+j, b+j)."""
+    basis = basis_bidegree(n, a + j, b + j)
+    return ScalarMatrix.from_columns(
+        [to_coords(f, basis) for level, seed, _, f
+         in string_columns(n, a + j, b + j) if level == j and seed == (a, b)],
+        len(basis))
+
+
+def level_rescaling_failure(n, mode):
+    """The first {bidegree, level} of a seed bidegree (a, b), k = a+b, and a
+    level j where the Gram matrices of the seeds and of their L^j images
+    differ by more than c = [j]_h! [n-k]_h! / [n-j-k]_h!, else None.
+
+    With S_j the coordinates of L^j of the seeds, that is one zero test of
+    S_j^T G_(a+j,b+j) conj(S_j) - c S_0^T G_(a,b) conj(S_0); the only
+    products formed are S_j^T G."""
+    for k in range(n + 1):
+        for b in range(k + 1):
+            a = k - b
+            s0 = level_coords(n, a, b, 0)
+            g0, s0_bar = s0.transpose() @ gram(n, a, b, mode), s0.conjugate()
+            for j in range(1, n - k + 1):
+                c = qfact(j, mode) * qfact(n - k, mode) / qfact(n - j - k, mode)
+                sj = level_coords(n, a, b, j)
+                if _first_nonzero([
+                        (sj.transpose() @ gram(n, a + j, b + j, mode),
+                         sj.conjugate()),
+                        (g0, s0_bar.scale(-c))]) is not None:
+                    return {"bidegree": [a, b], "level": j}
+    return None
+
+
+def verify_lefschetz_iso(n: int, k: int) -> dict:
+    """Check that the (n-k)-th Lefschetz power maps degree k isomorphically
+    onto degree 2n-k.  Returns a report with the exact rank, summed over
+    the (a, b) -> (a+n-k, b+n-k) blocks, since the power preserves the
+    bidegree grading."""
+    if not 0 <= k < n:
+        raise ValueError(f"requires 0 <= k < n, got k={k}, n={n}")
+    dim = len(basis_degree(n, k))
+    r = sum(linalg.rank(l_power_matrix(n, k - b, b, n - k))
+            for b in range(k + 1))
+    return {
+        "n": n,
+        "k": k,
+        "dimension": dim,
+        "rank": r,
+        "full_rank": r == dim == len(basis_degree(n, 2 * n - k)),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from qkahler.hodge import (
 )
 from qkahler.lefschetz import (
     L_power, kappa, kappa_power, primitive_basis, to_coords,
-    verify_lefschetz_iso,
 )
 from qkahler.linalg import ScalarMatrix
 from qkahler.scalars import (
@@ -38,7 +37,9 @@ from qkahler.su2 import (
 )
 from qkahler.verify import run_suites
 
-from oracles import combination_defect, operator_relations
+from oracles import (
+    combination_defect, operator_relations, verify_lefschetz_iso,
+)
 
 
 def _criterion(capsys, idx, desc, budget, fn):

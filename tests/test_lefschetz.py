@@ -19,14 +19,16 @@ from qkahler.lefschetz import (
     L, L_power, bidegree_levels, from_coords, kappa, kappa_power,
     l_matrix, l_power_matrix, lambda_string_factor, lefschetz_decompose,
     primitive_basis,
-    string_basis_matrix, string_columns, to_coords, verify_lefschetz_iso,
+    string_basis_matrix, string_columns, to_coords,
 )
 from qkahler.linalg import ScalarMatrix
 from qkahler.scalars import (
     H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, Scalar, qfact, qint,
 )
 
-from oracles import C_ZERO, c_matmul, eval_matrix, gauss_rank
+from oracles import (
+    C_ZERO, c_matmul, eval_matrix, gauss_rank, verify_lefschetz_iso,
+)
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)))
 

@@ -18,7 +18,7 @@ from qkahler.hodge import gram
 
 from oracles import (
     c_add, c_div, c_mul, dict_add, dict_eval, dict_mul, eval_scalar,
-    naive_qfact, naive_qint,
+    laurent_evaluate, naive_qfact, naive_qint,
 )
 
 RNG = random.Random(17)
@@ -144,6 +144,41 @@ def test_scalar_evaluate_raises_at_poles():
     with pytest.raises(PoleError):
         s.evaluate(Fraction(1))
     assert s.evaluate(Fraction(2)) == GaussianRational(Fraction(2, 3))
+
+
+def test_laurent_evaluate_matches_the_per_term_sum():
+    """The Horner pass of `LaurentPoly.evaluate` against the per-term sum of
+    tests/oracles.py, on seeded polynomials with negative exponents, gaps,
+    real and Gaussian coefficients with 30-digit numerators and
+    denominators, and the zero polynomial, at rational points on both
+    sides of 1."""
+    rng = random.Random(29)
+    big = 10 ** 30
+
+    def rational():
+        return Fraction(rng.randint(-big, big), rng.randint(1, big))
+
+    for _ in range(300):
+        p = LaurentPoly({
+            rng.randint(-12, 12): GaussianRational(
+                rational(), rational() if rng.random() < 0.5 else 0)
+            for _ in range(rng.randint(0, 8))})
+        q0 = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        assert p.evaluate(q0) == laurent_evaluate(p, q0)
+    assert LaurentPoly().evaluate(Fraction(7, 3)) == GaussianRational(0)
+
+
+def test_scalar_evaluate_keeps_its_pole_and_domain_errors():
+    """A pole raises PoleError and q0 <= 0 raises ValueError, before any
+    Laurent polynomial is evaluated."""
+    q = Scalar.q_power(1)
+    s = (q + I) / (q * q - Scalar.q_power(-2))
+    with pytest.raises(PoleError, match="pole at q = 1"):
+        s.evaluate(Fraction(1))
+    for q0 in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="positive rational"):
+            s.evaluate(q0)
+    assert s.evaluate(2) == GaussianRational(Fraction(8, 15), Fraction(4, 15))
 
 
 def test_scalar_conjugation():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from qkahler import cli, lefschetz, linalg, uqsl2, verify
 from qkahler.fiber import FiberForm, basis_bidegree
 from qkahler.hodge import GradedOperator
@@ -28,7 +29,8 @@ from qkahler.verify import DEFAULT_Q_SAMPLES, SUITES, run_suites
 
 from oracles import (
     adjoint_defect, combination_defect, compose, conjugate, diagonal,
-    operator_relations, scale, shift_relation_defect,
+    level_rescaling_failure, operator_relations, scale, shift_relation_defect,
+    verify_lefschetz_iso,
 )
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10)))
@@ -196,7 +198,8 @@ def test_singular_string_basis_fails_its_entries_without_building_lambda():
     named = {"premise": BASIS, "bidegree": [1, 1]}
     assert {name: e["witness"] for name, e in entries.items()
             if e["status"] == "fail" and name != BASIS} == {
-        LOWERING: named, KILLED: named, KERNEL: named, LEVELS: named}
+        LOWERING: named, KILLED: named, KERNEL: named, ISO: named,
+        LEVELS: named}
 
 
 def test_singular_string_basis_fails_the_lids_entries_without_a_hodge_block():
@@ -771,18 +774,21 @@ def test_direct_relation_tests_catch_a_lambda_fault(monkeypatch,
     assert adjoint_defect(verify.l_operator(n), lam, H_EQ_Q) is not None
 
 
-@pytest.mark.parametrize("mode", ["hq", "h1", "numeric:9/10:7/8"])
-def test_no_suite_builds_lambda_or_multiplies_two_hodge_blocks(mode):
-    """In a fresh interpreter, with `lambda_operator` patched to raise and
-    every block product recorded, `verify -n 3 --suite all` exits 0, its
-    JSON has the recorded digest of the unpatched command, and no product
-    has a Hodge block on both sides."""
+def _recorded_n3_digest(mode):
+    """The recorded sha256 of `verify -n 3 --suite all --mode <mode> --json`."""
     if mode == "hq":
         reference = TESTS.parent / "perfbench" / "reference" / "verify-n3-hq.json"
-        want = json.loads(reference.read_text())["sha256"]
-    else:
-        name = "verify-n3-h1" if mode == "h1" else "verify-n3-numeric"
-        want = (TESTS / "golden" / f"{name}.sha256").read_text().split()[0]
+        return json.loads(reference.read_text())["sha256"]
+    name = "verify-n3-h1" if mode == "h1" else "verify-n3-numeric"
+    return (TESTS / "golden" / f"{name}.sha256").read_text().split()[0]
+
+
+def _refused_n3_run(mode, refused):
+    """[exit code, sha256 of the JSON, products with a Hodge block on both
+    sides, products with a Gram block as a factor, whether any product was
+    formed] of `verify -n 3 --suite all --mode <mode> --json`, run in a fresh
+    interpreter with each `module.name` of refused patched to raise and
+    every block product recorded."""
     script = textwrap.dedent(f"""
         import contextlib, hashlib, io, json, sys
         from qkahler import cli, linalg
@@ -791,9 +797,11 @@ def test_no_suite_builds_lambda_or_multiplies_two_hodge_blocks(mode):
         hodge = sys.modules["qkahler.hodge"]
 
         def refuse(*args):
-            raise AssertionError("lambda_operator was called")
+            raise AssertionError("a refused function was called")
 
-        hodge.lambda_operator = refuse
+        for target in {refused!r}:
+            module, name = target.rsplit(".", 1)
+            setattr(sys.modules["qkahler." + module], name, refuse)
         pairs = []
         product_pairs, matmul = linalg.product_pairs, linalg.ScalarMatrix.__matmul__
 
@@ -814,14 +822,41 @@ def test_no_suite_builds_lambda_or_multiplies_two_hodge_blocks(mode):
         mode = parse_mode({mode!r})
         blocks = {{id(hodge.hodge_block(3, a, b, mode))
                    for a in range(4) for b in range(4)}}
-        both = sum(id(x) in blocks and id(y) in blocks for x, y in pairs)
-        print(json.dumps([rc, hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                          both, len(pairs) > 0]))
+        grams = {{id(hodge.gram(3, a, b, mode))
+                  for a in range(4) for b in range(4)}}
+        print(json.dumps([
+            rc, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            sum(id(x) in blocks and id(y) in blocks for x, y in pairs),
+            sum(id(x) in grams or id(y) in grams for x, y in pairs),
+            len(pairs) > 0]))
     """)
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, want, 0, True]
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("mode", ["hq", "h1", "numeric:9/10:7/8"])
+def test_no_suite_builds_lambda_or_multiplies_two_hodge_blocks(mode):
+    """In a fresh interpreter, with `lambda_operator` patched to raise and
+    every block product recorded, `verify -n 3 --suite all` exits 0, its
+    JSON has the recorded digest of the unpatched command, and no product
+    has a Hodge block on both sides."""
+    rc, digest, both, _, formed = _refused_n3_run(
+        mode, ["hodge.lambda_operator"])
+    assert [rc, digest, both, formed] == [0, _recorded_n3_digest(mode), 0, True]
+
+
+@pytest.mark.parametrize("mode", ["hq", "h1"])
+def test_no_suite_takes_a_hodge_image_or_a_product_with_a_gram_block(mode):
+    """In a fresh interpreter, with `verify.hodge` patched to raise and every
+    block product recorded, `verify -n 3 --suite all` exits 0 with the
+    recorded digest of the unpatched command, and no product has a Gram
+    block as a factor: the grading entries read the Hodge block targets and
+    the star cache, and the rescaling entry forms no S_j^T . G."""
+    rc, digest, _, with_gram, formed = _refused_n3_run(mode, ["verify.hodge"])
+    assert [rc, digest, with_gram, formed] == [
+        0, _recorded_n3_digest(mode), 0, True]
 
 
 @pytest.mark.parametrize("mode", ["hq", "h1"])
@@ -917,21 +952,39 @@ def _lefschetz_power_fault(monkeypatch):
     monkeypatch.setattr(lefschetz, "l_power_matrix", faulted)
 
 
+def _qfact_fault(monkeypatch):
+    """[2]_h! plus one, as the level-rescaling factor reads it; the Hodge
+    factors and the sl2 module keep the true q-factorials."""
+    true = verify.qfact
+
+    def faulted(m, mode=H_EQ_Q):
+        return true(m, mode) + ONE if m == 2 else true(m, mode)
+
+    monkeypatch.setattr(verify, "qfact", faulted)
+
+
 # The failing strings and metric entries at n = 2, hq, with their witnesses.
 # The lowering and seed entries are derived from the basis, raising, H . S
 # = C and the lowering factors, the kernel entry from the basis, nonzero
-# lowering factors and then the lowering premises, and the level entry from
-# the basis, raising, H . S = C and the premises on L; each names its first
-# failing premise.  No suite builds Lambda, so a fault in its blocks fails
-# nothing here.  Zero lowering factors break the lowering factor identity,
-# and the kernel entry names its own premise first.  Zeroing the string
-# member of seed 0 in the (1,1) basis breaks the basis, which every derived
-# entry names, as does every metric entry that reads a Hodge or Gram block.
-# L's (0,0) block scaled by q breaks raising, and a bumped Hodge block
-# breaks H . S = C, both premises of every derived entry; [2]_h plus one
-# breaks the lowering factors.  The Serre and star faults break the
-# premises on L, which the level entry alone reads.  The isomorphism entry
-# stays a direct rank check.
+# lowering factors and then the lowering premises, the isomorphism entry
+# from the basis and raising, the level entry from the basis, raising, H .
+# S = C and the premises on L, and the rescaling entry from the level
+# entry's premises and the level factors; each names its first failing
+# premise.  No suite builds Lambda, so a fault in its blocks fails nothing
+# here.  Zero lowering factors break the lowering factor identity, and the
+# kernel entry names its own premise first.  Zeroing the string member of
+# seed 0 in the (1,1) basis breaks the basis, which every derived entry
+# names, as does every metric entry that reads a Hodge or Gram block.  L's
+# (0,0) block scaled by q breaks raising, and a bumped Hodge block breaks H
+# . S = C, premises of every derived entry but the isomorphism, which H
+# does not enter; [2]_h plus one breaks the lowering factors, and [2]_h!
+# plus one the level factors.  The Serre and star faults break the premises
+# on L, which the level and rescaling entries alone read.  The rescaling
+# entry takes `gram`'s construction as given, so a Gram fault fails only the
+# pinned value that reads it, and the isomorphism entry reads no matrix of
+# L^(n-k), so zeroing one fails nothing: the direct checks of
+# tests/oracles.py see both
+# (`test_direct_checks_catch_the_gram_and_l_power_faults_no_entry_sees`).
 LOWERED = {"premise": LOWERING_FACTORS, "bidegree": [0, 0], "level": 1}
 HODGE_BLOCK = {"premise": HODGE_STRINGS, "bidegree": [1, 0]}
 STRING_FAULTS = [
@@ -945,29 +998,28 @@ STRING_FAULTS = [
     (_string_basis_fault, {
         BASIS: {"bidegree": [1, 1]},
         **dict.fromkeys(
-            (KILLED, LOWERING, KERNEL, LEVELS, SYMMETRIC, BIDEGREES, DEGREES,
-             RESCALING, *RANK2_VALUES),
+            (KILLED, LOWERING, KERNEL, ISO, LEVELS, SYMMETRIC, BIDEGREES,
+             DEGREES, RESCALING, *RANK2_VALUES),
             {"premise": BASIS, "bidegree": [1, 1]}),
     }),
-    (_gram_entry_fault, {
-        RESCALING: {"bidegree": [1, 0], "level": 1},
-        "rank-2 value <e+[1],e+[1]> = q^-5": None,
-    }),
+    (_gram_entry_fault, {"rank-2 value <e+[1],e+[1]> = q^-5": None}),
     (_l_entry_fault, dict.fromkeys(
-        (KILLED, LOWERING, KERNEL, LEVELS),
+        (KILLED, LOWERING, KERNEL, ISO, LEVELS, RESCALING),
         {"premise": RAISING, "bidegree": [0, 0]})),
-    (_serre_entry_fault, {
-        LEVELS: {"premise": L_SERRE, "bidegree": [1, 0], "target": [2, 1],
-                 "row": 0, "col": 0, "defect": "(i)*q^-1"},
-    }),
-    (_star_entry_fault, {
-        LEVELS: {"premise": L_STAR, "bidegree": [1, 0], "target": [1, 2],
-                 "row": 1, "col": 0, "defect": "(i)*q^-1"},
-    }),
-    (_lefschetz_power_fault, {ISO: None}),
-    (_hodge_entry_fault, dict.fromkeys((KILLED, LOWERING, KERNEL, LEVELS),
-                                       HODGE_BLOCK)),
+    (_serre_entry_fault, dict.fromkeys(
+        (LEVELS, RESCALING),
+        {"premise": L_SERRE, "bidegree": [1, 0], "target": [2, 1],
+         "row": 0, "col": 0, "defect": "(i)*q^-1"})),
+    (_star_entry_fault, dict.fromkeys(
+        (LEVELS, RESCALING),
+        {"premise": L_STAR, "bidegree": [1, 0], "target": [1, 2],
+         "row": 1, "col": 0, "defect": "(i)*q^-1"})),
+    (_lefschetz_power_fault, {}),
+    (_hodge_entry_fault, dict.fromkeys(
+        (KILLED, LOWERING, KERNEL, LEVELS, RESCALING), HODGE_BLOCK)),
     (_qint_fault, dict.fromkeys((KILLED, LOWERING, KERNEL), LOWERED)),
+    (_qfact_fault, {RESCALING: {"premise": verify.LEVEL_FACTORS,
+                                "bidegree": [0, 0], "level": 1}}),
 ]
 
 
@@ -976,7 +1028,8 @@ STRING_FAULTS = [
                               "zero-lowering", "string-basis-1-1",
                               "gram-block-1-0", "l-block-0-0",
                               "serre-block-1-0", "star-block-1-0",
-                              "l-power-0-0", "hodge-block-1-0", "qint-2"])
+                              "l-power-0-0", "hodge-block-1-0", "qint-2",
+                              "qfact-2"])
 def test_each_string_and_metric_entry_fails_under_its_fault(
         monkeypatch, clear_premises, fault, failing):
     entries, failures = run_suites(["strings", "metric"], 2, H_EQ_Q)
@@ -985,6 +1038,42 @@ def test_each_string_and_metric_entry_fails_under_its_fault(
     clear_premises()
     entries, failures = run_suites(["strings", "metric"], 2, H_EQ_Q)
     assert {e["name"]: e.get("witness") for e in failures} == failing
+
+
+@pytest.mark.parametrize("mode", [H_EQ_Q, H_EQ_ONE], ids=["hq", "h1"])
+def test_direct_level_and_isomorphism_checks_agree_with_the_derived_entries(
+        mode):
+    """At n <= 4 the direct checks of tests/oracles.py, the Gram matrices of
+    the seeds against those of their L^j images and the exact rank of each
+    L^(n-k), accept where the derived rescaling and isomorphism entries
+    pass.  Necessary for the derivation, not a proof of it: the rescaling
+    entry also rests on G = P . H . S, which test_hodge checks at one point
+    only."""
+    for n in range(1, 5):
+        status = {e["name"]: e["status"]
+                  for e in run_suites(["strings", "metric"], n, mode)[0]}
+        assert level_rescaling_failure(n, mode) is None, n
+        assert all(verify_lefschetz_iso(n, k)["full_rank"] for k in range(n))
+        assert status[RESCALING] == status[ISO] == "pass", n
+
+
+def test_direct_checks_catch_the_gram_and_l_power_faults_no_entry_sees(
+        monkeypatch, clear_premises):
+    """At n = 2 a Gram entry of (1,0) plus one and a zero L^2 out of (0,0)
+    fail neither derived entry, which read no Gram block and no power of L;
+    the direct checks reject both."""
+    _gram_entry_fault(monkeypatch)
+    _lefschetz_power_fault(monkeypatch)
+    monkeypatch.setattr(oracles, "gram", hodge.gram)
+    monkeypatch.setattr(oracles, "l_power_matrix", lefschetz.l_power_matrix)
+    clear_premises()
+    status = {e["name"]: e["status"]
+              for e in run_suites(["strings", "metric"], 2, H_EQ_Q)[0]}
+    assert status[RESCALING] == status[ISO] == "pass"
+    assert level_rescaling_failure(2, H_EQ_Q) == {"bidegree": [1, 0],
+                                                  "level": 1}
+    assert [verify_lefschetz_iso(2, k)["full_rank"] for k in (0, 1)] == \
+        [False, True]
 
 
 def test_strings_suite_takes_no_rank_of_a_lambda_block(monkeypatch):
@@ -1005,26 +1094,50 @@ def test_strings_suite_takes_no_rank_of_a_lambda_block(monkeypatch):
     assert not any(m == blk for m in ranked for blk in blocks)
 
 
-# At n = 2 the image hodge(star(e+[1])) lies in bidegree (1, 2).  A stray
-# term in (2, 1) keeps its degree; one in (1, 1) does not, and `metric`,
-# which reads the Gram blocks, never sees either.
+def _retargeted_hodge_block(target):
+    """The Hodge block of (0,1) with its target bidegree replaced."""
+    def install(monkeypatch):
+        true = verify.hodge_operator
+
+        def faulted(n, mode=H_EQ_Q):
+            blocks = dict(true(n, mode).blocks)
+            blocks[0, 1] = (target, blocks[0, 1][1])
+            return GradedOperator(n, blocks)
+
+        monkeypatch.setattr(verify, "hodge_operator", faulted)
+    return install
+
+
+def _unswapped_star(monkeypatch):
+    """star(e+[1]) read off the star cache as a monomial of (1,0) itself."""
+    true, source = verify._star_monomial, verify.e_plus(2, 1)
+
+    def faulted(n, m):
+        mono, k, negate = true(n, m)
+        return (m if m in source.terms else mono), k, negate
+
+    monkeypatch.setattr(verify, "_star_monomial", faulted)
+
+
+# At n = 2 star sends e+[1], the first monomial of degree 1, into (0,1),
+# whose Hodge block targets (1,2).  A block retargeted to (2,1) keeps the
+# degree; one retargeted to (1,1) does not.  A star that leaves e+[1] in
+# (1,0) lands in that block's target (2,1), of the right degree.  The
+# matrices stay true, so `metric`, which reads the Gram blocks, and the
+# premises of the other metric entries see none of these.
 GRADING_FAULTS = [
-    (FiberForm.monomial(2, [1, 2], [1]), {BIDEGREES}),
-    (FiberForm.monomial(2, [1], [1]), {BIDEGREES, DEGREES}),
+    (_retargeted_hodge_block((2, 1)), {BIDEGREES}),
+    (_retargeted_hodge_block((1, 1)), {BIDEGREES, DEGREES}),
+    (_unswapped_star, {BIDEGREES}),
 ]
 
 
-@pytest.mark.parametrize("stray, failing", GRADING_FAULTS,
-                         ids=["same-degree", "other-degree"])
-def test_grading_entries_name_the_monomial_whose_image_strays(monkeypatch,
-                                                              stray, failing):
-    true, source = verify.hodge, verify.e_plus(2, 1).star()
-
-    def faulted(u, mode=H_EQ_Q):
-        w = true(u, mode)
-        return w + stray if u == source else w
-
-    monkeypatch.setattr(verify, "hodge", faulted)
+@pytest.mark.parametrize("fault, failing", GRADING_FAULTS,
+                         ids=["same-degree", "other-degree", "star-unswapped"])
+def test_grading_entries_name_the_monomial_whose_image_strays(
+        monkeypatch, clear_premises, fault, failing):
+    fault(monkeypatch)
+    clear_premises()
     failures = [e for e in verify.suite_metric(2) if e["status"] == "fail"]
     assert {e["name"]: e.get("witness") for e in failures} == \
         dict.fromkeys(failing, {"monomial": "e+[1]"})
