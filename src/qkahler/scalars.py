@@ -629,8 +629,10 @@ class HodgeMode:
 
     kind "q"    : h is the deformation parameter q itself (symbolic)
     kind "one"  : h = 1, the classical specialisation
-    kind "numeric": h = h0 for a fixed positive rational h0; q0 records the
-                    evaluation point used by numeric certifications
+    kind "numeric": h = h0 for a fixed positive rational h0, by default
+                    q0; q0 is named in the mode's label and the CLI's
+                    report config and read by no computation (posdef
+                    certifications evaluate at the --q-samples points)
     """
 
     kind: str

@@ -13,12 +13,14 @@ which read no Hodge parameter, and once per rank and mode for the rest.
 `_premise_failure` runs a tuple in order up to its first failure, so a
 suite runs only the premises its entries reach.  Each derived entry names
 its tuple once, as a *_PREMISES constant or, for an sl2 relation, through
-`_relation_premises`.  The hodge, metric and posdef entries that read a
-Hodge or Gram block directly check BASIS first, and fail naming it, so no
-block is solved from a singular string basis.  On the string basis H, L,
-Lambda and the counting operators are weighted shifts, so the square of H,
-the lowering identity and every sl2 relation are scalar identities, and no
-suite builds Lambda or multiplies two Hodge blocks.
+`_relation_premises`.  H and L each meet the Serre law and the star law,
+one check each given the operator and its target map.  The hodge, metric
+and posdef entries that read a Hodge or Gram block directly check BASIS
+first, and fail naming it, so no block is solved from a singular string
+basis.  On the string basis H, L, Lambda and the counting operators are
+weighted shifts, so the square of H, the lowering identity and every sl2
+relation are scalar identities, and no suite builds Lambda or multiplies
+two Hodge blocks.
 """
 
 from __future__ import annotations
@@ -153,13 +155,20 @@ def _kappa_generator_failure(n, mode):
                  if f * kap != kap * f), None)
 
 
-def _basis_failure(n, mode):
-    """{"bidegree": [a, b]} of the first (a, b) whose string members are not
-    a basis, else None."""
+def _invertible_failure(n, matrix):
+    """{"bidegree": [a, b]} of the first (a, b) where matrix(n, a, b) is not
+    square, of the size of the (a, b) basis and of full rank, else None."""
     def holds(a, b):
-        s = string_basis_matrix(n, a, b)
-        return s.ncols == len(basis_bidegree(n, a, b)) == linalg.rank(s)
+        s = matrix(n, a, b)
+        return (s.nrows == s.ncols == len(basis_bidegree(n, a, b))
+                == linalg.rank(s))
     return _first_bidegree(n, holds)
+
+
+def _targeted(n, target):
+    """The (a, b), in order, whose target(a, b) lies in the fiber."""
+    return [(a, b) for a, b in product(range(n + 1), repeat=2)
+            if all(0 <= x <= n for x in target(a, b))]
 
 
 def _string_map_failure(n, op, target, rule):
@@ -167,16 +176,14 @@ def _string_map_failure(n, op, target, rule):
     where op . S_(a,b) is not `string_images(n, a, b, target(a, b), rule)`,
     S the string basis matrix, else None; an absent op block is zero."""
     def holds(a, b):
-        tgt = target(a, b)
-        if not all(0 <= x <= n for x in tgt):
-            return True
-        images = string_images(n, a, b, tgt, rule)
+        images = string_images(n, a, b, target(a, b), rule)
         products = [(ScalarMatrix.identity(images.nrows).scale(-ONE), images)]
         if (a, b) in op.blocks:
             products.append((op.blocks[a, b][1],
                              string_basis_matrix(n, a, b)))
         return _first_nonzero(products) is None
-    return _first_bidegree(n, holds)
+    return next(({"bidegree": [a, b]} for a, b in _targeted(n, target)
+                 if not holds(a, b)), None)
 
 
 def _factor_failure(n, mode, first, holds):
@@ -198,67 +205,32 @@ def _signed(k, x):
     return -x if k % 2 else x
 
 
-def _zero_factor_failure(n, mode):
-    """{"degree": k, "level": j} of the first zero lowering factor
-    [j]_h [n-j-k+1]_h, 0 <= k <= n and 1 <= j <= n-k, else None.
-
-    With the basis and lowering identities this decides "primitives are
-    exactly the lowering kernel, by rank", with no rank of Lambda: in
-    string coordinates Lambda_(a,b) sends each member above level 0 to a
-    nonzero multiple of a member of its own, and each seed to 0, so its
-    kernel is the span of the seeds."""
-    for k in range(n + 1):
-        for j in range(1, n - k + 1):
-            if not lambda_string_factor(n, k, j, mode):
-                return {"degree": k, "level": j}
-    return None
+def _serre_law_failure(n, op, target, sign):
+    """op is sign-symmetric for the Serre pairing P: op_src^T . P_tgt =
+    sign(src) P_src . op_(n-tgt) on every src with a target in the fiber,
+    tgt = target(src).  The witness of `_first_block_failure`, else None."""
+    def blocks(a, b):
+        tgt = target(a, b)
+        dual = tuple(n - x for x in tgt)
+        return ((a, b), tgt,
+                [(op.blocks[a, b][1].transpose(), serre_pairing(n, *tgt)),
+                 (serre_pairing(n, a, b).scale(-sign(a, b)),
+                  op.blocks[dual][1])])
+    return _first_block_failure(blocks(a, b) for a, b in _targeted(n, target))
 
 
-def _star_commutes_failure(n, mode):
-    """H commutes with star: H_(b,a) . S_(a,b) = S_(n-b,n-a) . conj(H_(a,b)),
-    S the star matrices."""
-    h = hodge_operator(n, mode).blocks
-    return _first_block_failure(
-        ((a, b), (n - a, n - b),
-         [(h[b, a][1], star_matrix(n, a, b)),
-          (star_matrix(n, n - b, n - a).scale(-ONE), h[a, b][1].conjugate())])
-        for a, b in product(range(n + 1), repeat=2))
-
-
-def _hodge_serre_failure(n, mode):
-    """H is (-1)^k-symmetric for the Serre pairing P:
-    H_(a,b)^T . P_(n-b,n-a) = (-1)^(a+b) P_(a,b) . H_(b,a)."""
-    h = hodge_operator(n, mode).blocks
-
-    def serre(src, tgt, mat):
-        p = serre_pairing(n, *src)
-        return [(mat.transpose(), serre_pairing(n, *tgt)),
-                (p if sum(src) % 2 else p.scale(-ONE), h[src[::-1]][1])]
-
-    return _first_block_failure((src, tgt, serre(src, tgt, mat))
-                                for src, (tgt, mat) in sorted(h.items()))
-
-
-def _l_serre_failure(n, mode):
-    """L is symmetric for the Serre pairing P:
-    L_(a,b)^T . P_(a+1,b+1) = P_(a,b) . L_(n-a-1,n-b-1)."""
-    low = l_operator(n).blocks
-    return _first_block_failure(
-        ((a, b), (a + 1, b + 1),
-         [(low[a, b][1].transpose(), serre_pairing(n, a + 1, b + 1)),
-          (serre_pairing(n, a, b).scale(-ONE),
-           low[n - a - 1, n - b - 1][1])])
-        for a, b in product(range(n), repeat=2))
-
-
-def _l_star_failure(n, mode):
-    """L commutes with star: S_(a+1,b+1) . conj(L_(a,b)) = L_(b,a) . S_(a,b)."""
-    low = l_operator(n).blocks
-    return _first_block_failure(
-        ((a, b), (b + 1, a + 1),
-         [(star_matrix(n, a + 1, b + 1), low[a, b][1].conjugate()),
-          (low[b, a][1].scale(-ONE), star_matrix(n, a, b))])
-        for a, b in product(range(n), repeat=2))
+def _star_law_failure(n, op, target):
+    """op commutes with star: op_(b,a) . S_(a,b) = S_tgt . conj(op_(a,b)) on
+    every (a, b) with a target in the fiber, tgt = target(a, b) and S the
+    star matrices.  The witness of `_first_block_failure`, named by the
+    bidegree where both sides land, the star of tgt, else None."""
+    def blocks(a, b):
+        tgt = target(a, b)
+        return ((a, b), tgt[::-1],
+                [(op.blocks[b, a][1], star_matrix(n, a, b)),
+                 (star_matrix(n, *tgt).scale(-ONE),
+                  op.blocks[a, b][1].conjugate())])
+    return _first_block_failure(blocks(a, b) for a, b in _targeted(n, target))
 
 
 # name -> check(n, mode), the witness of a failure or None when it holds
@@ -267,7 +239,7 @@ PREMISES = {
     STAR_GENERATORS: _generator_reversal_failure,
     STAR_RULES: _star_rule_failure,
     KAPPA_GENERATORS: _kappa_generator_failure,
-    BASIS: _basis_failure,
+    BASIS: lambda n, mode: _invertible_failure(n, string_basis_matrix),
     RAISING: lambda n, mode: _string_map_failure(
         n, l_operator(n), lambda a, b: (a + 1, b + 1),
         lambda j, seed: (j + 1, ONE)),
@@ -282,11 +254,22 @@ PREMISES = {
     LEVEL_FACTORS: lambda n, mode: _factor_failure(
         n, mode, 1, lambda c, k, j: c[j] == c[0] * qfact(j, mode)
         * qfact(n - k, mode) / qfact(n - k - j, mode)),
-    NONZERO_FACTORS: _zero_factor_failure,
-    STAR_COMMUTES: _star_commutes_failure,
-    H_SERRE: _hodge_serre_failure,
-    L_SERRE: _l_serre_failure,
-    L_STAR: _l_star_failure,
+    # With the basis and lowering premises this decides "primitives are
+    # exactly the lowering kernel, by rank", with no rank of Lambda: in
+    # string coordinates Lambda_(a,b) sends each member above level 0 to a
+    # nonzero multiple of a member of its own, and each seed to 0, so its
+    # kernel is the span of the seeds.
+    NONZERO_FACTORS: lambda n, mode: _factor_failure(
+        n, mode, 1, lambda c, k, j: bool(lambda_string_factor(n, k, j, mode))),
+    STAR_COMMUTES: lambda n, mode: _star_law_failure(
+        n, hodge_operator(n, mode), lambda a, b: (n - b, n - a)),
+    H_SERRE: lambda n, mode: _serre_law_failure(
+        n, hodge_operator(n, mode), lambda a, b: (n - b, n - a),
+        lambda a, b: _signed(a + b, ONE)),
+    L_SERRE: lambda n, mode: _serre_law_failure(
+        n, l_operator(n), lambda a, b: (a + 1, b + 1), lambda a, b: ONE),
+    L_STAR: lambda n, mode: _star_law_failure(
+        n, l_operator(n), lambda a, b: (a + 1, b + 1)),
 }
 # the premises that read no Hodge parameter, checked once per rank
 MODE_FREE = frozenset({OVERLAPS, STAR_GENERATORS, STAR_RULES,
@@ -515,11 +498,12 @@ def suite_hodge(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
                       witness=wit))
 
     basis = _premise_failure(n, mode, (BASIS,))
-    ok = basis is None and all(
-        tgt == (n - src[1], n - src[0])
-        for src, (tgt, _) in hodge_operator(n, mode).blocks.items())
-    out.append(_entry("hodge", "component map (a,b) -> (n-b,n-a)", ok,
-                      witness=basis))
+    wit = basis or next((
+        {"bidegree": list(src), "target": list(tgt)}
+        for src, (tgt, _) in sorted(hodge_operator(n, mode).blocks.items())
+        if tgt != (n - src[1], n - src[0])), None)
+    out.append(_entry("hodge", "component map (a,b) -> (n-b,n-a)",
+                      wit is None, witness=wit))
     commutes = basis or _premise(STAR_COMMUTES, n, mode)
     out.append(_entry("hodge", STAR_COMMUTES, commutes is None,
                       witness=commutes))
@@ -623,8 +607,7 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
         wit = basis or (None if bad is None else {"monomial": str(bad)})
         out.append(_entry("metric", name, wit is None, witness=wit))
 
-    wit = _first_bidegree(n, lambda a, b: linalg.rank(serre_pairing(n, a, b))
-                          == len(basis_bidegree(n, a, b)))
+    wit = _invertible_failure(n, serre_pairing)
     out.append(_entry("metric", "top-degree wedge pairing is nondegenerate",
                       wit is None, witness=wit))
 
@@ -701,7 +684,7 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     - Seeds (the same): a seed is a level-0 member, so Lambda kills it;
       L^(n-k) of it is its top member, a column of an invertible S, and L
       sends that member to 0.
-    - Kernel (KERNEL_PREMISES): see `_zero_factor_failure`.
+    - Kernel (KERNEL_PREMISES): see the NONZERO_FACTORS row of PREMISES.
     - Isomorphism (ISO_PREMISES): see there.
     - Levels (LEVEL_PREMISES): for members L^i(alpha), L^j(beta) of one
       degree-k bidegree, i != j, the seeds span the primitives (raising,

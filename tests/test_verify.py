@@ -589,8 +589,8 @@ def _canonical_witnesses(n, mode):
     out = {
         STAR: _canonical_defect([(ONE, [star_op, star]),
                                  (-ONE, [star, conjugate(star_op)])]),
-        L_STAR: _canonical_defect([(ONE, [star, conjugate(l_op)]),
-                                   (-ONE, [l_op, star])]),
+        L_STAR: _canonical_defect([(ONE, [l_op, star]),
+                                   (-ONE, [star, conjugate(l_op)])]),
     }
     relations, _ = uqsl2.sl2_relations(n, mode)
     for name, terms, _ in relations:
@@ -646,31 +646,39 @@ def test_each_identity_entry_fails_under_its_fault(monkeypatch, clear_premises,
 # Each fault bumps one entry of one block that the premises read.  The
 # derived entries name the first premise it breaks, in the order basis,
 # H . S = C, square factors, star commutation, the Serre symmetry of H,
-# then the two premises on L; the last column is the first premise on L
-# that fails.
+# then the two premises on L; the last column is the set of the block
+# premises, the Serre and star laws applied to H and to L, that fail.
+BLOCK_PREMISES = (STAR, H_SERRE, L_SERRE, L_STAR)
 PREMISE_FAULTS = [
-    (_serre_entry_fault, {UNITARY: H_SERRE, ADJ_L: H_SERRE}, L_SERRE),
-    (_l_entry_fault, {ADJ_L: L_SERRE}, L_SERRE),
-    (_star_entry_fault, {UNITARY: STAR, ADJ_L: STAR}, L_STAR),
+    (_serre_entry_fault, {UNITARY: H_SERRE, ADJ_L: H_SERRE},
+     {H_SERRE, L_SERRE}),
+    (_l_entry_fault, {ADJ_L: L_SERRE}, {L_SERRE}),
+    (_star_entry_fault, {UNITARY: STAR, ADJ_L: STAR}, {STAR, L_STAR}),
     (_hodge_entry_fault, {SQUARE: HODGE_STRINGS, UNITARY: HODGE_STRINGS,
-                          ADJ_L: HODGE_STRINGS}, None),
+                          ADJ_L: HODGE_STRINGS}, {STAR, H_SERRE}),
 ]
 
 
-@pytest.mark.parametrize("fault, derived, l_premise", PREMISE_FAULTS,
-                         ids=["serre-block-1-0", "l-block-0-0",
-                              "star-block-1-0", "hodge-block-1-0"])
+@pytest.mark.parametrize("fault, derived, block, mode", [
+    pytest.param(*row, mode, id=name + suffix)
+    for row, name in zip(PREMISE_FAULTS, ["serre-block-1-0", "l-block-0-0",
+                                          "star-block-1-0", "hodge-block-1-0"])
+    for mode, suffix in ((H_EQ_Q, ""), (H_EQ_ONE, "-h1"))])
 def test_derived_entries_name_the_premise_a_fault_breaks(
-        monkeypatch, clear_premises, fault, derived, l_premise):
+        monkeypatch, clear_premises, fault, derived, block, mode):
+    """Each block premise's witness is the first nonzero entry of its lhs -
+    rhs built canonically, so the Serre law's sign is checked in both
+    modes."""
     n = 2
     fault(monkeypatch)
     clear_premises()
-    _, failures = run_suites(["hodge", "lids"], n, H_EQ_Q)
+    _, failures = run_suites(["hodge", "lids"], n, mode)
     assert {e["name"]: e["witness"]["premise"] for e in failures
             if e["name"] in (SQUARE, UNITARY, ADJ_L)} == derived
-    assert next((name for name in (L_SERRE, L_STAR)
-                 if verify._premise(name, n, H_EQ_Q) is not None),
-                None) == l_premise
+    got = {name: verify._premise(name, n, mode) for name in BLOCK_PREMISES}
+    assert {name for name, wit in got.items() if wit is not None} == block
+    witnesses = _canonical_witnesses(n, mode)
+    assert got == {name: witnesses[name] for name in BLOCK_PREMISES}
 
 
 def test_each_premise_is_evaluated_once_per_rank_or_per_mode(
@@ -993,7 +1001,7 @@ STRING_FAULTS = [
     (_zero_lowering_fault, {
         KILLED: LOWERED, LOWERING: LOWERED,
         KERNEL: {"premise": "lowering factors are nonzero",
-                 "degree": 0, "level": 1},
+                 "bidegree": [0, 0], "level": 1},
     }),
     (_string_basis_fault, {
         BASIS: {"bidegree": [1, 1]},
@@ -1013,7 +1021,7 @@ STRING_FAULTS = [
     (_star_entry_fault, dict.fromkeys(
         (LEVELS, RESCALING),
         {"premise": L_STAR, "bidegree": [1, 0], "target": [1, 2],
-         "row": 1, "col": 0, "defect": "(i)*q^-1"})),
+         "row": 1, "col": 0, "defect": "(-i)*q^-1"})),
     (_lefschetz_power_fault, {}),
     (_hodge_entry_fault, dict.fromkeys(
         (KILLED, LOWERING, KERNEL, LEVELS, RESCALING), HODGE_BLOCK)),
@@ -1124,23 +1132,29 @@ def _unswapped_star(monkeypatch):
 # degree; one retargeted to (1,1) does not.  A star that leaves e+[1] in
 # (1,0) lands in that block's target (2,1), of the right degree.  The
 # matrices stay true, so `metric`, which reads the Gram blocks, and the
-# premises of the other metric entries see none of these.
+# premises of the other metric entries see none of these; the hodge suite's
+# component map names the retargeted block, and the premises on H, which
+# take H's targets from its formula, pass.
+COMPONENTS = "component map (a,b) -> (n-b,n-a)"
 GRADING_FAULTS = [
-    (_retargeted_hodge_block((2, 1)), {BIDEGREES}),
-    (_retargeted_hodge_block((1, 1)), {BIDEGREES, DEGREES}),
-    (_unswapped_star, {BIDEGREES}),
+    (_retargeted_hodge_block((2, 1)), {BIDEGREES}, [2, 1]),
+    (_retargeted_hodge_block((1, 1)), {BIDEGREES, DEGREES}, [1, 1]),
+    (_unswapped_star, {BIDEGREES}, None),
 ]
 
 
-@pytest.mark.parametrize("fault, failing", GRADING_FAULTS,
+@pytest.mark.parametrize("fault, failing, target", GRADING_FAULTS,
                          ids=["same-degree", "other-degree", "star-unswapped"])
 def test_grading_entries_name_the_monomial_whose_image_strays(
-        monkeypatch, clear_premises, fault, failing):
+        monkeypatch, clear_premises, fault, failing, target):
     fault(monkeypatch)
     clear_premises()
-    failures = [e for e in verify.suite_metric(2) if e["status"] == "fail"]
-    assert {e["name"]: e.get("witness") for e in failures} == \
-        dict.fromkeys(failing, {"monomial": "e+[1]"})
+    failures = [e for e in verify.suite_metric(2) + verify.suite_hodge(2)
+                if e["status"] == "fail"]
+    want = dict.fromkeys(failing, {"monomial": "e+[1]"})
+    if target is not None:
+        want[COMPONENTS] = {"bidegree": [0, 1], "target": target}
+    assert {e["name"]: e.get("witness") for e in failures} == want
 
 
 def _gram_off_diagonal_fault(monkeypatch):
