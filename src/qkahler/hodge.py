@@ -1,4 +1,4 @@
-"""Hodge map, volume functional, metric and Gram matrices.
+"""Hodge map, volume functional, metric, Gram matrices and seed blocks.
 
 The Hodge map is defined level by level on the string basis: a primitive
 (a', b')-seed p of degree k' sitting at Lefschetz level j is sent to
@@ -12,18 +12,23 @@ elimination per block, so applying it to arbitrary forms costs one
 matrix-vector product.
 
 The metric is g(u, v) = vol(u ^ hodge(star(v))).  Different bidegrees are
-orthogonal, so it is stored as one Gram block per bidegree and evaluated on
-coordinates from those blocks; the blocks are certified positive definite at
-rational points by exact LDL* pivots.
+orthogonal, so it is stored as one Gram block per bidegree, P . H . S, and
+evaluated on coordinates from those blocks; `certify_posdef` certifies a
+block positive definite at a rational point by exact LDL* pivots.  The
+verify suites read the Gram blocks only for the pinned rank-1 and rank-2
+values: in string coordinates a Gram block is block-diagonal by level, and
+level j is c_j / c_0 times the Gram matrix of the seeds below it, the seed
+block that `seed_block` builds from the Serre pairing, star and the string
+members alone.
 
 The block identities the verify suites rest on (H . S = C on the string
-basis, and the star and Serre identities adjointness is derived from) are
-zero tests, not comparisons of canonical matrices: each entry of lhs - rhs
-is one sum of products of structural nonzeros, put over a common
-denominator with no gcd.  Every denominator is a product of nonzero
-denominators, so the entry vanishes exactly when the numerator does.  The
-same scan names a failing identity's first nonzero entry, and only that
-entry is canonicalised, for the witness.
+basis, and the star and Serre identities of L) are zero tests, not
+comparisons of canonical matrices: each entry of lhs - rhs is one sum of
+products of structural nonzeros, put over a common denominator with no
+gcd.  Every denominator is a product of nonzero denominators, so the entry
+vanishes exactly when the numerator does.  The same scan names a failing
+identity's first nonzero entry, and only that entry is canonicalised, for
+the witness.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .scalars import (
-    ONE, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize, dot,
+    ZERO, ONE, HodgeMode, H_EQ_Q, Scalar, qfact, i_power, memoize, dot,
     dot_is_zero, refuse_assignment, render_scalar,
 )
-from .fiber import FiberForm, BasisMonomial, basis_bidegree
+from .fiber import FiberForm, BasisMonomial, basis_bidegree, weight
 from . import linalg
 from .linalg import ScalarMatrix, LDLCertificate
 from .lefschetz import (
@@ -57,10 +62,12 @@ def vol(u: FiberForm) -> Scalar:
     return u.coefficient(top_monomial(n)) * i_power(-(n % 2))
 
 
+@memoize
 def hodge_factor(n: int, seed: tuple, j: int, mode: HodgeMode = H_EQ_Q) -> Scalar:
     """The factor c_j by which the Hodge map sends L^j(alpha), alpha primitive
     of bidegree seed = (a', b') and degree k' = a'+b', to c_j L^(m-j)(alpha),
-    m = n-k':  c_j = (-1)^(k'(k'+1)/2) i^(a'-b') [j]_h! / [m-j]_h!."""
+    m = n-k':  c_j = (-1)^(k'(k'+1)/2) i^(a'-b') [j]_h! / [m-j]_h!.  Cached,
+    so the Hodge blocks and every factor premise share one value."""
     kp = sum(seed)
     sign = -ONE if (kp * (kp + 1) // 2) % 2 else ONE
     return (sign * i_power(seed[0] - seed[1]) * qfact(j, mode)
@@ -139,14 +146,47 @@ def gram(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
     Entry (r, c) is vol(m_r ^ H(star(m_c))), assembled as P . H . S: S is
     `star_matrix(n, a, b)`, H the (b, a) Hodge block and P the Serre
     pairing of (a, b) with (n-a, n-b).  Blocks are cached per
-    (n, a, b, mode) and never inverted.  The verify suites take this
-    construction as given: unitarity of H, the adjointness of L and
-    Lambda and the level rescaling follow from sparse identities between
-    H, L, P and S and from scalar identities in the Hodge factors, checked
-    without reading any Gram block.
+    (n, a, b, mode) and never inverted.  They serve `metric`, `qkahler
+    gram` and the certificate queries; the verify suites read them only
+    through the pinned rank-1 and rank-2 metric values, and take this
+    construction as given: unitarity of H, the adjointness of L and Lambda,
+    the level rescaling, conjugate symmetry and positive definiteness follow
+    from identities between H, L, P and S on the string basis, from scalar
+    identities in the Hodge factors and from the seed blocks of
+    `seed_block`, with no Gram block read.
     """
     return (serre_pairing(n, a, b) @ hodge_block(n, b, a, mode)
             @ star_matrix(n, a, b))
+
+
+@memoize
+def seed_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
+    """Gram matrix G0 of the primitive seeds of (a, b), k' = a+b <= n and
+    m = n-k': entry (r, c) is <alpha_r, alpha_c> = vol(alpha_r ^
+    H(star(alpha_c))), in `primitive_basis` order.
+
+    Star sends a seed to a combination of (b, a) seeds, which H sends to
+    c_0(b, a) times their L^m, and L commutes with star, so H(star(alpha)) =
+    c_0(b, a) star(L^m alpha).  Hence
+
+        G0 = c_0(b, a) . X^T . P_(a,b) . S_(n-b,n-a) . conj(Y),
+
+    X the level-0 members of `string_columns(n, a, b)`, Y the top members
+    L^m(alpha) of `string_columns(n, n-b, n-a)`, P the Serre pairing and S
+    the star matrix.  No Hodge block and no Gram block is read.  The verify
+    suites take G0 as the Gram matrix of the seeds on the premises that
+    derive the level rescaling; `tests/` checks it against X^T . G . conj(X).
+    """
+    m = n - a - b
+    src, dual = basis_bidegree(n, a, b), basis_bidegree(n, n - b, n - a)
+    xt = ScalarMatrix([to_coords(f, src) for j, _, _, f
+                      in string_columns(n, a, b) if j == 0], ncols=len(src))
+    y = ScalarMatrix.from_columns(
+        [to_coords(f, dual) for j, seed, _, f
+         in string_columns(n, n - b, n - a) if j == m and seed == (a, b)],
+        len(dual))
+    return (xt @ serre_pairing(n, a, b) @ star_matrix(n, n - b, n - a)
+            @ y.conjugate()).scale(hodge_factor(n, (b, a), 0, mode))
 
 
 def star_matrix(n: int, a: int, b: int) -> ScalarMatrix:
@@ -178,13 +218,26 @@ def certify_posdef(block: ScalarMatrix, q0) -> LDLCertificate:
 @memoize
 def serre_pairing(n: int, a: int, b: int) -> ScalarMatrix:
     """Wedge-to-volume pairing of the (a, b) and (n-a, n-b) components,
-    cached per (n, a, b): `gram` and the metric suite share one block."""
+    cached per (n, a, b): `gram`, `seed_block` and the premises on L share
+    one block.
+
+    The wedge keeps the torus weight of `fiber.weight` (every rewrite rule
+    does), and the top monomial has weight 0.  So a pair whose weights do
+    not sum to 0 wedges to a form with no top term, and its entry is a
+    structural zero: the right-hand basis is grouped by weight once, and
+    each row wedges only the class of the opposite weight."""
     left = basis_bidegree(n, a, b)
     right = basis_bidegree(n, n - a, n - b)
+    classes = {}
+    for c, mr in enumerate(right):
+        classes.setdefault(weight(mr, n), []).append((c, FiberForm(n, {mr: ONE})))
     rows = []
     for ml in left:
         fl = FiberForm(n, {ml: ONE})
-        rows.append([vol(fl.wedge(FiberForm(n, {mr: ONE}))) for mr in right])
+        row = [ZERO] * len(right)
+        for c, fr in classes.get(tuple(-w for w in weight(ml, n)), ()):
+            row[c] = vol(fl.wedge(fr))
+        rows.append(row)
     return ScalarMatrix(rows, ncols=len(right))
 
 

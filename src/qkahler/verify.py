@@ -13,14 +13,16 @@ which read no Hodge parameter, and once per rank and mode for the rest.
 `_premise_failure` runs a tuple in order up to its first failure, so a
 suite runs only the premises its entries reach.  Each derived entry names
 its tuple once, as a *_PREMISES constant or, for an sl2 relation, through
-`_relation_premises`.  H and L each meet the Serre law and the star law,
-one check each given the operator and its target map.  The hodge, metric
-and posdef entries that read a Hodge or Gram block directly check BASIS
+`_relation_premises`.  L meets the Serre law and the star law as block
+identities; the entries that read a Hodge block directly check BASIS
 first, and fail naming it, so no block is solved from a singular string
 basis.  On the string basis H, L, Lambda and the counting operators are
-weighted shifts, so the square of H, the lowering identity and every sl2
-relation are scalar identities, and no suite builds Lambda or multiplies
-two Hodge blocks.
+weighted shifts, so the square of H, its star and Serre symmetries, the
+lowering identity and every sl2 relation are scalar identities, and no
+suite builds Lambda or multiplies a Hodge block by anything but the
+string basis.  Conjugate symmetry and positivity of the Gram blocks rest
+on the seed blocks of `seed_block`, so only the pinned rank-1 and rank-2
+metric values read a Gram block.
 """
 
 from __future__ import annotations
@@ -42,9 +44,12 @@ from .lefschetz import (
 )
 from . import linalg
 from .linalg import ScalarMatrix
+# `gram` is read through this module by perfbench's self-test; no suite
+# reads a Gram block but through `metric`, for the pinned rank-1 and
+# rank-2 values
 from .hodge import (
     hodge, hodge_factor, hodge_operator, hodge_rule, metric, gram,
-    certify_posdef, serre_pairing, l_operator, star_matrix,
+    seed_block, certify_posdef, serre_pairing, l_operator, star_matrix,
     _first_block_failure, _first_nonzero,
 )
 from .uqsl2 import h_weight, k_weight, relation_defect, sl2_relations
@@ -94,6 +99,9 @@ SQUARE_FACTORS = "c_j c_(m-j) = (-1)^k' on every string"
 LOWERING_FACTORS = "(-1)^k' c_j c_(m-j+1) = [j]_h [m-j+1]_h on every string"
 LEVEL_FACTORS = "c_j / c_0 = [j]_h! [m]_h! / [m-j]_h! on every string"
 NONZERO_FACTORS = "lowering factors are nonzero"
+REAL_FACTORS = "c_j / c_0 is real on every string"
+POSITIVE_FACTORS = "c_j / c_0 > 0 at q0 on every string"
+SEEDS_HERMITIAN = "every seed block G0 is Hermitian"
 STAR_COMMUTES = "commutes with star on the basis"
 H_SERRE = "H is (-1)^k-symmetric for the Serre pairing"
 L_SERRE = "L is symmetric for the Serre pairing"
@@ -186,17 +194,23 @@ def _string_map_failure(n, op, target, rule):
                  if not holds(a, b)), None)
 
 
+def _seeds(n):
+    """The seed bidegrees (a', b'), a'+b' <= n, by degree, then by b'."""
+    return [(k - b, b) for k in range(n + 1) for b in range(k + 1)]
+
+
 def _factor_failure(n, mode, first, holds):
     """{"bidegree": [a', b'], "level": j} of the first seed bidegree, k' =
-    a'+b' and m = n-k', and level first <= j <= m where holds(c, k', j) is
-    false, c = [c_0, ..., c_m] the seed's `hodge_factor`s, else None."""
-    for k in range(n + 1):
-        for b in range(k + 1):
-            seed = (k - b, b)
-            c = [hodge_factor(n, seed, i, mode) for i in range(n - k + 1)]
-            for j in range(first, n - k + 1):
-                if not holds(c, k, j):
-                    return {"bidegree": list(seed), "level": j}
+    a'+b' and m = n-k', and level first <= j <= m where holds(c, k', j, d)
+    is false, c = [c_0, ..., c_m] the seed's `hodge_factor`s and d those of
+    (b', a'), else None."""
+    for seed in _seeds(n):
+        k = sum(seed)
+        c, d = ([hodge_factor(n, s, i, mode) for i in range(n - k + 1)]
+                for s in (seed, seed[::-1]))
+        for j in range(first, n - k + 1):
+            if not holds(c, k, j, d):
+                return {"bidegree": list(seed), "level": j}
     return None
 
 
@@ -205,32 +219,33 @@ def _signed(k, x):
     return -x if k % 2 else x
 
 
-def _serre_law_failure(n, op, target, sign):
-    """op is sign-symmetric for the Serre pairing P: op_src^T . P_tgt =
-    sign(src) P_src . op_(n-tgt) on every src with a target in the fiber,
-    tgt = target(src).  The witness of `_first_block_failure`, else None."""
+def _serre_law_failure(n, op):
+    """op, raising (a, b) to (a+1, b+1), is symmetric for the Serre pairing
+    P: op_src^T . P_tgt = P_src . op_(n-tgt) on every src with a target in
+    the fiber, tgt = src + (1, 1).  The witness of `_first_block_failure`,
+    else None."""
     def blocks(a, b):
-        tgt = target(a, b)
-        dual = tuple(n - x for x in tgt)
-        return ((a, b), tgt,
-                [(op.blocks[a, b][1].transpose(), serre_pairing(n, *tgt)),
-                 (serre_pairing(n, a, b).scale(-sign(a, b)),
-                  op.blocks[dual][1])])
-    return _first_block_failure(blocks(a, b) for a, b in _targeted(n, target))
+        return ((a, b), (a + 1, b + 1),
+                [(op.blocks[a, b][1].transpose(),
+                  serre_pairing(n, a + 1, b + 1)),
+                 (serre_pairing(n, a, b).scale(-ONE),
+                  op.blocks[n - a - 1, n - b - 1][1])])
+    return _first_block_failure(blocks(a, b)
+                                for a, b in product(range(n), repeat=2))
 
 
-def _star_law_failure(n, op, target):
-    """op commutes with star: op_(b,a) . S_(a,b) = S_tgt . conj(op_(a,b)) on
-    every (a, b) with a target in the fiber, tgt = target(a, b) and S the
-    star matrices.  The witness of `_first_block_failure`, named by the
-    bidegree where both sides land, the star of tgt, else None."""
+def _star_law_failure(n, op):
+    """op, raising (a, b) to (a+1, b+1), commutes with star: op_(b,a) .
+    S_(a,b) = S_(a+1,b+1) . conj(op_(a,b)) on every (a, b) with a target in
+    the fiber, S the star matrices.  The witness of `_first_block_failure`,
+    named by the bidegree where both sides land, (b+1, a+1), else None."""
     def blocks(a, b):
-        tgt = target(a, b)
-        return ((a, b), tgt[::-1],
+        return ((a, b), (b + 1, a + 1),
                 [(op.blocks[b, a][1], star_matrix(n, a, b)),
-                 (star_matrix(n, *tgt).scale(-ONE),
+                 (star_matrix(n, a + 1, b + 1).scale(-ONE),
                   op.blocks[a, b][1].conjugate())])
-    return _first_block_failure(blocks(a, b) for a, b in _targeted(n, target))
+    return _first_block_failure(blocks(a, b)
+                                for a, b in product(range(n), repeat=2))
 
 
 # name -> check(n, mode), the witness of a failure or None when it holds
@@ -247,29 +262,46 @@ PREMISES = {
         n, hodge_operator(n, mode), lambda a, b: (n - b, n - a),
         hodge_rule(n, mode)),
     SQUARE_FACTORS: lambda n, mode: _factor_failure(
-        n, mode, 0, lambda c, k, j: _signed(k, c[j] * c[n - k - j]) == ONE),
+        n, mode, 0, lambda c, k, j, _: _signed(k, c[j] * c[n - k - j]) == ONE),
     LOWERING_FACTORS: lambda n, mode: _factor_failure(
-        n, mode, 1, lambda c, k, j: _signed(k, c[j] * c[n - k - j + 1])
+        n, mode, 1, lambda c, k, j, _: _signed(k, c[j] * c[n - k - j + 1])
         == lambda_string_factor(n, k, j, mode)),
     LEVEL_FACTORS: lambda n, mode: _factor_failure(
-        n, mode, 1, lambda c, k, j: c[j] == c[0] * qfact(j, mode)
+        n, mode, 1, lambda c, k, j, _: c[j] == c[0] * qfact(j, mode)
         * qfact(n - k, mode) / qfact(n - k - j, mode)),
+    REAL_FACTORS: lambda n, mode: _factor_failure(
+        n, mode, 1, lambda c, k, j, _: c[j] / c[0] == (c[j] / c[0]).conjugate()),
     # With the basis and lowering premises this decides "primitives are
     # exactly the lowering kernel, by rank", with no rank of Lambda: in
     # string coordinates Lambda_(a,b) sends each member above level 0 to a
     # nonzero multiple of a member of its own, and each seed to 0, so its
     # kernel is the span of the seeds.
     NONZERO_FACTORS: lambda n, mode: _factor_failure(
-        n, mode, 1, lambda c, k, j: bool(lambda_string_factor(n, k, j, mode))),
-    STAR_COMMUTES: lambda n, mode: _star_law_failure(
-        n, hodge_operator(n, mode), lambda a, b: (n - b, n - a)),
-    H_SERRE: lambda n, mode: _serre_law_failure(
-        n, hodge_operator(n, mode), lambda a, b: (n - b, n - a),
-        lambda a, b: _signed(a + b, ONE)),
-    L_SERRE: lambda n, mode: _serre_law_failure(
-        n, l_operator(n), lambda a, b: (a + 1, b + 1), lambda a, b: ONE),
-    L_STAR: lambda n, mode: _star_law_failure(
-        n, l_operator(n), lambda a, b: (a + 1, b + 1)),
+        n, mode, 1,
+        lambda c, k, j, _: bool(lambda_string_factor(n, k, j, mode))),
+    # With STAR_PREMISES before it: H sends L^j(alpha), alpha a seed of (a',
+    # b'), to c_j L^(m-j)(alpha).  L^(m+1) kills star(alpha) (L-star), so it
+    # is a combination of (b', a') seeds (raising, basis), and H(star(L^j
+    # alpha)) = c_j(b', a') L^(m-j)(star(alpha)), while star(H(L^j alpha)) =
+    # conj(c_j(a', b')) L^(m-j)(star(alpha)), a nonzero member.
+    STAR_COMMUTES: lambda n, mode: _factor_failure(
+        n, mode, 0, lambda c, k, j, d: d[j] == c[j].conjugate()),
+    # With the basis, raising, H . S = C and L-Serre before it (as in
+    # UNITARY_PREMISES): take L^i(alpha) in (a, b) and
+    # L^j(beta) in (b, a), alpha and beta seeds.  Moving L across the Serre
+    # pairing, both sides of vol(H L^i alpha ^ L^j beta) = (-1)^(a+b)
+    # vol(L^i alpha ^ H L^j beta) reduce to a multiple of vol(alpha ^ L^t
+    # beta), which is 0 unless i = j (as for LEVEL_PREMISES); for i = j they
+    # are c_i(a', b') F and (-1)^(a+b) c_i(b', a') F, F = vol(alpha ^ L^m
+    # beta), and a+b = a'+b' mod 2.
+    H_SERRE: lambda n, mode: _factor_failure(
+        n, mode, 0, lambda c, k, j, d: c[j] == _signed(k, d[j])),
+    SEEDS_HERMITIAN: lambda n, mode: next((
+        {"bidegree": list(seed)} for seed in _seeds(n)
+        if seed_block(n, *seed, mode)
+        != seed_block(n, *seed, mode).transpose().conjugate()), None),
+    L_SERRE: lambda n, mode: _serre_law_failure(n, l_operator(n)),
+    L_STAR: lambda n, mode: _star_law_failure(n, l_operator(n)),
 }
 # the premises that read no Hodge parameter, checked once per rank
 MODE_FREE = frozenset({OVERLAPS, STAR_GENERATORS, STAR_RULES,
@@ -300,16 +332,21 @@ def _premise_failure(n, mode, names):
 # block is solved from a singular string basis.  Given the basis and
 # H . S = C, H is the weighted shift j -> m-j with weights c_j.
 SQUARE_PREMISES = (BASIS, HODGE_STRINGS, SQUARE_FACTORS)
+# H commutes with star: see the STAR_COMMUTES row of PREMISES.
+STAR_PREMISES = (BASIS, RAISING, HODGE_STRINGS, L_STAR, STAR_COMMUTES)
 # `gram` builds G_(a,b) = P_(a,b) . H_(b,a) . S_(a,b), P the Serre pairing
 # and S the star matrices.  Taking that as given, substitute the Serre
-# symmetry of H, then star commutation, then the square:
+# symmetry of H (the H_SERRE row, on the basis, raising, H . S = C and
+# L-Serre), then star commutation, then the square:
 # H_(a,b)^T . G_(n-b,n-a) . conj(H_(a,b)) = G_(a,b), unitarity of H for the
 # metric with no Gram block read.
-UNITARY_PREMISES = SQUARE_PREMISES + (STAR_COMMUTES, H_SERRE)
+UNITARY_PREMISES = SQUARE_PREMISES + (RAISING, L_STAR, STAR_COMMUTES,
+                                      L_SERRE, H_SERRE)
 # Taking Lambda = H^-1 . L . H (`lambda_operator`) as given too, the
-# premises on L give L_(a,b)^T . G_(a+1,b+1) = G_(a,b) . conj(Lambda_(a+1,
-# b+1)): Lambda is the metric adjoint of L.
-ADJOINT_L_PREMISES = UNITARY_PREMISES + (L_SERRE, L_STAR)
+# premises on L, all among those of unitarity, give L_(a,b)^T .
+# G_(a+1,b+1) = G_(a,b) . conj(Lambda_(a+1,b+1)): Lambda is the metric
+# adjoint of L.
+ADJOINT_L_PREMISES = UNITARY_PREMISES
 # With raising too, Lambda = (-1)^(a+b) H . L . H sends L^j(alpha) to
 # (-1)^k' c_j c_(m-j+1) L^(j-1)(alpha) and kills the seeds.
 LOWERING_PREMISES = (BASIS, RAISING, HODGE_STRINGS, LOWERING_FACTORS)
@@ -324,6 +361,12 @@ LEVEL_PREMISES = (BASIS, RAISING, HODGE_STRINGS, L_SERRE, L_STAR)
 # times <alpha, beta>.  `gram`'s P . H . S is taken as given, as for
 # UNITARY_PREMISES.
 RESCALING_PREMISES = LEVEL_PREMISES + (LEVEL_FACTORS,)
+# So in string coordinates, S^T . G_(a,b) . conj(S) is block-diagonal by
+# level, and its level-j block is c_j / c_0 times the seed block G0 of
+# (a-j, b-j): `seed_block` is <alpha, beta> in closed form, by the same
+# argument.  S is invertible, so G_(a,b) is Hermitian when every c_j / c_0
+# is real and every G0 is Hermitian.
+SYMMETRIC_PREMISES = RESCALING_PREMISES + (REAL_FACTORS, SEEDS_HERMITIAN)
 # L^(n-k) sends each degree-k member L^j(alpha) to the member
 # L^(n-k+j)(alpha) of degree 2n-k, and every degree-(2n-k) member is hit
 # once: a bijection between two bases.
@@ -504,9 +547,8 @@ def suite_hodge(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
         if tgt != (n - src[1], n - src[0])), None)
     out.append(_entry("hodge", "component map (a,b) -> (n-b,n-a)",
                       wit is None, witness=wit))
-    commutes = basis or _premise(STAR_COMMUTES, n, mode)
-    out.append(_entry("hodge", STAR_COMMUTES, commutes is None,
-                      witness=commutes))
+    wit = _premise_failure(n, mode, STAR_PREMISES)
+    out.append(_entry("hodge", STAR_COMMUTES, wit is None, witness=wit))
 
     wit = _premise_failure(n, mode, UNITARY_PREMISES)
     out.append(_entry("hodge", "unitary for the fiber metric, blockwise",
@@ -580,9 +622,7 @@ def suite_metric(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
     out = []
     basis = _premise_failure(n, mode, (BASIS,))
 
-    wit = basis or _first_bidegree(
-        n, lambda a, b: gram(n, a, b, mode)
-        == gram(n, a, b, mode).transpose().conjugate())
+    wit = _premise_failure(n, mode, SYMMETRIC_PREMISES)
     out.append(_entry("metric", "Gram blocks are conjugate-symmetric",
                       wit is None, witness=wit))
 
@@ -739,15 +779,38 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
 # posdef
 # ---------------------------------------------------------------------------
 
+def _positive_failure(n, mode, q0):
+    """{"premise": POSITIVE_FACTORS, "bidegree": [a', b'], "level": j,
+    "q0": q0} of the first seed and level where c_j / c_0 at q0 is not a
+    positive real, else None."""
+    def positive(c, k, j, _):
+        x = (c[j] / c[0]).evaluate(q0)
+        return x.is_real() and x.re > 0
+    wit = _factor_failure(n, mode, 1, positive)
+    return None if wit is None else {"premise": POSITIVE_FACTORS, **wit,
+                                     "q0": str(q0)}
+
+
 def suite_posdef(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
+    """One entry per q0, derived from the seed blocks.  Given
+    SYMMETRIC_PREMISES, D = S^T . G . conj(S) is block-diagonal with blocks
+    (c_j / c_0) G0.  When every c_j / c_0 is positive at q0 and the exact
+    LDL* of every seed block G0 there has positive pivots, D(q0) is
+    positive definite, so S(q0) is invertible and, by Sylvester's law of
+    inertia, every Gram block G(q0) is positive definite.  This takes S and
+    G to have no pole at q0; tests/ certifies every Gram block directly at
+    n <= 4.  A failing entry names the first failing premise, or the seed
+    bidegree whose G0 fails."""
     out = []
-    basis = _premise_failure(n, mode, (BASIS,))
     for q0 in q_samples:
-        wit = basis or next((
-            {"bidegree": [a, b], "q0": str(q0), "reason": cert.reason}
-            for a, b in product(range(n + 1), repeat=2)
-            for cert in (certify_posdef(gram(n, a, b, mode), q0),)
-            if not cert.positive_definite), None)
+        wit = (_premise_failure(n, mode, SYMMETRIC_PREMISES)
+               or _positive_failure(n, mode, q0) or next((
+                   {"bidegree": list(seed), "q0": str(q0),
+                    "reason": cert.reason}
+                   for seed in _seeds(n)
+                   for cert in (certify_posdef(seed_block(n, *seed, mode),
+                                               q0),)
+                   if not cert.positive_definite), None))
         out.append(_entry("posdef",
                           f"all Gram blocks positive definite at q0 = {q0}",
                           wit is None, witness=wit))

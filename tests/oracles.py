@@ -6,12 +6,16 @@ numbers, Sylvester minors for positivity, and rewrite reducers that walk
 words from the right instead of the left.  Slow but transparently correct,
 which is what an oracle is for.  Nothing here imports the linear algebra,
 rewrite, or Hodge code under test; only the scalar type is shared, and the
-scalar type has its own dict-arithmetic oracle below.  Five exceptions sit
+scalar type has its own dict-arithmetic oracle below.  Six exceptions sit
 at the end.  The form-level metric wedges forms through the engine's Hodge
 map, so it checks the Gram-block path of `metric` and nothing else.  The
 direct adjointness check reads the engine's Gram blocks and zero test: it
 is the block check that the verify suites' derived adjoint entries stand in
 for, kept here so that tests can hold the two against each other.  The
+direct star and Serre checks of the Hodge blocks read the engine's star
+matrices, Serre pairing and zero test in the same way, against the factor
+identities the suites check instead, and the all-pairs Serre pairing wedges
+every pair of basis monomials, against the weight-restricted pairing.  The
 direct level-rescaling check and the exact-rank Lefschetz isomorphism
 check read the engine's Gram blocks, string basis and raising powers in
 the same way, against the entries the suites derive instead.  The
@@ -30,12 +34,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import product
 
 from qkahler import linalg
-from qkahler.fiber import basis_bidegree, basis_degree
+from qkahler.fiber import FiberForm, basis_bidegree, basis_degree
 from qkahler.hodge import (
     GradedOperator, _first_block_failure, _first_nonzero, gram, hodge,
-    l_operator, vol,
+    l_operator, serre_pairing, star_matrix, vol,
 )
 from qkahler.lefschetz import l_power_matrix, string_columns, to_coords
 from qkahler.linalg import ScalarMatrix
@@ -433,6 +438,46 @@ def adjoint_defect(op, other, mode=H_EQ_Q):
     hit = {tgt for tgt, _ in op.blocks.values()}
     extra = min((src for src in other.blocks if src not in hit), default=None)
     return None if extra is None else {"bidegree": list(extra)}
+
+
+# ---------------------------------------------------------------------------
+# direct star and Serre symmetries of the Hodge blocks, all-pairs Serre pairing
+# ---------------------------------------------------------------------------
+
+def hodge_star_defect(n, op):
+    """None when the Hodge operator op commutes with star on every block,
+    H_(b,a) . S_(a,b) = S_(n-b,n-a) . conj(H_(a,b)), S the star matrices;
+    else the witness of `_first_block_failure`, named by (a, b) and the
+    bidegree (n-a, n-b) where both sides land."""
+    return _first_block_failure(
+        ((a, b), (n - a, n - b),
+         [(op.blocks[b, a][1], star_matrix(n, a, b)),
+          (star_matrix(n, n - b, n - a).scale(-ONE),
+           op.blocks[a, b][1].conjugate())])
+        for a, b in product(range(n + 1), repeat=2))
+
+
+def hodge_serre_defect(n, op):
+    """None when the Hodge operator op is (-1)^(a+b)-symmetric for the Serre
+    pairing P on every block, H_(a,b)^T . P_(n-b,n-a) = (-1)^(a+b) P_(a,b) .
+    H_(b,a); else the witness of `_first_block_failure`, named by (a, b) and
+    its target (n-b, n-a)."""
+    return _first_block_failure(
+        ((a, b), (n - b, n - a),
+         [(op.blocks[a, b][1].transpose(), serre_pairing(n, n - b, n - a)),
+          (serre_pairing(n, a, b).scale(ONE if (a + b) % 2 else -ONE),
+           op.blocks[b, a][1])])
+        for a, b in product(range(n + 1), repeat=2))
+
+
+def serre_pairing_all_pairs(n, a, b):
+    """The Serre pairing of (a, b) with (n-a, n-b), one wedge per pair of
+    basis monomials, whatever their weights."""
+    right = basis_bidegree(n, n - a, n - b)
+    return ScalarMatrix(
+        [[vol(FiberForm(n, {ml: ONE}).wedge(FiberForm(n, {mr: ONE})))
+          for mr in right] for ml in basis_bidegree(n, a, b)],
+        ncols=len(right))
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,14 @@ import pytest
 
 import qkahler
 from qkahler import linalg
-from qkahler.fiber import FiberForm, basis_bidegree, basis_degree, e_minus, e_plus
+from qkahler.fiber import (
+    FiberForm, basis_bidegree, basis_degree, e_minus, e_plus, weight,
+)
 from qkahler.hodge import (
     GradedOperator, certify_posdef, gram, gram_to_json,
-    hodge, hodge_block, hodge_inverse, hodge_operator, l_operator, lambda_apply,
-    lambda_operator, metric, serre_pairing, star_matrix, vol,
+    hodge, hodge_block, hodge_factor, hodge_inverse, hodge_operator,
+    l_operator, lambda_apply, lambda_operator, metric, seed_block,
+    serre_pairing, star_matrix, vol,
 )
 from qkahler.lefschetz import (
     L_power, from_coords, kappa, kappa_power, l_matrix, primitive_basis,
@@ -35,7 +38,7 @@ from oracles import (
     C_ONE, C_ZERO, adjoint_defect, c_add, c_matmul, c_mul, combination_defect,
     compose, diagonal, dict_add, dict_mul, eval_matrix, eval_scalar,
     form_metric, gauss_inverse, gauss_rank, h_operator, k_operator,
-    naive_qfact, scale,
+    naive_qfact, scale, serre_pairing_all_pairs,
 )
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)))
@@ -288,6 +291,41 @@ def test_serre_pairing_is_nondegenerate():
                     assert linalg.rank(serre_pairing(n, a, b)) == dim
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_serre_pairing_matches_the_all_pairs_wedge(n):
+    """The pairing wedges only pairs of opposite torus weight; every other
+    pair of basis monomials wedges to a form with no top term."""
+    for a in range(n + 1):
+        for b in range(n + 1):
+            assert serre_pairing(n, a, b) == serre_pairing_all_pairs(n, a, b)
+
+
+def test_serre_pairing_wedges_only_opposite_weights(monkeypatch):
+    """At n = 3 the Serre pairings take sum over (a, b) of the pairs of
+    opposite weight in (a, b) x (3-a, 3-b) wedges, not all 20^2 = 400."""
+    opposite = sum(
+        sum(1 for ml in basis_bidegree(3, a, b)
+            for mr in basis_bidegree(3, 3 - a, 3 - b)
+            if all(x + y == 0 for x, y in zip(weight(ml, 3), weight(mr, 3))))
+        for a in range(4) for b in range(4))
+    calls = []
+    wedge = FiberForm.wedge
+
+    def counting(self, other):
+        calls.append(1)
+        return wedge(self, other)
+
+    serre_pairing.cache_clear()
+    monkeypatch.setattr(FiberForm, "wedge", counting)
+    try:
+        for a in range(4):
+            for b in range(4):
+                serre_pairing(3, a, b)
+    finally:
+        serre_pairing.cache_clear()
+    assert len(calls) == opposite < 400
+
+
 def test_gram_json_and_posdef_certificates():
     doc = gram_to_json(2, 1, 1)
     assert doc["bidegree"] == [1, 1]
@@ -507,6 +545,8 @@ def test_lambda_operator_is_built_once_per_rank_and_mode():
 
 def test_memo_keys_fill_in_defaults_and_keywords():
     assert gram(2, 0, 0) is gram(2, 0, 0, H_EQ_Q)
+    assert seed_block(2, 1, 0) is seed_block(2, 1, 0, H_EQ_Q)
+    assert hodge_factor(3, (1, 0), 1) is hodge_factor(3, (1, 0), 1, H_EQ_Q)
     assert qfact(3) is qfact(3, H_EQ_Q)
     assert qint(3, mode=H_EQ_Q) is qint(3, H_EQ_Q)
     for _ in range(2):

@@ -22,8 +22,8 @@ from qkahler.fiber import FiberForm, basis_bidegree
 from qkahler.hodge import GradedOperator
 from qkahler.lefschetz import L_power, primitive_basis, string_columns, to_coords
 from qkahler.scalars import (
-    H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, ZERO, i_power, qfact,
-    render_scalar,
+    H_EQ_ONE, H_EQ_Q, HodgeMode, I, ONE, Q, ZERO, i_power, parse_scalar,
+    qfact, render_scalar,
 )
 from qkahler.verify import DEFAULT_Q_SAMPLES, SUITES, run_suites
 
@@ -99,15 +99,17 @@ def test_posdef_suite_emits_certificates_per_sample():
         assert any(s in e["name"] for e in passed)
 
 
-def test_posdef_suite_certifies_the_requested_mode(monkeypatch):
+def test_posdef_suite_certifies_the_requested_mode(monkeypatch,
+                                                   clear_premises):
     asked = set()
-    real_gram = verify.gram
+    real_seed_block = verify.seed_block
 
-    def recording_gram(n, a, b, mode):
+    def recording_seed_block(n, a, b, mode):
         asked.add(mode)
-        return real_gram(n, a, b, mode)
+        return real_seed_block(n, a, b, mode)
 
-    monkeypatch.setattr(verify, "gram", recording_gram)
+    monkeypatch.setattr(verify, "seed_block", recording_seed_block)
+    clear_premises()
     for mode in MODES:
         asked.clear()
         _, failures = run_suites(["posdef"], 2, mode)
@@ -125,13 +127,14 @@ def test_posdef_witness_names_the_first_failing_block(monkeypatch):
         return dataclasses.replace(cert, positive_definite=False,
                                    reason="rejected")
 
-    # At n = 2 the 2x2 blocks are (0,1), (1,0), (1,2) and (2,1).
+    # The posdef suite certifies the seed blocks, by degree and then b'.  At
+    # n = 2 the 2x2 ones are those of the seeds of (1,0) and (0,1).
     monkeypatch.setattr(verify, "certify_posdef", reject_2x2)
     entries, failures = run_suites(["posdef"], 2, H_EQ_Q)
     assert len(failures) == len(entries) == len(DEFAULT_Q_SAMPLES)
     for entry, q0 in zip(entries, DEFAULT_Q_SAMPLES):
         assert entry["status"] == "fail"
-        assert entry["witness"] == {"bidegree": [0, 1], "q0": q0,
+        assert entry["witness"] == {"bidegree": [1, 0], "q0": q0,
                                     "reason": "rejected"}
 
 
@@ -437,10 +440,14 @@ def clear_premises():
 # naming that premise, and a fault in the H or K weights fails the
 # relations that hold H or K.  No suite reads Lambda, so a fault in Lambda
 # fails nothing; the direct tests of tests/test_uqsl2.py catch it
-# (`test_direct_relation_tests_catch_a_lambda_fault`).  UNITARY and ADJ_L
-# are derived from the square's premises and from block premises on H, L,
-# the Serre pairing and the star matrices, and read no Gram block: a fault
-# in one of those fails them, a fault in `gram` does not.  The qint fault
+# (`test_direct_relation_tests_catch_a_lambda_fault`).  STAR rests on the
+# basis, raising, H . S = C, L-star and a factor identity, and UNITARY and
+# ADJ_L on the square's premises, raising, the star and Serre laws of L and
+# the factor identities of H's star and Serre symmetries; none reads a Gram
+# block or multiplies a Hodge block by anything but the string basis.  So
+# a fault in L fails all three, naming raising, a fault in the Serre
+# pairing or the star matrices fails them through the laws of L, and a
+# fault in `gram` fails none.  The qint fault
 # moves [2]_h as the sl2 module reads it: [H,L] fails its own identity, and
 # the relations that hold Lambda fail the lowering factors.  The literal
 # form, expected to differ for h != 1, fails in hq too when a premise of
@@ -450,7 +457,7 @@ FAULTS = [
      {SQUARE, STAR, UNITARY, ADJ_L, "rank-2 table: *(e+[1])",
       "rank-2 table: *(e+[2])", LLAM, HLAM, KLAM, LITERAL, CASIMIR}),
     (_l_entry_fault, H_EQ_Q,
-     {HL, LLAM, HLAM, KL, KLAM, LITERAL, CASIMIR, ADJ_L}),
+     {STAR, UNITARY, HL, LLAM, HLAM, KL, KLAM, LITERAL, CASIMIR, ADJ_L}),
     (_gram_entry_fault, H_EQ_Q, set()),
     (_h_eigenvalue_fault, H_EQ_Q, {HL, LLAM, HLAM, ADJ_H}),
     (_h_eigenvalue_fault, H_EQ_ONE, {HL, LLAM, HLAM, LITERAL, ADJ_H}),
@@ -459,7 +466,8 @@ FAULTS = [
     (_serre_entry_fault, H_EQ_Q, {UNITARY, ADJ_L}),
     (_serre_entry_fault, H_EQ_ONE, {UNITARY, ADJ_L}),
     (_star_entry_fault, H_EQ_Q, {STAR, UNITARY, ADJ_L}),
-    (_l_entry_fault, H_EQ_ONE, {HL, LLAM, HLAM, KL, KLAM, LITERAL, ADJ_L}),
+    (_l_entry_fault, H_EQ_ONE,
+     {STAR, UNITARY, HL, LLAM, HLAM, KL, KLAM, LITERAL, ADJ_L}),
     (_lambda_entry_fault((1, 1)), H_EQ_Q, set()),
     (_hodge_entry_fault, H_EQ_Q,
      {SQUARE, STAR, UNITARY, ADJ_L, "rank-2 table: *(e+[2])", LLAM, HLAM,
@@ -506,11 +514,12 @@ def _canonical_premise_failure(premises):
                  if wit is not None), None)
 
 
-def _canonical_string_premises(n, mode):
-    """{name: witness} of the premises on the string basis, each from
-    canonical products: the L and H blocks times the string basis against
-    the image of each member built form by form, and the factor identities
-    from the formula for c_j."""
+def _canonical_premises(n, mode):
+    """{name: witness} of the premises on the string basis and on L, each
+    from canonical products: the L and H blocks times the string basis
+    against the image of each member built form by form, the star and Serre
+    laws of L as dense block products, and the factor identities from the
+    formula for c_j."""
     def c(seed, j):
         kp = sum(seed)
         return ((-ONE if kp * (kp + 1) // 2 % 2 else ONE)
@@ -542,7 +551,23 @@ def _canonical_string_premises(n, mode):
                      if not holds((k - b, b), n - k, j)), None)
 
     every = list(product(range(n + 1), repeat=2))
+    star = GradedOperator(n, {(a, b): ((b, a), verify.star_matrix(n, a, b))
+                              for a, b in every})
+    l_op = verify.l_operator(n)
+    lower = {src: mat for src, (_, mat) in l_op.blocks.items()}
+    p = verify.serre_pairing
     return {
+        L_STAR: _canonical_defect([(ONE, [l_op, star]),
+                                   (-ONE, [star, conjugate(l_op)])]),
+        L_SERRE: _first_entry({
+            ((a, b), (a + 1, b + 1)): _sum(
+                lower[a, b].transpose() @ p(n, a + 1, b + 1),
+                -p(n, a, b) @ lower[n - a - 1, n - b - 1])
+            for a, b in product(range(n), repeat=2)}),
+        STAR: first_factor(
+            lambda seed, m, j: c(seed[::-1], j) == c(seed, j).conjugate()),
+        H_SERRE: first_factor(
+            lambda seed, m, j: c(seed, j) == sign(seed) * c(seed[::-1], j)),
         verify.BASIS: next(({"bidegree": [a, b]} for a, b in every
                             if linalg.rank(verify.string_basis_matrix(n, a, b))
                             != len(basis_bidegree(n, a, b))), None),
@@ -576,45 +601,24 @@ def _canonical_witnesses(n, mode):
     """The witness of every hodge and lids identity entry, from lhs - rhs
     built as canonical operators or dense shift matrices out of what the
     suites read, a derived entry's from its canonical premises."""
-    strings = _canonical_string_premises(n, mode)
+    known = _canonical_premises(n, mode)
 
     def premises(*names):
-        return [(name, strings[name]) for name in names]
+        return [(name, known[name]) for name in names]
 
-    sign = diagonal(n, lambda a, b: -ONE if (a + b) % 2 else ONE)
-    star_op = verify.hodge_operator(n, mode)
-    star = GradedOperator(n, {(a, b): ((b, a), verify.star_matrix(n, a, b))
-                              for a in range(n + 1) for b in range(n + 1)})
-    l_op = verify.l_operator(n)
-    out = {
-        STAR: _canonical_defect([(ONE, [star_op, star]),
-                                 (-ONE, [star, conjugate(star_op)])]),
-        L_STAR: _canonical_defect([(ONE, [l_op, star]),
-                                   (-ONE, [star, conjugate(l_op)])]),
-    }
+    out = {}
     relations, _ = uqsl2.sl2_relations(n, mode)
     for name, terms, _ in relations:
         out[name] = (_canonical_premise_failure(
             premises(*verify._relation_premises(terms)))
             or shift_relation_defect(n, terms))
-    p = verify.serre_pairing
-    out[H_SERRE] = _first_entry({
-        (src, tgt): _sum(mat.transpose() @ p(n, *tgt),
-                         -p(n, *src).scale(sign.blocks[src][1].rows[0][0])
-                         @ star_op.blocks[src[::-1]][1])
-        for src, (tgt, mat) in star_op.blocks.items()})
-    lower = {src: mat for src, (_, mat) in l_op.blocks.items()}
-    out[L_SERRE] = _first_entry({
-        ((a, b), (a + 1, b + 1)): _sum(
-            lower[a, b].transpose() @ p(n, a + 1, b + 1),
-            -p(n, a, b) @ lower[n - a - 1, n - b - 1])
-        for a, b in product(range(n), repeat=2)})
-    square = premises(*verify.SQUARE_PREMISES)
-    out[SQUARE] = _canonical_premise_failure(square)
-    unitary = square + [(name, out[name]) for name in (STAR, H_SERRE)]
-    out[UNITARY] = _canonical_premise_failure(unitary)
-    out[ADJ_L] = _canonical_premise_failure(
-        unitary + [(name, out[name]) for name in (L_SERRE, L_STAR)])
+    out[SQUARE] = _canonical_premise_failure(
+        premises(verify.BASIS, HODGE_STRINGS, verify.SQUARE_FACTORS))
+    out[STAR] = _canonical_premise_failure(
+        premises(verify.BASIS, verify.RAISING, HODGE_STRINGS, L_STAR, STAR))
+    out[UNITARY] = out[ADJ_L] = _canonical_premise_failure(premises(
+        verify.BASIS, HODGE_STRINGS, verify.SQUARE_FACTORS, verify.RAISING,
+        L_STAR, STAR, L_SERRE, H_SERRE))
     out[ADJ_H] = _canonical_weight_failure(
         n, lambda m, j: uqsl2.h_weight(m, j, mode))
     out[ADJ_K] = _canonical_weight_failure(
@@ -644,18 +648,21 @@ def test_each_identity_entry_fails_under_its_fault(monkeypatch, clear_premises,
 
 
 # Each fault bumps one entry of one block that the premises read.  The
-# derived entries name the first premise it breaks, in the order basis,
-# H . S = C, square factors, star commutation, the Serre symmetry of H,
-# then the two premises on L; the last column is the set of the block
-# premises, the Serre and star laws applied to H and to L, that fail.
-BLOCK_PREMISES = (STAR, H_SERRE, L_SERRE, L_STAR)
+# derived entries name the first premise it breaks, in the order of their
+# tuples: basis, H . S = C and the square factors, then raising, L-star,
+# star commutation, L-Serre and the Serre symmetry of H.  The last column
+# is the set of the symmetry premises that fail: the star and Serre laws
+# of L, block identities, and the star and Serre symmetries of H, factor
+# identities that no block fault reaches.
+SYMMETRY_PREMISES = (STAR, H_SERRE, L_SERRE, L_STAR)
 PREMISE_FAULTS = [
-    (_serre_entry_fault, {UNITARY: H_SERRE, ADJ_L: H_SERRE},
-     {H_SERRE, L_SERRE}),
-    (_l_entry_fault, {ADJ_L: L_SERRE}, {L_SERRE}),
-    (_star_entry_fault, {UNITARY: STAR, ADJ_L: STAR}, {STAR, L_STAR}),
-    (_hodge_entry_fault, {SQUARE: HODGE_STRINGS, UNITARY: HODGE_STRINGS,
-                          ADJ_L: HODGE_STRINGS}, {STAR, H_SERRE}),
+    (_serre_entry_fault, {UNITARY: L_SERRE, ADJ_L: L_SERRE}, {L_SERRE}),
+    (_l_entry_fault, dict.fromkeys((STAR, UNITARY, ADJ_L), verify.RAISING),
+     {L_SERRE}),
+    (_star_entry_fault, dict.fromkeys((STAR, UNITARY, ADJ_L), L_STAR),
+     {L_STAR}),
+    (_hodge_entry_fault,
+     dict.fromkeys((SQUARE, STAR, UNITARY, ADJ_L), HODGE_STRINGS), set()),
 ]
 
 
@@ -666,25 +673,27 @@ PREMISE_FAULTS = [
     for mode, suffix in ((H_EQ_Q, ""), (H_EQ_ONE, "-h1"))])
 def test_derived_entries_name_the_premise_a_fault_breaks(
         monkeypatch, clear_premises, fault, derived, block, mode):
-    """Each block premise's witness is the first nonzero entry of its lhs -
-    rhs built canonically, so the Serre law's sign is checked in both
-    modes."""
+    """Each symmetry premise's witness is that of its canonical check: the
+    first nonzero entry of lhs - rhs for the laws of L, so the Serre law is
+    checked in both modes, and the first failing seed and level for the
+    factor identities."""
     n = 2
     fault(monkeypatch)
     clear_premises()
     _, failures = run_suites(["hodge", "lids"], n, mode)
     assert {e["name"]: e["witness"]["premise"] for e in failures
-            if e["name"] in (SQUARE, UNITARY, ADJ_L)} == derived
-    got = {name: verify._premise(name, n, mode) for name in BLOCK_PREMISES}
+            if e["name"] in (SQUARE, STAR, UNITARY, ADJ_L)} == derived
+    got = {name: verify._premise(name, n, mode) for name in SYMMETRY_PREMISES}
     assert {name for name, wit in got.items() if wit is not None} == block
-    witnesses = _canonical_witnesses(n, mode)
-    assert got == {name: witnesses[name] for name in BLOCK_PREMISES}
+    witnesses = _canonical_premises(n, mode)
+    assert got == {name: witnesses[name] for name in SYMMETRY_PREMISES}
 
 
 def test_each_premise_is_evaluated_once_per_rank_or_per_mode(
         monkeypatch, clear_premises):
     """With every check of the table counted: the hodge suite alone at n = 3
-    evaluates neither raising nor the lowering factors, and `--suite all`
+    evaluates neither the lowering or level factors nor the seed blocks,
+    and `--suite all`
     in hq and then h1, in one process, evaluates each mode-free premise
     once in total and each other premise once per mode."""
     calls = {}
@@ -700,7 +709,7 @@ def test_each_premise_is_evaluated_once_per_rank_or_per_mode(
     clear_premises()
     assert run_suites(["hodge"], 3, H_EQ_Q)[1] == []
     assert calls and not {name for name, _ in calls} & {
-        verify.RAISING, verify.LOWERING_FACTORS}
+        verify.LOWERING_FACTORS, verify.LEVEL_FACTORS, verify.SEEDS_HERMITIAN}
     for mode in (H_EQ_Q, H_EQ_ONE):
         assert run_suites("all", 3, mode)[1] == []
     assert calls == {
@@ -782,34 +791,63 @@ def test_direct_relation_tests_catch_a_lambda_fault(monkeypatch,
     assert adjoint_defect(verify.l_operator(n), lam, H_EQ_Q) is not None
 
 
-def _recorded_n3_digest(mode):
-    """The recorded sha256 of `verify -n 3 --suite all --mode <mode> --json`."""
-    if mode == "hq":
+def _recorded_digest(n, mode):
+    """The recorded sha256 of `verify -n <n> --suite all --mode <mode>
+    --json`, n = 3 or 4."""
+    if (n, mode) == (3, "hq"):
         reference = TESTS.parent / "perfbench" / "reference" / "verify-n3-hq.json"
         return json.loads(reference.read_text())["sha256"]
-    name = "verify-n3-h1" if mode == "h1" else "verify-n3-numeric"
+    name = {"hq": "hq", "h1": "h1", "numeric:9/10:7/8": "numeric"}[mode]
+    name = f"verify-n3-{name}" if n == 3 else f"verify-n4-all-{name}"
     return (TESTS / "golden" / f"{name}.sha256").read_text().split()[0]
 
 
-def _refused_n3_run(mode, refused):
-    """[exit code, sha256 of the JSON, products with a Hodge block on both
-    sides, products with a Gram block as a factor, whether any product was
-    formed] of `verify -n 3 --suite all --mode <mode> --json`, run in a fresh
-    interpreter with each `module.name` of refused patched to raise and
-    every block product recorded."""
+def _refused_run(n, mode, refused):
+    """{"rc", "digest", "hodge_pairs", "gram_pairs", "beyond_strings",
+    "formed"} of `verify -n <n> --suite all --mode <mode> --json`, run in a
+    fresh interpreter with each `module.name` of refused patched to raise
+    and every block product recorded: its exit code and the sha256 of its
+    JSON, the products with a Hodge block on both sides and with a Gram
+    block as a factor, the products other than H_(a,b) . S_(a,b), S the
+    string basis, with a factor made from a Hodge block by `transpose`,
+    `conjugate`, `scale` or negation or that block itself, and whether any
+    product was formed.  The refused functions are restored before the
+    Hodge and Gram blocks are read."""
     script = textwrap.dedent(f"""
         import contextlib, hashlib, io, json, sys
-        from qkahler import cli, linalg
+        from qkahler import cli, lefschetz, linalg
         from qkahler.cli import parse_mode
 
         hodge = sys.modules["qkahler.hodge"]
+        n, mode = {n}, parse_mode({mode!r})
 
         def refuse(*args):
             raise AssertionError("a refused function was called")
 
+        saved = []
         for target in {refused!r}:
             module, name = target.rsplit(".", 1)
-            setattr(sys.modules["qkahler." + module], name, refuse)
+            owner = sys.modules["qkahler." + module]
+            saved.append((owner, name, getattr(owner, name)))
+            setattr(owner, name, refuse)
+        # every matrix made from a Hodge block, kept alive so no id is reused
+        made, sources = [], {{}}
+        hodge_block = hodge.hodge_block
+
+        def tracking_block(*args):
+            block = hodge_block(*args)
+            made.append(block)
+            sources[id(block)] = args[1:3]
+            return block
+
+        hodge.hodge_block = tracking_block
+        for name in ("transpose", "conjugate", "scale", "__neg__"):
+            def derive(self, *args, real=getattr(linalg.ScalarMatrix, name)):
+                out = real(self, *args)
+                if any(self is m for m in made):
+                    made.append(out)
+                return out
+            setattr(linalg.ScalarMatrix, name, derive)
         pairs = []
         product_pairs, matmul = linalg.product_pairs, linalg.ScalarMatrix.__matmul__
 
@@ -825,18 +863,28 @@ def _refused_n3_run(mode, refused):
         linalg.ScalarMatrix.__matmul__ = recording_matmul
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            rc = cli.main(["verify", "-n", "3", "--suite", "all", "--mode",
+            rc = cli.main(["verify", "-n", str(n), "--suite", "all", "--mode",
                            {mode!r}, "--json"])
-        mode = parse_mode({mode!r})
-        blocks = {{id(hodge.hodge_block(3, a, b, mode))
-                   for a in range(4) for b in range(4)}}
-        grams = {{id(hodge.gram(3, a, b, mode))
-                  for a in range(4) for b in range(4)}}
-        print(json.dumps([
-            rc, hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            sum(id(x) in blocks and id(y) in blocks for x, y in pairs),
-            sum(id(x) in grams or id(y) in grams for x, y in pairs),
-            len(pairs) > 0]))
+        linalg.product_pairs, linalg.ScalarMatrix.__matmul__ = product_pairs, matmul
+        for owner, name, real in saved:
+            setattr(owner, name, real)
+        every = [(a, b) for a in range(n + 1) for b in range(n + 1)]
+        blocks = {{id(hodge.hodge_block(n, a, b, mode)) for a, b in every}}
+        grams = {{id(hodge.gram(n, a, b, mode)) for a, b in every}}
+        made = {{id(m) for m in made}}
+        print(json.dumps({{
+            "rc": rc,
+            "digest": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "hodge_pairs": sum(id(x) in blocks and id(y) in blocks
+                               for x, y in pairs),
+            "gram_pairs": sum(id(x) in grams or id(y) in grams
+                              for x, y in pairs),
+            "beyond_strings": sum(
+                (id(x) in made or id(y) in made) and not (
+                    id(x) in sources and y == lefschetz.string_basis_matrix(
+                        n, *sources[id(x)]))
+                for x, y in pairs),
+            "formed": len(pairs) > 0}}))
     """)
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=300)
@@ -850,9 +898,9 @@ def test_no_suite_builds_lambda_or_multiplies_two_hodge_blocks(mode):
     every block product recorded, `verify -n 3 --suite all` exits 0, its
     JSON has the recorded digest of the unpatched command, and no product
     has a Hodge block on both sides."""
-    rc, digest, both, _, formed = _refused_n3_run(
-        mode, ["hodge.lambda_operator"])
-    assert [rc, digest, both, formed] == [0, _recorded_n3_digest(mode), 0, True]
+    run = _refused_run(3, mode, ["hodge.lambda_operator"])
+    assert [run["rc"], run["digest"], run["hodge_pairs"], run["formed"]] == [
+        0, _recorded_digest(3, mode), 0, True]
 
 
 @pytest.mark.parametrize("mode", ["hq", "h1"])
@@ -862,9 +910,24 @@ def test_no_suite_takes_a_hodge_image_or_a_product_with_a_gram_block(mode):
     recorded digest of the unpatched command, and no product has a Gram
     block as a factor: the grading entries read the Hodge block targets and
     the star cache, and the rescaling entry forms no S_j^T . G."""
-    rc, digest, _, with_gram, formed = _refused_n3_run(mode, ["verify.hodge"])
-    assert [rc, digest, with_gram, formed] == [
-        0, _recorded_n3_digest(mode), 0, True]
+    run = _refused_run(3, mode, ["verify.hodge"])
+    assert [run["rc"], run["digest"], run["gram_pairs"], run["formed"]] == [
+        0, _recorded_digest(3, mode), 0, True]
+
+
+@pytest.mark.parametrize("n, mode", [
+    (n, mode) for n in (3, 4) for mode in ("hq", "h1", "numeric:9/10:7/8")])
+def test_no_suite_reads_a_gram_block_or_multiplies_a_hodge_block(n, mode):
+    """In a fresh interpreter, with `gram` patched to raise, `verify -n <n>
+    --suite all` exits 0 with the recorded digest of the unpatched command:
+    conjugate symmetry and positivity rest on the seed blocks.  At n = 3,
+    with every block product recorded, the only products with a Hodge
+    block, its transpose or its conjugate as a factor are H . S = C on the
+    string basis: H's star and Serre symmetries are factor identities."""
+    run = _refused_run(n, mode, ["hodge.gram", "verify.gram"])
+    assert [run["rc"], run["digest"]] == [0, _recorded_digest(n, mode)]
+    if n == 3:
+        assert [run["beyond_strings"], run["formed"]] == [0, True]
 
 
 @pytest.mark.parametrize("mode", ["hq", "h1"])
@@ -987,9 +1050,12 @@ def _qfact_fault(monkeypatch):
 # . S = C, premises of every derived entry but the isomorphism, which H
 # does not enter; [2]_h plus one breaks the lowering factors, and [2]_h!
 # plus one the level factors.  The Serre and star faults break the premises
-# on L, which the level and rescaling entries alone read.  The rescaling
-# entry takes `gram`'s construction as given, so a Gram fault fails only the
-# pinned value that reads it, and the isomorphism entry reads no matrix of
+# on L, which the level, rescaling and conjugate-symmetry entries alone
+# read.  Conjugate symmetry rests on the rescaling premises, so it fails
+# with the rescaling entry, naming the same premise.  The rescaling and
+# conjugate-symmetry entries take `gram`'s construction as given, so a Gram
+# fault fails only the pinned value that reads it, and the isomorphism
+# entry reads no matrix of
 # L^(n-k), so zeroing one fails nothing: the direct checks of
 # tests/oracles.py see both
 # (`test_direct_checks_catch_the_gram_and_l_power_faults_no_entry_sees`).
@@ -1012,22 +1078,23 @@ STRING_FAULTS = [
     }),
     (_gram_entry_fault, {"rank-2 value <e+[1],e+[1]> = q^-5": None}),
     (_l_entry_fault, dict.fromkeys(
-        (KILLED, LOWERING, KERNEL, ISO, LEVELS, RESCALING),
+        (KILLED, LOWERING, KERNEL, ISO, LEVELS, RESCALING, SYMMETRIC),
         {"premise": RAISING, "bidegree": [0, 0]})),
     (_serre_entry_fault, dict.fromkeys(
-        (LEVELS, RESCALING),
+        (LEVELS, RESCALING, SYMMETRIC),
         {"premise": L_SERRE, "bidegree": [1, 0], "target": [2, 1],
          "row": 0, "col": 0, "defect": "(i)*q^-1"})),
     (_star_entry_fault, dict.fromkeys(
-        (LEVELS, RESCALING),
+        (LEVELS, RESCALING, SYMMETRIC),
         {"premise": L_STAR, "bidegree": [1, 0], "target": [1, 2],
          "row": 1, "col": 0, "defect": "(-i)*q^-1"})),
     (_lefschetz_power_fault, {}),
     (_hodge_entry_fault, dict.fromkeys(
-        (KILLED, LOWERING, KERNEL, LEVELS, RESCALING), HODGE_BLOCK)),
+        (KILLED, LOWERING, KERNEL, LEVELS, RESCALING, SYMMETRIC), HODGE_BLOCK)),
     (_qint_fault, dict.fromkeys((KILLED, LOWERING, KERNEL), LOWERED)),
-    (_qfact_fault, {RESCALING: {"premise": verify.LEVEL_FACTORS,
-                                "bidegree": [0, 0], "level": 1}}),
+    (_qfact_fault, dict.fromkeys(
+        (RESCALING, SYMMETRIC),
+        {"premise": verify.LEVEL_FACTORS, "bidegree": [0, 0], "level": 1})),
 ]
 
 
@@ -1157,8 +1224,9 @@ def test_grading_entries_name_the_monomial_whose_image_strays(
     assert {e["name"]: e.get("witness") for e in failures} == want
 
 
-def _gram_off_diagonal_fault(monkeypatch):
-    true = verify.gram
+def _seed_off_diagonal_fault(monkeypatch):
+    """Entry (0,1) of the seed block of (1,0) plus one: no longer Hermitian."""
+    true = verify.seed_block
 
     def faulted(n, a, b, mode=H_EQ_Q):
         g = true(n, a, b, mode)
@@ -1168,7 +1236,7 @@ def _gram_off_diagonal_fault(monkeypatch):
         rows[0][1] = rows[0][1] + ONE
         return linalg.ScalarMatrix(rows)
 
-    monkeypatch.setattr(verify, "gram", faulted)
+    monkeypatch.setattr(verify, "seed_block", faulted)
 
 
 def _serre_pairing_fault(monkeypatch):
@@ -1181,17 +1249,192 @@ def _serre_pairing_fault(monkeypatch):
     monkeypatch.setattr(verify, "serre_pairing", faulted)
 
 
-@pytest.mark.parametrize("fault, name", [
-    (_gram_off_diagonal_fault, SYMMETRIC),
-    (_serre_pairing_fault, NONDEGENERATE),
+@pytest.mark.parametrize("fault, name, witness", [
+    (_seed_off_diagonal_fault, SYMMETRIC,
+     {"premise": verify.SEEDS_HERMITIAN, "bidegree": [1, 0]}),
+    (_serre_pairing_fault, NONDEGENERATE, {"bidegree": [1, 0]}),
 ], ids=["gram-entry-0-1", "serre-block-1-0"])
-def test_metric_block_entries_name_their_first_failing_block(monkeypatch,
-                                                             fault, name):
-    """At n = 2 the blocks of (0,0) and (0,1) come before (1,0), and pass."""
+def test_metric_block_entries_name_their_first_failing_block(
+        monkeypatch, clear_premises, fault, name, witness):
+    """At n = 2 the seed block of (0,0) and the Serre blocks of (0,0) and
+    (0,1) come before (1,0), and pass.  The first row breaks the Gram
+    matrix of the (1,0) seeds, a premise of conjugate symmetry."""
     fault(monkeypatch)
+    clear_premises()
     entry, = [e for e in verify.suite_metric(2) if e["name"] == name]
     assert entry["status"] == "fail"
-    assert entry["witness"] == {"bidegree": [1, 0]}
+    assert entry["witness"] == witness
+
+
+# ---------------------------------------------------------------------------
+# posdef: derived from the seed blocks
+# ---------------------------------------------------------------------------
+
+def _indefinite_seed_fault(monkeypatch):
+    """The seed block of (0,0) times 100 (q-1)^2 - 1/2: a real factor, so the
+    block stays Hermitian, which is 1/2 at q = 9/10 and 11/10 and -1/2 at
+    q = 1."""
+    true, factor = verify.seed_block, parse_scalar("100*q^2 - 200*q + 199/2")
+
+    def faulted(n, a, b, mode=H_EQ_Q):
+        g = true(n, a, b, mode)
+        return g.scale(factor) if (a, b) == (0, 0) else g
+
+    monkeypatch.setattr(verify, "seed_block", faulted)
+
+
+def _factor_sign_fault(monkeypatch):
+    """c_1 of the (0,0) seeds negated, as the factor premises read it; the
+    Hodge blocks keep the true factor."""
+    true = verify.hodge_factor
+
+    def faulted(n, seed, j, mode=H_EQ_Q):
+        c = true(n, seed, j, mode)
+        return -c if (seed, j) == ((0, 0), 1) else c
+
+    monkeypatch.setattr(verify, "hodge_factor", faulted)
+
+
+POSDEF = {q0: f"all Gram blocks positive definite at q0 = {q0}"
+          for q0 in DEFAULT_Q_SAMPLES}
+# The failing metric and posdef entries at n = 2, hq, with their witnesses.
+# Each posdef entry rests on the premises of conjugate symmetry, then on
+# c_j / c_0 > 0 at its q0, then on the LDL* of each seed block at its q0.
+# An indefinite seed form fails the posdef entry of that q0 alone, naming
+# the seed bidegree; a seed block that is not Hermitian fails conjugate
+# symmetry and every posdef entry; a negated c_1 breaks the level factors,
+# a premise of the rescaling entry and of both others.
+POSDEF_FAULTS = [
+    (_indefinite_seed_fault, {POSDEF["1"]: {
+        "bidegree": [0, 0], "q0": "1",
+        "reason": "no positive pivot available"}}),
+    (_seed_off_diagonal_fault, dict.fromkeys(
+        (SYMMETRIC, *POSDEF.values()),
+        {"premise": verify.SEEDS_HERMITIAN, "bidegree": [1, 0]})),
+    (_factor_sign_fault, dict.fromkeys(
+        (RESCALING, SYMMETRIC, *POSDEF.values()),
+        {"premise": verify.LEVEL_FACTORS, "bidegree": [0, 0], "level": 1})),
+]
+
+
+@pytest.mark.parametrize("fault, failing", POSDEF_FAULTS,
+                         ids=["indefinite-seed-at-1", "seed-entry-0-1",
+                              "c1-sign"])
+def test_each_metric_and_posdef_entry_fails_under_its_seed_fault(
+        monkeypatch, clear_premises, fault, failing):
+    assert run_suites(["metric", "posdef"], 2, H_EQ_Q)[1] == []
+    fault(monkeypatch)
+    clear_premises()
+    _, failures = run_suites(["metric", "posdef"], 2, H_EQ_Q)
+    assert {e["name"]: e.get("witness") for e in failures} == failing
+
+
+def test_posdef_names_a_negative_level_factor(monkeypatch, clear_premises):
+    """With c_1 of the (0,0) seeds negated and the level factors taken as
+    holding, each posdef entry names c_1 / c_0 > 0 at its q0: the sign is
+    checked apart from the identity that fixes it."""
+    _factor_sign_fault(monkeypatch)
+    monkeypatch.setitem(verify.PREMISES, verify.LEVEL_FACTORS,
+                        lambda n, mode: None)
+    clear_premises()
+    entries = run_suites(["posdef"], 2, H_EQ_Q)[0]
+    assert [e["witness"] for e in entries] == [
+        {"premise": verify.POSITIVE_FACTORS, "bidegree": [0, 0], "level": 1,
+         "q0": q0} for q0 in DEFAULT_Q_SAMPLES]
+
+
+@pytest.mark.parametrize("mode", [H_EQ_Q, H_EQ_ONE], ids=["hq", "h1"])
+def test_direct_gram_checks_agree_with_the_derived_entries(mode):
+    """At n <= 4 every Gram block is its own conjugate transpose and has an
+    exact LDL* with positive pivots at each default q0, each seed block is
+    X^T . G . conj(X), X the seeds in monomial coordinates, and the derived
+    conjugate-symmetry and posdef entries pass.  Evaluation at q0 is a ring
+    map, so the LDL* there is a necessary check of the derived entry, not a
+    proof of positivity, and one rank's agreement does not prove the
+    derivation."""
+    for n in range(1, 5):
+        status = {e["name"]: e["status"]
+                  for e in run_suites(["metric", "posdef"], n, mode)[0]}
+        assert status[SYMMETRIC] == "pass", n
+        assert all(status[name] == "pass" for name in POSDEF.values()), n
+        for a, b in product(range(n + 1), repeat=2):
+            g = hodge.gram(n, a, b, mode)
+            assert g == g.transpose().conjugate(), (n, a, b)
+            assert all(hodge.certify_posdef(g, q0).positive_definite
+                       for q0 in DEFAULT_Q_SAMPLES), (n, a, b)
+        for k in range(n + 1):
+            for b in range(k + 1):
+                x = oracles.level_coords(n, k - b, b, 0)
+                assert hodge.seed_block(n, k - b, b, mode) == (
+                    x.transpose() @ hodge.gram(n, k - b, b, mode)
+                    @ x.conjugate()), (n, k - b, b)
+
+
+@pytest.mark.parametrize("mode", [H_EQ_Q, H_EQ_ONE], ids=["hq", "h1"])
+def test_direct_hodge_star_and_serre_checks_agree_with_the_derived_entries(
+        mode):
+    """At n <= 4 the monomial-block checks of tests/oracles.py, H_(b,a) .
+    S_(a,b) = S_(n-b,n-a) . conj(H_(a,b)) and H_(a,b)^T . P_(n-b,n-a) =
+    (-1)^(a+b) P_(a,b) . H_(b,a), accept every Hodge block where the
+    derived star and unitarity entries pass.  A necessary check of the
+    derivation from the factor identities, not a proof of it."""
+    for n in range(1, 5):
+        op = verify.hodge_operator(n, mode)
+        assert oracles.hodge_star_defect(n, op) is None, n
+        assert oracles.hodge_serre_defect(n, op) is None, n
+        status = {e["name"]: e["status"] for e in verify.suite_hodge(n, mode)}
+        assert status[STAR] == status[UNITARY] == "pass", n
+
+
+def test_direct_hodge_star_and_serre_checks_reject_a_hodge_sign_fault(
+        monkeypatch, clear_premises):
+    """At n = 2, with the Hodge block of (1,0) negated, both block checks
+    reject H, and the derived entries fail on H . S = C."""
+    _hodge_sign_fault(monkeypatch)
+    clear_premises()
+    op = verify.hodge_operator(2, H_EQ_Q)
+    assert oracles.hodge_star_defect(2, op) is not None
+    assert oracles.hodge_serre_defect(2, op) is not None
+    failures = {e["name"]: e.get("witness") for e in verify.suite_hodge(2)
+                if e["status"] == "fail"}
+    assert failures[STAR]["premise"] == failures[UNITARY]["premise"] == \
+        HODGE_STRINGS
+
+
+def test_a_weight_fault_fails_the_serre_pairing_entries():
+    """`serre_pairing` wedges only pairs of opposite torus weight.  In a
+    fresh interpreter, with the weight of e+[1] shifted as `hodge` reads it
+    before any pairing is cached, the partners of e+[1] are never wedged.
+    At n = 2 and 3 the invertibility law then names (1,0), the Serre law
+    of L fails, and every entry resting on it names it: nothing passes on a
+    silently zeroed pairing."""
+    lines = _run_fresh(textwrap.dedent("""
+        import json, sys
+        from qkahler import verify
+        from qkahler.fiber import BasisMonomial
+
+        hodge = sys.modules["qkahler.hodge"]
+        true = hodge.weight
+
+        def faulted(m, n):
+            w = true(m, n)
+            return (w[0] + 1,) + w[1:] if m == BasisMonomial((1,), ()) else w
+
+        hodge.weight = faulted
+        for n in (2, 3):
+            print(json.dumps({e["name"]: e.get("witness")
+                              for e in verify.run_suites("all", n)[1]}))
+    """))
+    on_l_serre = {SYMMETRIC, RESCALING, LEVELS, UNITARY, ADJ_L,
+                  *POSDEF.values()}
+    for n, line in zip((2, 3), lines):
+        failures = json.loads(line)
+        assert failures.pop(NONDEGENERATE) == {"bidegree": [1, 0]}
+        assert set(failures) - on_l_serre == (
+            {"rank-2 value <e+[1],e+[1]> = q^-5"} if n == 2 else set())
+        assert on_l_serre <= set(failures)
+        assert all(failures[name]["premise"] == L_SERRE
+                   for name in on_l_serre)
 
 
 def test_metric_suite_pairs_no_forms_beyond_the_serre_pairing(monkeypatch):
