@@ -33,6 +33,7 @@ the witness.
 
 from __future__ import annotations
 
+from itertools import product
 from types import MappingProxyType
 
 from .scalars import (
@@ -43,8 +44,8 @@ from .fiber import FiberForm, BasisMonomial, basis_bidegree, weight
 from . import linalg
 from .linalg import ScalarMatrix, LDLCertificate
 from .lefschetz import (
-    l_matrix, string_columns, string_basis_matrix, string_images, to_coords,
-    from_coords,
+    l_matrix, lambda_string_factor, string_columns, string_basis_matrix,
+    string_images, to_coords, from_coords,
 )
 
 
@@ -79,23 +80,26 @@ def hodge_rule(n: int, mode: HodgeMode = H_EQ_Q):
     return lambda j, seed: (n - j - sum(seed), hodge_factor(n, seed, j, mode))
 
 
-@memoize
-def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
-    """Matrix of the Hodge map from the (a, b) to the (n-b, n-a) component.
-
-    The map is known on the string basis: H . S = C, with S the string
-    members of (a, b) in monomial coordinates and C their Hodge images, the
-    `string_images` of the level map j -> n-j-k'.  H comes from one
-    elimination of S^T . H^T = C^T, with no inverse of S and no block
-    product; exact arithmetic makes it unique.
-    """
+def _string_block(n: int, a: int, b: int, tgt: tuple, rule) -> ScalarMatrix:
+    """Matrix M from the (a, b) to the tgt component known on the string
+    basis: M . S = C, with S the string members of (a, b) in monomial
+    coordinates and C their images, the `string_images` of rule.  M comes
+    from one elimination of S^T . M^T = C^T, with no inverse of S and no
+    block product; exact arithmetic makes it unique."""
     src, cols = basis_bidegree(n, a, b), string_columns(n, a, b)
     if len(cols) != len(src):
         raise ArithmeticError(
             f"string basis of ({a},{b}) has wrong size: {len(cols)} != {len(src)}")
-    c = string_images(n, a, b, (n - b, n - a), hodge_rule(n, mode))
+    c = string_images(n, a, b, tgt, rule)
     return linalg.solve(string_basis_matrix(n, a, b).transpose(),
                         c.transpose()).transpose()
+
+
+@memoize
+def hodge_block(n: int, a: int, b: int, mode: HodgeMode = H_EQ_Q) -> ScalarMatrix:
+    """Matrix of the Hodge map from the (a, b) to the (n-b, n-a) component:
+    the `_string_block` of the level map j -> n-j-k' with the factors c_j."""
+    return _string_block(n, a, b, (n - b, n - a), hodge_rule(n, mode))
 
 
 def hodge(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
@@ -111,9 +115,9 @@ def hodge_inverse(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
 
 
 def lambda_apply(u: FiberForm, mode: HodgeMode = H_EQ_Q) -> FiberForm:
-    """Lefschetz lowering operator: conjugate of the raising operator by the
-    Hodge map.  Adjoint to raising with respect to the metric.  Applies the
-    cached `lambda_operator(u.n, mode)`, one block product per bidegree."""
+    """Lefschetz lowering operator H^-1 . L . H, adjoint to raising with
+    respect to the metric.  Applies the cached `lambda_operator(u.n, mode)`,
+    one matrix-vector product per bidegree."""
     return lambda_operator(u.n, mode).apply(u)
 
 
@@ -302,37 +306,38 @@ def _first_block_failure(blocks):
     return None
 
 
+def _targeted(n, target):
+    """The (a, b), in order, whose target(a, b) lies in the fiber."""
+    return [(a, b) for a, b in product(range(n + 1), repeat=2)
+            if all(0 <= x <= n for x in target(a, b))]
+
+
+def _graded_operator(n, target, block) -> GradedOperator:
+    """The operator with block(a, b) from each (a, b) to target(a, b), over
+    the (a, b) whose target lies in the fiber."""
+    return GradedOperator(n, {(a, b): (target(a, b), block(a, b))
+                              for a, b in _targeted(n, target)})
+
+
 @memoize
 def hodge_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
-    blocks = {}
-    for a in range(n + 1):
-        for b in range(n + 1):
-            blocks[(a, b)] = ((n - b, n - a), hodge_block(n, a, b, mode))
-    return GradedOperator(n, blocks)
+    return _graded_operator(n, lambda a, b: (n - b, n - a),
+                            lambda a, b: hodge_block(n, a, b, mode))
 
 
 def l_operator(n: int) -> GradedOperator:
-    blocks = {}
-    for a in range(n):
-        for b in range(n):
-            blocks[(a, b)] = ((a + 1, b + 1), l_matrix(n, a, b))
-    return GradedOperator(n, blocks)
+    return _graded_operator(n, lambda a, b: (a + 1, b + 1),
+                            lambda a, b: l_matrix(n, a, b))
 
 
 @memoize
 def lambda_operator(n: int, mode: HodgeMode = H_EQ_Q) -> GradedOperator:
-    """Lowering operator as blocks H^-1 . L . H: the Hodge block of (a, b),
-    the raising matrix on its (n-b, n-a) image, and the Hodge block of
-    (n-b+1, n-a+1) back to (a-1, b-1), which is the inverse Hodge block up
-    to the sign (-1)^(a+b).  Built once per (n, mode), for `lambda_apply`
-    alone: the verify suites take this construction as given and use its
-    action on the string basis, one level down with the factor
-    (-1)^k' c_j c_(m-j+1) of `hodge_factor`."""
-    blocks = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            mat = (hodge_block(n, n - b + 1, n - a + 1, mode)
-                   @ l_matrix(n, n - b, n - a)
-                   @ hodge_block(n, a, b, mode))
-            blocks[(a, b)] = ((a - 1, b - 1), -mat if (a + b) % 2 else mat)
-    return GradedOperator(n, blocks)
+    """Lowering operator, the sl2 shift sending L^j(alpha), alpha a seed of
+    degree k', to [j]_h [n-k'-j+1]_h L^(j-1)(alpha): one `_string_block`
+    per (a, b), reading no Hodge block.  LOWERING_PREMISES in verify
+    identify this shift with H^-1 . L . H.  Built once per (n, mode)."""
+    def rule(j, seed):
+        return j - 1, lambda_string_factor(n, sum(seed), j, mode)
+    return _graded_operator(n, lambda a, b: (a - 1, b - 1),
+                            lambda a, b: _string_block(n, a, b, (a - 1, b - 1),
+                                                       rule))

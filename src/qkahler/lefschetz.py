@@ -9,8 +9,8 @@ the whole algebra.  Its change of basis to monomial coordinates, S, is
 inverted once per bidegree in `string_basis_inverse`, for
 lefschetz_decompose alone: each Hodge block is one elimination of
 H . S = C in `hodge.hodge_block`, with no inverse of S.  `string_images`
-maps members to multiples of members, for the Hodge blocks and for the
-raising and H . S = C premises of the verify suites.
+maps members to multiples of members, for the Hodge and lowering blocks and
+for the raising and H . S = C premises of the verify suites.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def kappa_power(n: int, l: int) -> FiberForm:
 
 def L(u: FiberForm) -> FiberForm:
     """Lefschetz raising: wedge with the fundamental form."""
-    return kappa(u.n).wedge(u)
+    return L_power(u, 1)
 
 
 def L_power(u: FiberForm, j: int) -> FiberForm:

@@ -82,10 +82,6 @@ class ScalarMatrix:
             return NotImplemented
         return self._ncols == other._ncols and self.rows == other.rows
 
-    def __neg__(self):
-        return ScalarMatrix([[-a for a in r] for r in self.rows],
-                            ncols=self._ncols)
-
     def scale(self, c) -> "ScalarMatrix":
         return ScalarMatrix([[a * c if a else ZERO for a in r]
                              for r in self.rows], ncols=self._ncols)

@@ -7,10 +7,11 @@ shift (step, weight): L^j(alpha) goes to weight(m, j) times the member step
 levels away, or to 0 past either end.  L has step +1 and weight 1, Lambda
 step -1 and weight `lefschetz.lambda_string_factor`, [j]_h [m-j+1]_h, and
 H and K step 0 and weights [2j-m]_h and h^(2j-m), functions of the degree
-k' + 2j.  Each relation lhs = rhs, written as the terms (c, [X1, ..., Xr])
-of lhs - rhs, is one scalar identity per string member (`relation_defect`);
-the verify suites check that the members are a basis and that L and
-Lambda act as these shifts.
+k' + 2j.  `hodge.lambda_operator` builds Lambda as this shift.  Each
+relation lhs = rhs, written as the terms (c, [X1, ..., Xr]) of lhs - rhs,
+is one scalar identity per string member (`relation_defect`); the verify
+suites check that the members are a basis and that L and H^-1 . L . H act
+as these shifts.
 
 Conventions.  [A,B]_t := AB - t BA, and the eigenvalue of H on degree k is
 the symmetric quantum integer [k-n]_h, extended to negative arguments by

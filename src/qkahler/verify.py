@@ -50,7 +50,7 @@ from .linalg import ScalarMatrix
 from .hodge import (
     hodge, hodge_factor, hodge_operator, hodge_rule, metric, gram,
     seed_block, certify_posdef, serre_pairing, l_operator, star_matrix,
-    _first_block_failure, _first_nonzero,
+    _first_block_failure, _first_nonzero, _targeted,
 )
 from .uqsl2 import h_weight, k_weight, relation_defect, sl2_relations
 from .su2 import verify_cp1_laplacian
@@ -171,12 +171,6 @@ def _invertible_failure(n, matrix):
         return (s.nrows == s.ncols == len(basis_bidegree(n, a, b))
                 == linalg.rank(s))
     return _first_bidegree(n, holds)
-
-
-def _targeted(n, target):
-    """The (a, b), in order, whose target(a, b) lies in the fiber."""
-    return [(a, b) for a, b in product(range(n + 1), repeat=2)
-            if all(0 <= x <= n for x in target(a, b))]
 
 
 def _string_map_failure(n, op, target, rule):
@@ -342,10 +336,11 @@ STAR_PREMISES = (BASIS, RAISING, HODGE_STRINGS, L_STAR, STAR_COMMUTES)
 # metric with no Gram block read.
 UNITARY_PREMISES = SQUARE_PREMISES + (RAISING, L_STAR, STAR_COMMUTES,
                                       L_SERRE, H_SERRE)
-# Taking Lambda = H^-1 . L . H (`lambda_operator`) as given too, the
-# premises on L, all among those of unitarity, give L_(a,b)^T .
-# G_(a+1,b+1) = G_(a,b) . conj(Lambda_(a+1,b+1)): Lambda is the metric
-# adjoint of L.
+# Lambda is defined as H^-1 . L . H, and the premises on L, all among
+# those of unitarity, give L_(a,b)^T . G_(a+1,b+1) = G_(a,b) .
+# conj(Lambda_(a+1,b+1)): Lambda is the metric adjoint of L.
+# `lambda_operator` builds the lowering shift, which LOWERING_PREMISES
+# identify with H^-1 . L . H, so no construction is taken as given.
 ADJOINT_L_PREMISES = UNITARY_PREMISES
 # With raising too, Lambda = (-1)^(a+b) H . L . H sends L^j(alpha) to
 # (-1)^k' c_j c_(m-j+1) L^(j-1)(alpha) and kills the seeds.
@@ -735,8 +730,7 @@ def suite_strings(n, mode=H_EQ_Q, q_samples=DEFAULT_Q_SAMPLES):
       n-k+2j and alpha's at n-k+2i.
     """
     out = []
-    seeds = {(k - b, b): primitive_basis(n, k - b, b)
-             for k in range(n + 1) for b in range(k + 1)}
+    seeds = {seed: primitive_basis(n, *seed) for seed in _seeds(n)}
     total = sum((n - sum(bd) + 1) * len(ss) for bd, ss in seeds.items())
     out.append(_entry("strings", "string members count the whole fiber",
                       total == 4 ** n, detail=f"{total} of {4 ** n}"))

@@ -23,11 +23,13 @@ graded-operator products, the counting operators H and K and
 `combination_defect` state the sl2 relations and the Hodge square on the
 engine's operator blocks, with the engine's zero test: the suites check
 those relations as scalar identities on the string basis instead, and the
-tests hold the two against each other.  The Hopf half of quantum SU(2),
-coproduct and counit, multiplies tensor legs through the engine's
-`SU2Element` product: it is the reference the antipode's convolution axiom
-is checked against, not an oracle for the ring, which the rightmost-first
-SU(2) reducer above checks.
+tests hold the two against each other.  `conjugated_raising` multiplies
+out H^-1 . L . H from the engine's Hodge and raising blocks, the reference
+for the lowering operator, which the engine builds as a shift instead.
+The Hopf half of quantum SU(2), coproduct and counit, multiplies tensor
+legs through the engine's `SU2Element` product: it is the reference the
+antipode's convolution axiom is checked against, not an oracle for the
+ring, which the rightmost-first SU(2) reducer above checks.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ from qkahler import linalg
 from qkahler.fiber import FiberForm, basis_bidegree, basis_degree
 from qkahler.hodge import (
     GradedOperator, _first_block_failure, _first_nonzero, gram, hodge,
-    l_operator, serre_pairing, star_matrix, vol,
+    hodge_block, l_operator, serre_pairing, star_matrix, vol,
 )
-from qkahler.lefschetz import l_power_matrix, string_columns, to_coords
+from qkahler.lefschetz import (
+    l_matrix, l_power_matrix, string_columns, to_coords,
+)
 from qkahler.linalg import ScalarMatrix
 from qkahler.scalars import (
     GR_ZERO, H_EQ_Q, Scalar, ONE, ZERO, qfact, qint, qint_signed,
@@ -428,7 +432,8 @@ def adjoint_defect(op, other, mode=H_EQ_Q):
                 missing.append(src)
                 return
             yield src, tgt, [(mat.transpose(), gram(op.n, *tgt, mode)),
-                             (gram(op.n, *src, mode), -w.conjugate())]
+                             (gram(op.n, *src, mode),
+                              w.conjugate().scale(-ONE))]
 
     wit = _first_block_failure(blocks())
     if wit is not None:
@@ -575,6 +580,22 @@ def scale(op, c):
 def conjugate(op):
     return GradedOperator(op.n, {src: (tgt, mat.conjugate())
                                  for src, (tgt, mat) in op.blocks.items()})
+
+
+def conjugated_raising(n, mode=H_EQ_Q):
+    """Lambda = H^-1 . L . H multiplied out per (a, b): the Hodge block of
+    (a, b), the raising matrix on its (n-b, n-a) image, and the Hodge block
+    of (n-b+1, n-a+1) back to (a-1, b-1), which is the inverse Hodge block
+    up to the sign (-1)^(a+b).  The reference for `lambda_operator`, which
+    builds the lowering shift on the string basis instead."""
+    blocks = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            mat = (hodge_block(n, n - b + 1, n - a + 1, mode)
+                   @ l_matrix(n, n - b, n - a) @ hodge_block(n, a, b, mode))
+            blocks[(a, b)] = ((a - 1, b - 1),
+                              mat.scale(-ONE) if (a + b) % 2 else mat)
+    return GradedOperator(n, blocks)
 
 
 def h_operator(n, mode=H_EQ_Q):

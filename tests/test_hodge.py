@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import pkgutil
 import random
@@ -16,6 +17,7 @@ import pytest
 
 import qkahler
 from qkahler import linalg
+from qkahler.cli import parse_mode
 from qkahler.fiber import (
     FiberForm, basis_bidegree, basis_degree, e_minus, e_plus, weight,
 )
@@ -36,9 +38,9 @@ from qkahler.scalars import (
 
 from oracles import (
     C_ONE, C_ZERO, adjoint_defect, c_add, c_matmul, c_mul, combination_defect,
-    compose, diagonal, dict_add, dict_mul, eval_matrix, eval_scalar,
-    form_metric, gauss_inverse, gauss_rank, h_operator, k_operator,
-    naive_qfact, scale, serre_pairing_all_pairs,
+    compose, conjugated_raising, diagonal, dict_add, dict_mul, eval_matrix,
+    eval_scalar, form_metric, gauss_inverse, gauss_rank, h_operator,
+    k_operator, naive_qfact, scale, serre_pairing_all_pairs,
 )
 
 MODES = (H_EQ_Q, H_EQ_ONE, HodgeMode.numeric(Fraction(9, 10), Fraction(7, 8)))
@@ -458,8 +460,9 @@ def test_lambda_blocks_match_conjugated_raising_at_a_point(mode):
     satisfies H_(a-1,b-1)(q0) . Lambda(q0) = L_(n-b,n-a)(q0) . H_(a,b)(q0),
     both sides multiplied out over the complex rationals.  The Hodge block
     H_(a-1,b-1) is invertible (its square is +-1), so this is
-    Lambda = H^-1 . L . H at q0, the construction the verify suites take as
-    given.  Agreement at one point is a necessary check, not a proof."""
+    Lambda = H^-1 . L . H at q0, the definition that `lambda_operator`,
+    built as the lowering shift, must meet.  Agreement at one point is a
+    necessary check, not a proof."""
     n = 4
     lam = lambda_operator(n, mode)
     for a in range(1, n + 1):
@@ -526,6 +529,46 @@ def test_lambda_operator_is_conjugated_raising():
                 want = _inverse_by_elimination(kappa(n).wedge(hodge(u, mode)), mode)
                 assert lam.apply(u) == want
                 assert lambda_apply(u, mode) == want
+
+
+@pytest.mark.parametrize("n,mode", [
+    (n, mode) for n in (1, 2, 3) for mode in MODES] + [
+    (4, H_EQ_Q), (4, H_EQ_ONE)])
+def test_lambda_operator_equals_the_multiplied_out_conjugate(n, mode):
+    """Every block of `lambda_operator`, the lowering shift solved on the
+    string basis, equals (-1)^(a+b) H . L . H multiplied out, exactly."""
+    assert dict(lambda_operator(n, mode).blocks) == \
+        dict(conjugated_raising(n, mode).blocks)
+
+
+@pytest.mark.parametrize("mode", ["hq", "h1"])
+def test_lambda_apply_reads_no_hodge_block(mode):
+    """In a fresh interpreter, with `hodge_block` and `hodge_operator`
+    refused, `lambda_apply` of every basis monomial at n = 3 equals the
+    image under the multiplied-out H^-1 . L . H."""
+    script = textwrap.dedent(f"""
+        import json, sys
+        from qkahler.cli import parse_mode
+        from qkahler.fiber import FiberForm, basis_degree
+        from qkahler.scalars import ONE
+
+        def refuse(*args):
+            raise AssertionError("a refused function was called")
+
+        hodge = sys.modules["qkahler.hodge"]
+        hodge.hodge_block = hodge.hodge_operator = refuse
+        mode = parse_mode({mode!r})
+        print(json.dumps([str(hodge.lambda_apply(FiberForm(3, {{m: ONE}}),
+                                                 mode))
+                          for k in range(7) for m in basis_degree(3, k)]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lam = conjugated_raising(3, parse_mode(mode))
+    assert json.loads(proc.stdout) == [
+        str(lam.apply(FiberForm(3, {m: ONE})))
+        for k in range(7) for m in basis_degree(3, k)]
 
 
 def test_lambda_operator_is_built_once_per_rank_and_mode():
@@ -653,7 +696,7 @@ def test_adjoint_against_the_metric():
             kop = k_operator(n, mode)
             star = hodge_operator(n, mode)
             star_inv = GradedOperator(n, {
-                src: (tgt, -mat if sum(src) % 2 else mat)
+                src: (tgt, mat.scale(-ONE) if sum(src) % 2 else mat)
                 for src, (tgt, mat) in star.blocks.items()})
             ops = (lop, lam, hop, kop, star)
             candidates = ops + (star_inv, scale(lam, -ONE), scale(lam, Q),

@@ -562,7 +562,7 @@ def _canonical_premises(n, mode):
         L_SERRE: _first_entry({
             ((a, b), (a + 1, b + 1)): _sum(
                 lower[a, b].transpose() @ p(n, a + 1, b + 1),
-                -p(n, a, b) @ lower[n - a - 1, n - b - 1])
+                p(n, a, b).scale(-ONE) @ lower[n - a - 1, n - b - 1])
             for a, b in product(range(n), repeat=2)}),
         STAR: first_factor(
             lambda seed, m, j: c(seed[::-1], j) == c(seed, j).conjugate()),
@@ -810,7 +810,7 @@ def _refused_run(n, mode, refused):
     JSON, the products with a Hodge block on both sides and with a Gram
     block as a factor, the products other than H_(a,b) . S_(a,b), S the
     string basis, with a factor made from a Hodge block by `transpose`,
-    `conjugate`, `scale` or negation or that block itself, and whether any
+    `conjugate` or `scale` or that block itself, and whether any
     product was formed.  The refused functions are restored before the
     Hodge and Gram blocks are read."""
     script = textwrap.dedent(f"""
@@ -841,7 +841,7 @@ def _refused_run(n, mode, refused):
             return block
 
         hodge.hodge_block = tracking_block
-        for name in ("transpose", "conjugate", "scale", "__neg__"):
+        for name in ("transpose", "conjugate", "scale"):
             def derive(self, *args, real=getattr(linalg.ScalarMatrix, name)):
                 out = real(self, *args)
                 if any(self is m for m in made):
